@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 from .equations import DioSystem, is_member
 from .hilbert import find_order_unit, in_generated
-from .semiring import (canonical_sorted, inject, supp, unit_vec, vec_to_json,
-                       zero_vec)
+from .semiring import (canonical_sorted, check_int, inject, project, supp,
+                       unit_vec, vec_to_json, zero_vec)
 from .supports import (SystemOfSupports, extract, is_almost_free, is_full,
-                       minimal_nonempty)
+                       minimal_nonempty, support_closure)
 
 
 @dataclass(frozen=True)
@@ -83,37 +83,25 @@ def equals_a_plus_inf_a(sys: DioSystem, sos: SystemOfSupports | None = None):
         sos = extract(sys)
     s = sos.s
     gens0 = sos.basis_for(frozenset()).gens
-    suppset = {frozenset()}
-    frontier = [supp(g) for g in gens0]
-    for H in frontier:
-        suppset.add(H)
-    changed = True
-    while changed:
-        changed = False
-        for H in list(suppset):
-            for K in frontier:
-                if (H | K) not in suppset:
-                    suppset.add(H | K)
-                    changed = True
+    suppset = support_closure(gens0)
+
+    def projected(H):
+        return [p for p in (project(g, H) for g in gens0) if any(p)]
 
     witnesses = set()
-    cond_supports = sos.S == frozenset(suppset)
-    for H in sos.S - frozenset(suppset):
+    cond_supports = sos.S == suppset
+    for H in sos.S - suppset:
         # inf exactly on H is a member but its infinite support is not a
         # support of the finite part, so it cannot be a1 + inf·a2
         witnesses.add(inject(zero_vec(s - len(H)), H))
 
     cond_projections = True
     for H in minimal_nonempty(sos.S):
-        keep = sos.complement(H)
-        k = len(keep)
-        if k == 0:
-            continue
-        projected = [tuple(g[i - 1] for i in keep) for g in gens0]
-        projected = [p for p in projected if any(p)]
+        k = s - len(H)
+        shadow = projected(H)
         for j in range(k):
             e = unit_vec(k, j + 1)
-            if not in_generated(projected, e):
+            if not in_generated(shadow, e):
                 cond_projections = False
                 w = inject(e, H)
                 if is_member(sys, w):
@@ -126,11 +114,9 @@ def equals_a_plus_inf_a(sys: DioSystem, sos: SystemOfSupports | None = None):
         for H, basis in sos.families:
             if not H:
                 continue
-            keep = sos.complement(H)
-            projected = [p for p in
-                         (tuple(g[i - 1] for i in keep) for g in gens0) if any(p)]
+            shadow = projected(H)
             for g in basis.gens:
-                if not in_generated(projected, g):
+                if not in_generated(shadow, g):
                     witnesses.add(inject(g, H))
     return flag, canonical_sorted(witnesses)
 
@@ -163,8 +149,7 @@ def analyze_single_equation(a, b) -> SingleEquationReport:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     for v in a + b:
-        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-            raise ValueError(f"coefficients must be nonnegative integers, got {v!r}")
+        check_int(v, "coefficient", 0)
     if not any(a) or not any(b):
         raise ValueError("both coefficient vectors must be nonzero")
     if a == b:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from .errors import MissingOrderUnitError, ResourceLimitError
 from .hilbert import HilbertBasis, generated_upto, minimize_generators
 from .semiring import (IndexSet, Vec, canonical_sorted, check_index_set,
-                       sort_key, supp, unit_vec, zero_vec)
-from .supports import SystemOfSupports
+                       check_int, project, sort_key, supp)
+from .supports import SystemOfSupports, support_closure
 
 MAX_POWERSET_DIM = 16      # materializing 2^s support sets past this is refused
 MAX_DECOMPOSE_GENS = 20    # partition search is exponential in the basis size
@@ -35,35 +35,11 @@ UNIQUENESS_BOUND = 5       # truncated uniqueness verification for direct sums
 
 
 def _order_unit_of(basis: HilbertBasis) -> Vec:
-    total = zero_vec(basis.dim)
-    for g in basis.gens:
-        total = tuple(a + b for a, b in zip(total, g))
-    if not all(v > 0 for v in total):
+    unit = basis.order_unit()
+    if unit is None:
         raise MissingOrderUnitError(
             "the generated monoid has no strictly positive element")
-    return total
-
-
-def _support_closure(gens) -> set:
-    """All unions of generator supports, plus the empty set."""
-    out = {frozenset()}
-    frontier = [supp(g) for g in gens]
-    for H in frontier:
-        out.add(H)
-    changed = True
-    while changed:
-        changed = False
-        for H in list(out):
-            for K in frontier:
-                u = H | K
-                if u not in out:
-                    out.add(u)
-                    changed = True
-    return out
-
-
-def _free_basis(dim: int) -> HilbertBasis:
-    return HilbertBasis(dim, canonical_sorted(unit_vec(dim, i + 1) for i in range(dim)))
+    return unit
 
 
 def a_plus_inf_a(basis: HilbertBasis) -> SystemOfSupports:
@@ -76,27 +52,15 @@ def a_plus_inf_a(basis: HilbertBasis) -> SystemOfSupports:
     unit = _order_unit_of(basis)
     s = basis.dim
     fams = []
-    for H in _support_closure(basis.gens):
-        k = s - len(H)
-        if k == 0:
-            fams.append((H, HilbertBasis(0, ())))
-            continue
-        keep = [i for i in range(1, s + 1) if i not in H]
-        projected = [tuple(g[i - 1] for i in keep) for g in basis.gens]
-        fams.append((H, HilbertBasis.from_generators(k, projected)))
+    for H in support_closure(basis.gens):
+        projected = [project(g, H) for g in basis.gens]
+        fams.append((H, HilbertBasis.from_generators(s - len(H), projected)))
     return SystemOfSupports(s=s, unit=unit, families=tuple(fams))
 
 
-def _free_families(s: int, supports_set, basis: HilbertBasis):
-    fams = []
-    for H in supports_set:
-        if not H:
-            fams.append((H, basis))
-        elif len(H) == s:
-            fams.append((H, HilbertBasis(0, ())))
-        else:
-            fams.append((H, _free_basis(s - len(H))))
-    return tuple(fams)
+def _free_families(supports_set, basis: HilbertBasis):
+    return tuple((H, HilbertBasis.free(basis.dim - len(H)) if H else basis)
+                 for H in supports_set)
 
 
 def b_min(basis: HilbertBasis) -> SystemOfSupports:
@@ -114,7 +78,7 @@ def b_min(basis: HilbertBasis) -> SystemOfSupports:
         H = frozenset(combo)
         if any(H >= m for m in min_supports):
             S.add(H)
-    return SystemOfSupports(s=s, unit=unit, families=_free_families(s, S, basis))
+    return SystemOfSupports(s=s, unit=unit, families=_free_families(S, basis))
 
 
 def b_max(basis: HilbertBasis) -> SystemOfSupports:
@@ -126,7 +90,7 @@ def b_max(basis: HilbertBasis) -> SystemOfSupports:
         raise ResourceLimitError(f"materializing subsets of {s} coordinates refused")
     S = {frozenset(c) for r in range(s + 1)
          for c in itertools.combinations(range(1, s + 1), r)}
-    return SystemOfSupports(s=s, unit=unit, families=_free_families(s, S, basis))
+    return SystemOfSupports(s=s, unit=unit, families=_free_families(S, basis))
 
 
 def monoid_sum(m1, m2) -> tuple:
@@ -182,18 +146,16 @@ class DirectSumData:
             for r in rows:
                 if len(r) != len(I3):
                     raise ValueError(f"{name} rows must have length |I3| = {len(I3)}")
-                if any(isinstance(v, bool) or not isinstance(v, int) or v < 0 for v in r):
-                    raise ValueError(f"{name} rows must be nonnegative integers")
+                for v in r:
+                    check_int(v, f"{name} entry", 0)
 
     def order_unit_support_ok(self) -> bool:
         """The composed monoid contains an order-unit iff the shadows of the
         two factors jointly cover I3."""
-        covered = set()
-        for rows, block in ((self.f1, self.I3), (self.f2, self.I3)):
-            pos = sorted(self.I3)
-            for r in rows:
-                covered.update(pos[j] for j in range(len(pos)) if r[j])
-        return frozenset(covered) == self.I3
+        pos = sorted(self.I3)
+        covered = {pos[j] for r in self.f1 + self.f2
+                   for j in range(len(pos)) if r[j]}
+        return covered == self.I3
 
     def to_json(self) -> dict:
         return {
@@ -303,19 +265,9 @@ def _check_split(basis, group1, group2, I1, I2, I3, full_closure, bound):
                 return None  # a factor generator invisible on its own block
             if seen.setdefault(p, sh) != sh:
                 return None  # shadow map not well defined
-        order = sorted(range(len(proj)), key=lambda i: sort_key(proj[i]))
-        uniq = []
-        rows = []
-        for i in order:
-            if proj[i] in (q for q, _ in uniq):
-                continue
-            uniq.append((proj[i], shadows[i]))
-            rows.append(shadows[i])
-        try:
-            b = HilbertBasis(len(own), tuple(p for p, _ in uniq))
-        except ValueError:
-            return None
-        pieces.append((b, tuple(rows)))
+        factor = canonical_sorted(seen)
+        pieces.append((HilbertBasis(len(own), factor),
+                       tuple(seen[p] for p in factor)))
     (b1, f1), (b2, f2) = pieces
     return DirectSumData(s=s, I1=I1, I2=I2, I3=I3, B1=b1, B2=b2, f1=f1, f2=f2)
 
@@ -328,8 +280,7 @@ def decomposed_almost_free(d: DirectSumData) -> bool:
     unions over the generators used, so the generator check is exact).
     """
     for basis, rows in ((d.B1, d.f1), (d.B2, d.f2)):
-        free = canonical_sorted(unit_vec(basis.dim, i + 1) for i in range(basis.dim))
-        if basis.gens != free:
+        if basis != HilbertBasis.free(basis.dim):
             return False
         k = len(d.I3)
         for r in rows:

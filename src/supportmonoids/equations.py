@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError
-from .semiring import INF, MAX_DIM, Vec, dot, sort_key
+from .semiring import INF, MAX_DIM, Vec, check_int, dot, sort_key
 
 Matrix = tuple  # tuple of row tuples
 
@@ -25,16 +25,14 @@ ENUMERATION_GUARD = 10_000_000  # refuse truncated enumerations beyond this
 
 
 def _check_matrix(rows, s, what, allow_negative=False) -> Matrix:
+    entry, least = f"{what} entry", None if allow_negative else 0
     out = []
     for r, row in enumerate(rows):
         row = tuple(row)
         if len(row) != s:
             raise ValueError(f"{what} row {r} has length {len(row)}, expected {s}")
         for v in row:
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"{what} entries must be integers, got {v!r}")
-            if v < 0 and not allow_negative:
-                raise ValueError(f"{what} entries must be nonnegative, got {v}")
+            check_int(v, entry, least)
         out.append(row)
     return tuple(out)
 
@@ -54,8 +52,7 @@ class DioSystem:
     moduli: tuple = ()
 
     def __post_init__(self):
-        if isinstance(self.s, bool) or not isinstance(self.s, int) or self.s < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.s!r}")
+        check_int(self.s, "dimension", 1)
         if self.s > MAX_DIM:
             raise ValueError(f"dimension {self.s} exceeds the supported maximum {MAX_DIM}")
         object.__setattr__(self, "F", _check_matrix(self.F, self.s, "F"))
@@ -67,8 +64,7 @@ class DioSystem:
         if len(self.D) != len(self.moduli):
             raise ValueError("one modulus per congruence row required")
         for m in self.moduli:
-            if isinstance(m, bool) or not isinstance(m, int) or m <= 1:
-                raise ValueError(f"moduli must be integers > 1, got {m!r}")
+            check_int(m, "modulus", 2)
 
     @property
     def n_eq(self) -> int:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 from .equations import DioSystem, lift_congruences
 from .errors import ResourceLimitError
-from .semiring import (INF, Vec, canonical_sorted, inf_supp, is_finite,
-                       supp, unit_vec, vec_add, zero_vec)
+from .semiring import (INF, Vec, canonical_sorted, check_int, inf_supp,
+                       is_finite, supp, unit_vec, vec_add, zero_vec)
 
 MAX_COMPLETION_STATES = 1_000_000
 
@@ -41,16 +41,15 @@ class HilbertBasis:
     gens: tuple
 
     def __post_init__(self):
-        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 0:
-            raise ValueError(f"dimension must be a nonnegative integer, got {self.dim!r}")
+        check_int(self.dim, "dimension", 0)
         gens = tuple(tuple(g) for g in self.gens)
         object.__setattr__(self, "gens", gens)
         seen = set()
         for g in gens:
             if len(g) != self.dim:
                 raise ValueError(f"generator {g} has length {len(g)}, expected {self.dim}")
-            if any(isinstance(v, bool) or not isinstance(v, int) or v < 0 for v in g):
-                raise ValueError(f"generator {g} must have finite nonnegative entries")
+            for v in g:
+                check_int(v, "generator entry", 0)
             if not any(g):
                 raise ValueError("zero vector is not a generator")
             if g in seen:
@@ -64,6 +63,21 @@ class HilbertBasis:
         """Drop zeros and redundant generators, sort canonically."""
         cleaned = canonical_sorted(tuple(g) for g in gens if any(g))
         return cls(dim, minimize_generators(cleaned))
+
+    @classmethod
+    def free(cls, dim: int) -> "HilbertBasis":
+        """The unit vectors of N0^dim, the basis of the free monoid."""
+        return cls(dim, canonical_sorted(unit_vec(dim, i + 1) for i in range(dim)))
+
+    def order_unit(self):
+        """The sum of the generators when it is strictly positive, else None.
+
+        The sum hits every coordinate any member of the monoid can hit, so
+        it is strictly positive exactly when a strictly positive member
+        exists; any such member is an order-unit.
+        """
+        total = tuple(sum(g[i] for g in self.gens) for i in range(self.dim))
+        return total if all(v > 0 for v in total) else None
 
     def to_json(self) -> list:
         return [list(g) for g in self.gens]
@@ -109,7 +123,11 @@ def minimal_solutions(rows, dim: int, max_states: int = MAX_COMPLETION_STATES):
                     seen.add(t2)
                     nxt.append((t2, tuple(a + b for a, b in zip(v, cols[j]))))
         frontier = nxt
-    return [m for m in minimals if not any(_dominates(m, o) for o in minimals if o != m)]
+    # Already an antichain: candidates are visited level by level in the
+    # coordinate sum, so every solution below t has a smaller sum and was
+    # found on an earlier level, and t was accepted only if it dominates
+    # none of those.
+    return minimals
 
 
 def _dominates(x, y) -> bool:
@@ -297,17 +315,6 @@ def generated_truncated(gens, bound: int, dim: int) -> frozenset:
 
 
 def find_order_unit(sys: DioSystem):
-    """Some strictly positive finite solution, or None when none exists.
-
-    The sum of the Hilbert-basis generators of the finite part hits
-    every coordinate any finite solution can hit, so it is strictly
-    positive exactly when a strictly positive solution exists; any such
-    element is an order-unit of the finite part.
-    """
-    basis = hilbert_basis(sys)
-    total = zero_vec(sys.s)
-    for g in basis.gens:
-        total = tuple(a + b for a, b in zip(total, g))
-    if all(v > 0 for v in total):
-        return total
-    return None
+    """Some strictly positive finite solution, or None when none exists:
+    the order-unit of the Hilbert basis of the finite part."""
+    return hilbert_basis(sys).order_unit()

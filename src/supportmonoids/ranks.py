@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .equations import DioSystem, from_integer_matrix
 from .errors import MissingOrderUnitError
 from .hilbert import find_order_unit
-from .semiring import Vec, dot
+from .semiring import Vec, check_int, dot
 
 ASSUMPTIONS = ("reduced completion", "finitely generated torsion-free module")
 
@@ -50,8 +50,7 @@ class RankMatrix:
             if len(row) != width:
                 raise ValueError("rank matrix rows must have equal length")
             for v in row:
-                if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                    raise ValueError(f"ranks must be nonnegative integers, got {v!r}")
+                check_int(v, "rank", 0)
         for i in range(width):
             if all(row[i] == 0 for row in rows):
                 raise ValueError(f"column {i + 1} is zero: every summand must be nonzero")

@@ -132,14 +132,18 @@ def mul(a: ExtNat, b: ExtNat) -> ExtNat:
     return a * b
 
 
+def check_int(v, what: str, least: int | None = None) -> int:
+    """Return v after checking that it is an int (a bool is refused) and,
+    when ``least`` is given, that it is at least ``least``."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{what}: expected an integer, got {v!r}")
+    if least is not None and v < least:
+        raise ValueError(f"{what}: expected at least {least}, got {v}")
+    return v
+
+
 def _check_extnat(a, what="value") -> ExtNat:
-    if a is INF:
-        return a
-    if isinstance(a, bool) or not isinstance(a, int):
-        raise ValueError(f"{what} must be a nonnegative integer or INF, got {a!r}")
-    if a < 0:
-        raise ValueError(f"{what} must be nonnegative, got {a}")
-    return a
+    return a if a is INF else check_int(a, what, 0)
 
 
 def check_vec(x: Iterable, what="vector") -> Vec:

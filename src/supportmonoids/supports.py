@@ -32,9 +32,9 @@ from .equations import DioSystem
 from .errors import MissingOrderUnitError
 from .hilbert import (HilbertBasis, find_order_unit, generated_upto,
                       hilbert_basis, in_generated, minimize_generators)
-from .semiring import (INF, IndexSet, Vec, canonical_sorted, check_index_set,
-                       check_vec, inf_supp, inject, project, unit_vec,
-                       vec_from_json, vec_to_json, zero_vec)
+from .semiring import (INF, IndexSet, Vec, check_index_set, check_vec,
+                       inf_supp, inject, project, supp, vec_from_json,
+                       vec_to_json, zero_vec)
 
 
 def _iset_key(H: IndexSet):
@@ -129,12 +129,15 @@ def _row_allows(frow, grow, H: IndexSet) -> bool:
     return (not f_hits and not g_hits) or (f_hits and g_hits)
 
 
-def require_order_unit(sys: DioSystem) -> Vec:
-    u = find_order_unit(sys)
-    if u is None:
+def _system_unit(unit: Vec | None) -> Vec:
+    if unit is None:
         raise MissingOrderUnitError(
             "the system has no strictly positive finite solution")
-    return u
+    return unit
+
+
+def require_order_unit(sys: DioSystem) -> Vec:
+    return _system_unit(find_order_unit(sys))
 
 
 def infinite_supports(sys: DioSystem, unit_checked: bool = False) -> frozenset:
@@ -195,12 +198,7 @@ def subsystem_for(sys: DioSystem, H) -> DioSystem:
 def extract(sys: DioSystem) -> SystemOfSupports:
     """Recover the full gluing data of the solution monoid of sys."""
     basis0 = hilbert_basis(sys)
-    unit = zero_vec(sys.s)
-    for g in basis0.gens:
-        unit = tuple(a + b for a, b in zip(unit, g))
-    if not all(v > 0 for v in unit):
-        raise MissingOrderUnitError(
-            "the system has no strictly positive finite solution")
+    unit = _system_unit(basis0.order_unit())
     fams = []
     full = frozenset(range(1, sys.s + 1))
     for H in infinite_supports(sys, unit_checked=True):
@@ -252,6 +250,16 @@ def truncated_members(sos: SystemOfSupports, bound: int) -> frozenset:
         fin = generated_upto(basis.gens, bound, k) if k else {()}
         for y in fin:
             out.add(inject(y, H) if H else y)
+    return frozenset(out)
+
+
+def support_closure(gens) -> frozenset:
+    """All unions of generator supports, the empty set included: the
+    supports of the members of the generated monoid."""
+    out = {frozenset()}
+    for g in gens:
+        H = supp(g)
+        out |= {K | H for K in out}
     return frozenset(out)
 
 
@@ -316,25 +324,28 @@ def validate(sos: SystemOfSupports) -> list:
 DEFAULT_FULLNESS_BOUND = 5
 
 
-def is_full(sos: SystemOfSupports, bound: int = DEFAULT_FULLNESS_BOUND) -> bool:
-    """Do all families embed divisor-homomorphically, verified up to bound?
+def _full_upto(basis: HilbertBasis, bound: int) -> bool:
+    """Is the generated monoid full, verified on members up to bound?
 
-    A_H is full iff differences of comparable members stay inside; on
-    the truncated closure it is enough that c - g stays in the closure
-    for every generator g below a member c (peel one generator at a
-    time).
+    A monoid is full iff differences of comparable members stay inside;
+    on the truncated closure it is enough that c - g stays in the
+    closure for every generator g below a member c (peel one generator
+    at a time).
     """
-    for H, basis in sos.families:
-        k = sos.s - len(H)
-        if k == 0 or not basis.gens:
-            continue
-        closure = generated_upto(basis.gens, bound, k)
-        for c in closure:
-            for g in basis.gens:
-                if all(a >= b for a, b in zip(c, g)):
-                    if tuple(a - b for a, b in zip(c, g)) not in closure:
-                        return False
+    if not basis.gens:
+        return True
+    closure = generated_upto(basis.gens, bound, basis.dim)
+    for c in closure:
+        for g in basis.gens:
+            if all(a >= b for a, b in zip(c, g)):
+                if tuple(a - b for a, b in zip(c, g)) not in closure:
+                    return False
     return True
+
+
+def is_full(sos: SystemOfSupports, bound: int = DEFAULT_FULLNESS_BOUND) -> bool:
+    """Do all families embed divisor-homomorphically, verified up to bound?"""
+    return all(_full_upto(basis, bound) for _, basis in sos.families)
 
 
 def is_almost_free(sos: SystemOfSupports, bound: int = DEFAULT_FULLNESS_BOUND) -> bool:
@@ -348,16 +359,7 @@ def is_almost_free(sos: SystemOfSupports, bound: int = DEFAULT_FULLNESS_BOUND) -
     """
     if not sos.solution_backed:
         empty = frozenset()
-        if empty not in sos.S:
+        if empty not in sos.S or not _full_upto(sos.basis_for(empty), bound):
             return False
-        probe = SystemOfSupports(
-            s=sos.s, unit=sos.unit,
-            families=((empty, sos.basis_for(empty)),))
-        if not is_full(probe, bound):
-            return False
-    for H in minimal_nonempty(sos.S):
-        k = sos.s - len(H)
-        free = canonical_sorted(unit_vec(k, i + 1) for i in range(k))
-        if sos.basis_for(H).gens != free:
-            return False
-    return True
+    return all(sos.basis_for(H) == HilbertBasis.free(sos.s - len(H))
+               for H in minimal_nonempty(sos.S))

@@ -37,6 +37,14 @@ def test_a_plus_inf_a_free_basis():
     assert validate(sos) == []
 
 
+def test_a_plus_inf_a_of_a_non_full_semigroup_is_not_almost_free():
+    # <2, 3> is not full (3 - 2 = 1 is missing), so the fullness check
+    # at the empty support must reject it
+    sos = a_plus_inf_a(basis(1, (2,), (3,)))
+    assert sos.S == frozenset({fset(), fset(1)})
+    assert not is_almost_free(sos)
+
+
 def test_a_plus_inf_a_membership_is_the_sum_set():
     b = basis(3, (1, 0, 0), (0, 1, 1))
     sos = a_plus_inf_a(b)

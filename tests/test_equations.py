@@ -46,6 +46,13 @@ def test_construction_validation():
         DioSystem(s=0)
     with pytest.raises(ValueError):
         DioSystem(s=25)
+    # a bool is refused wherever an int is expected
+    with pytest.raises(ValueError):
+        DioSystem(s=True)
+    with pytest.raises(ValueError):
+        DioSystem(s=2, F=((True, 0),), G=((0, 1),))
+    with pytest.raises(ValueError):
+        DioSystem(s=2, D=((1, 1),), moduli=(True,))
 
 
 def test_lift_congruences_shape():

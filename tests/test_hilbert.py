@@ -158,5 +158,9 @@ def test_hilbert_basis_type_validation():
         HilbertBasis(2, ((1, 0), (1, 0)))
     with pytest.raises(ValueError):
         HilbertBasis(2, ((1, 0), (0, 1)))  # not canonically sorted
+    with pytest.raises(ValueError):
+        HilbertBasis(True, ((1,),))
+    with pytest.raises(ValueError):
+        HilbertBasis(1, ((True,),))
     ok = HilbertBasis.from_generators(2, ((1, 0), (0, 1), (1, 1), (0, 0)))
     assert ok.gens == ((0, 1), (1, 0))

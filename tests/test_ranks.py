@@ -113,6 +113,8 @@ def test_rank_matrix_validation():
     with pytest.raises(ValueError):
         RankMatrix(a=((1, -1), (1, 1)))
     with pytest.raises(ValueError):
+        RankMatrix(a=((1, True), (1, 1)))
+    with pytest.raises(ValueError):
         RankMatrix(a=((1, 1), (1, 1)), labels=("one",))
     rm = RankMatrix(a=((1, 1), (1, 2)), labels=("R", "M"))
     assert rm.s == 2 and rm.primes == 2

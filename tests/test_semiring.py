@@ -1,3 +1,4 @@
+import doctest
 import itertools
 import random
 
@@ -7,6 +8,7 @@ from supportmonoids import (INF, add, divides, format_extnat, format_vec,
                             inf_supp, inject, mul, parse_extnat, parse_vec,
                             project, scale, supp, supports, vec_add,
                             vec_from_json, vec_to_json)
+from supportmonoids import semiring
 from supportmonoids.semiring import check_vec, sort_key
 
 VALUES = (0, 1, 2, 3, 4, 5, 6, INF)
@@ -153,3 +155,8 @@ def test_vector_validation():
 def test_canonical_order_puts_finite_below_infinite():
     vecs = [(INF, 0), (0, INF), (1, 1), (0, 2), (INF, INF)]
     assert sorted(vecs, key=sort_key) == [(0, 2), (0, INF), (1, 1), (INF, 0), (INF, INF)]
+
+
+def test_module_docstring_examples():
+    result = doctest.testmod(semiring)
+    assert result.attempted > 0 and result.failed == 0
