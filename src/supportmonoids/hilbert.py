@@ -12,17 +12,23 @@ Membership in a generated monoid (`in_generated`) is decided by exact
 bounded search, including inf coefficients and generators with inf
 entries: a finite coefficient on g is bounded by the finite coordinates
 of the target, and an inf coefficient is only useful when supp(g) sits
-inside the target's infinite support.
+inside the target's infinite support.  An all-finite target, the
+question every membership test in A_H reduces to, takes a shorter
+search: an inf coefficient on a nonzero generator, or any coefficient
+on a generator with an inf entry, would put inf into the sum, so only
+finite coefficients on all-finite generators below the target can occur.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import prod
 
-from .equations import DioSystem, lift_congruences
+from .equations import ENUMERATION_GUARD, DioSystem, lift_congruences
 from .errors import ResourceLimitError
-from .semiring import (INF, Vec, canonical_sorted, check_int, inf_supp,
-                       is_finite, supp, unit_vec, vec_add, zero_vec)
+from .semiring import (INF, MAX_DIM, Vec, canonical_sorted, check_int,
+                       inf_supp, is_finite, supp, unit_vec, vec_add, zero_vec)
 
 MAX_COMPLETION_STATES = 1_000_000
 
@@ -66,8 +72,14 @@ class HilbertBasis:
 
     @classmethod
     def free(cls, dim: int) -> "HilbertBasis":
-        """The unit vectors of N0^dim, the basis of the free monoid."""
-        return cls(dim, canonical_sorted(unit_vec(dim, i + 1) for i in range(dim)))
+        """The unit vectors of N0^dim, the basis of the free monoid.
+
+        Instances are immutable, so one is shared per dimension.  The
+        dimension is checked first: ``free(True)`` must not find the
+        instance cached under the equal key 1.
+        """
+        check_int(dim, "dimension", 0)
+        return _free_basis(dim)
 
     def order_unit(self):
         """The sum of the generators when it is strictly positive, else None.
@@ -81,6 +93,11 @@ class HilbertBasis:
 
     def to_json(self) -> list:
         return [list(g) for g in self.gens]
+
+
+@lru_cache(maxsize=MAX_DIM + 1)
+def _free_basis(dim: int) -> HilbertBasis:
+    return HilbertBasis(dim, canonical_sorted(unit_vec(dim, i + 1) for i in range(dim)))
 
 
 # -- Contejean-Devie completion search --------------------------------------
@@ -162,6 +179,11 @@ def in_generated(gens, x: Vec) -> bool:
     coefficient is tried only when supp(g) lies inside inf-supp(x),
     which loses nothing (any larger finite coefficient could be replaced
     by inf without changing the sum).
+
+    A target with no inf entry goes to a shorter search over finite
+    coefficients on the all-finite generators g <= x only.  That is
+    exact too: any coefficient on a generator with an inf entry, and an
+    inf coefficient on any nonzero generator, put inf into the sum.
     """
     x = tuple(x)
     dim = len(x)
@@ -172,6 +194,8 @@ def in_generated(gens, x: Vec) -> bool:
             raise ValueError(f"generator {g} has length {len(g)}, expected {dim}")
         if any(g):
             pool.append(g)
+    if not any(v is INF for v in x):
+        return _in_generated_finite(pool, x)
     lam = inf_supp(x)
     fin = [i for i in range(dim) if x[i] is not INF]
     if not pool:
@@ -245,6 +269,42 @@ def in_generated(gens, x: Vec) -> bool:
     return search(0, target_fin, frozenset())
 
 
+def _in_generated_finite(pool, x) -> bool:
+    """in_generated for an all-finite x and nonzero generators of its length.
+
+    Supports are int bitmasks; the coordinates some generator from k on
+    can still reduce are the OR of their masks, and a remainder with a
+    nonzero coordinate outside that OR is rejected without a search.
+    """
+    gens = [g for g in pool if all(v is not INF and v <= t for v, t in zip(g, x))]
+    bits = [1 << i for i in range(len(x))]
+    reach = [0] * (len(gens) + 1)
+    for k in range(len(gens) - 1, -1, -1):
+        reach[k] = reach[k + 1] | sum(b for b, v in zip(bits, gens[k]) if v)
+    failed = set()
+
+    def search(k, remaining) -> bool:
+        need = sum(b for b, r in zip(bits, remaining) if r)
+        if not need:
+            return True
+        if need & ~reach[k]:
+            return False
+        state = (k, remaining)
+        if state in failed:
+            return False
+        g = gens[k]
+        top = min(r // v for r, v in zip(remaining, g) if v)
+        for c in range(top, 0, -1):
+            if search(k + 1, tuple(r - c * v for r, v in zip(remaining, g))):
+                return True
+        if search(k + 1, remaining):
+            return True
+        failed.add(state)
+        return False
+
+    return search(0, x)
+
+
 def minimize_generators(gens) -> tuple:
     """Remove every generator expressible from the others; deterministic
     (canonical sweep order), and the result still generates the same
@@ -263,10 +323,21 @@ def minimize_generators(gens) -> tuple:
 
 def generated_upto(gens, bound: int, dim: int) -> frozenset:
     """All elements of the generated monoid (all-finite generators) with
-    every coordinate <= bound.  Exact: partial sums never exceed totals."""
+    every coordinate <= bound.  Exact: partial sums never exceed totals.
+
+    Refused with ResourceLimitError before any point is built when both
+    counts of the points it could build exceed ENUMERATION_GUARD: the
+    box holds (bound + 1)^dim points, and a member in the box takes at
+    most bound // max(g) copies of each generator g.
+    """
     for g in gens:
         if len(g) != dim or any(v is INF for v in g):
             raise ValueError(f"generated_upto needs finite generators of length {dim}")
+    size = min((bound + 1) ** dim, prod(bound // max(g) + 1 for g in gens if any(g)))
+    if size > ENUMERATION_GUARD:
+        raise ResourceLimitError(
+            f"generated_upto: up to {size} points below bound {bound} in dimension "
+            f"{dim} exceed the enumeration guard {ENUMERATION_GUARD}")
     seen = {zero_vec(dim)}
     frontier = [zero_vec(dim)]
     while frontier:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .equations import DioSystem
 from .errors import MissingOrderUnitError
@@ -39,6 +39,13 @@ from .semiring import (INF, IndexSet, Vec, check_index_set, check_vec,
 
 def _iset_key(H: IndexSet):
     return (len(H), tuple(sorted(H)))
+
+
+@lru_cache(maxsize=1 << 12)
+def _shared(H: IndexSet) -> IndexSet:
+    """One object for equal support sets: the same few recur in every
+    system of supports over the same coordinates."""
+    return H
 
 
 @dataclass(frozen=True)
@@ -66,7 +73,7 @@ class SystemOfSupports:
         fams = []
         seen = set()
         for H, basis in self.families:
-            H = check_index_set(H, self.s)
+            H = _shared(check_index_set(H, self.s))
             if H in seen:
                 raise ValueError(f"duplicate support set {sorted(H)}")
             seen.add(H)

@@ -1,9 +1,14 @@
 import io
 import json
 import contextlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import supportmonoids
 from conftest import FIXTURE_NAMES, FIXTURES
 from supportmonoids.cli import main
 
@@ -141,6 +146,22 @@ def test_resource_cap_exits_3(tmp_path):
     rc, out, _ = run_cli("oracle", "--system", str(f), "--bound", "8")
     assert rc == 3
     assert json.loads(out)["error"] == "resource_limit"
+
+
+def test_classify_refuses_a_fullness_check_too_large_to_enumerate(tmp_path):
+    # is_full on the free monoid N0^12 would enumerate 6^12 points; a cold
+    # subprocess with a timeout shows the refusal comes instead of a hang
+    f = tmp_path / "s12.json"
+    f.write_text(json.dumps({"s": 12}))
+    src = str(pathlib.Path(supportmonoids.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "supportmonoids.cli", "classify", "--system", str(f)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["error"] == "resource_limit"
+    assert "generated_upto" in proc.stderr
 
 
 def test_mismatching_congruence_vector_member():

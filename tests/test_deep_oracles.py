@@ -39,14 +39,41 @@ def coefficient_oracle(gens, x):
 def test_in_generated_against_coefficient_oracle():
     rng = random.Random(71)
     values = (0, 1, 2, INF)
+    cases = []
     for _ in range(60):
         s = rng.randint(1, 3)
         gens = [tuple(rng.choice(values) for _ in range(s))
                 for _ in range(rng.randint(1, 3))]
         targets = [tuple(rng.choice((0, 1, 2, 3, INF)) for _ in range(s))
                    for _ in range(8)]
-        for x in targets:
-            assert in_generated(gens, x) == coefficient_oracle(gens, x), (gens, x)
+        cases.extend((gens, x) for x in targets)
+    # All-finite targets take their own search in in_generated; try them
+    # on wider dimensions and entries, and on these edge cases.
+    cases += [
+        (((7, 1), (1, 1)), (6, 6)),  # a generator above the target
+        (((1, 0), (7, 1)), (3, 1)),  # coordinate 2 unreachable below x
+        (((INF, 1), (0, 1)), (0, 3)),  # inf entries: never usable
+        (((INF, 1), (1, INF)), (1, 1)),
+        (((2, 3, INF), (1, 0, 4)), (0, 0, 0)),  # the zero target
+        ((), (0, 0)),
+        ((), (0, 1)),
+    ]
+    values = (0, 0, 1, 2, 3, 4, 5, 6, INF)
+    for _ in range(50):
+        s = rng.randint(1, 5)
+        gens = [tuple(rng.choice(values) for _ in range(s))
+                for _ in range(rng.randint(1, 3))]
+        targets = [tuple(rng.randint(0, 6) for _ in range(s)) for _ in range(3)]
+        finite = [g for g in gens if INF not in g]
+        for _ in range(3):  # members: small sums of the all-finite generators
+            x = (0,) * s
+            for g in finite:
+                x = vec_add(x, scale(rng.randint(0, 2), g))
+            if max(x) <= 6:
+                targets.append(x)
+        cases.extend((gens, x) for x in targets)
+    for gens, x in cases:
+        assert in_generated(gens, x) == coefficient_oracle(gens, x), (gens, x)
 
 
 def test_hilbert_generators_are_minimal_solutions():

@@ -102,6 +102,12 @@ def test_generated_upto_matches_oracle():
     assert generated_upto(gens, 5, 2) == frozenset(o_finite_closure(gens, 5, 2))
     with pytest.raises(ValueError):
         generated_upto(((INF, 1),), 3, 2)
+    # 6^12 points in the box: refused before anything is enumerated
+    with pytest.raises(ResourceLimitError, match="generated_upto"):
+        generated_upto(HilbertBasis.free(12).gens, 5, 12)
+    # the box is large but (6, 0, ...) takes at most 3 copies of one generator
+    assert generated_upto(((2,) + (0,) * 11,), 5, 12) == frozenset(
+        {(c,) + (0,) * 11 for c in (0, 2, 4)})
 
 
 def test_generated_truncated_handles_inf_absorption():
@@ -164,3 +170,14 @@ def test_hilbert_basis_type_validation():
         HilbertBasis(1, ((True,),))
     ok = HilbertBasis.from_generators(2, ((1, 0), (0, 1), (1, 1), (0, 0)))
     assert ok.gens == ((0, 1), (1, 0))
+
+
+def test_free_basis_is_shared_per_dimension():
+    assert HilbertBasis.free(3) is HilbertBasis.free(3)
+    assert HilbertBasis.free(2).gens == ((0, 1), (1, 0))
+    assert HilbertBasis.free(0).gens == ()
+    HilbertBasis.free(1)  # cached under the key 1, which equals True
+    with pytest.raises(ValueError):
+        HilbertBasis.free(True)
+    with pytest.raises(ValueError):
+        HilbertBasis.free(-1)

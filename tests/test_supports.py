@@ -313,3 +313,5 @@ def test_json_roundtrip():
     again = SystemOfSupports.from_json(sos.to_json())
     assert again.s == sos.s and again.unit == sos.unit
     assert again.families == sos.families
+    # equal support sets are one shared object across instances
+    assert all(H is K for (H, _), (K, _) in zip(again.families, sos.families))
