@@ -21,18 +21,16 @@ of a and b are disjoint and gcd(a_i, b_j) = 1 across them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .equations import DioSystem, is_member
 from .hilbert import find_order_unit, in_generated
-from .semiring import (canonical_sorted, check_int, inject, project, supp,
-                       unit_vec, vec_to_json, zero_vec)
+from .semiring import (Record, canonical_sorted, check_int, inject, project,
+                       supp, unit_vec, vec_to_json, zero_vec)
 from .supports import (SystemOfSupports, extract, is_almost_free, is_full,
                        minimal_nonempty, support_closure)
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(Record):
     """Aggregate answer for one defining system.
 
     ``full`` and ``almost_free`` are bounded verifications up to
@@ -43,13 +41,16 @@ class ClassReport:
     when ``equals_a_plus_inf_a`` is False.
     """
 
-    has_order_unit: bool
-    full: bool | None
-    almost_free: bool | None
-    equals_a_plus_inf_a: bool | None
-    all_fg_sums: bool | None
-    witnesses: tuple
-    verification_bound: int
+    __slots__ = _fields = ("has_order_unit", "full", "almost_free",
+                           "equals_a_plus_inf_a", "all_fg_sums", "witnesses",
+                           "verification_bound")
+
+    def __init__(self, has_order_unit: bool, full: bool | None,
+                 almost_free: bool | None, equals_a_plus_inf_a: bool | None,
+                 all_fg_sums: bool | None, witnesses: tuple,
+                 verification_bound: int):
+        self._init(has_order_unit, full, almost_free, equals_a_plus_inf_a,
+                   all_fg_sums, witnesses, verification_bound)
 
     def to_json(self) -> dict:
         return {
@@ -121,8 +122,7 @@ def equals_a_plus_inf_a(sys: DioSystem, sos: SystemOfSupports | None = None):
     return flag, canonical_sorted(witnesses)
 
 
-@dataclass(frozen=True)
-class SingleEquationReport:
+class SingleEquationReport(Record):
     """Closed-form answers for one equation a·t = b·t.
 
     ``closed_form_applicable`` is False when gcd of all entries
@@ -130,10 +130,13 @@ class SingleEquationReport:
     and only the general pathway applies.
     """
 
-    has_positive_solution: bool
-    almost_free: bool | None
-    equals_a_plus_inf_a: bool | None
-    closed_form_applicable: bool
+    __slots__ = _fields = ("has_positive_solution", "almost_free",
+                           "equals_a_plus_inf_a", "closed_form_applicable")
+
+    def __init__(self, has_positive_solution: bool, almost_free: bool | None,
+                 equals_a_plus_inf_a: bool | None, closed_form_applicable: bool):
+        self._init(has_positive_solution, almost_free, equals_a_plus_inf_a,
+                   closed_form_applicable)
 
     def to_json(self) -> dict:
         return {

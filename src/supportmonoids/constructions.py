@@ -21,15 +21,13 @@ outer coordinate blocks I_1, I_2, a shared block I_3, and the two
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import MissingOrderUnitError, ResourceLimitError
 from .hilbert import HilbertBasis, generated_upto, minimize_generators
-from .semiring import (IndexSet, Vec, canonical_sorted, check_index_set,
-                       check_int, project, sort_key, supp)
-from .supports import SystemOfSupports, support_closure
+from .semiring import (IndexSet, Record, Vec, canonical_sorted,
+                       check_index_set, check_int, project, sort_key, supp)
+from .supports import MAX_POWERSET_DIM, SystemOfSupports, support_closure
 
-MAX_POWERSET_DIM = 16      # materializing 2^s support sets past this is refused
 MAX_DECOMPOSE_GENS = 20    # partition search is exponential in the basis size
 UNIQUENESS_BOUND = 5       # truncated uniqueness verification for direct sums
 
@@ -105,8 +103,7 @@ def monoid_sum(m1, m2) -> tuple:
 
 # -- direct sums of finite parts ---------------------------------------------
 
-@dataclass(frozen=True)
-class DirectSumData:
+class DirectSumData(Record):
     """A witness that a full finite part splits as A_1 ⊕ A_2.
 
     I1, I2, I3 partition {1, ..., s} with I1, I2 nonempty; B_i is the
@@ -114,33 +111,24 @@ class DirectSumData:
     part of the lift of the j-th generator of B_i.
     """
 
-    s: int
-    I1: IndexSet
-    I2: IndexSet
-    I3: IndexSet
-    B1: HilbertBasis
-    B2: HilbertBasis
-    f1: tuple
-    f2: tuple
+    __slots__ = _fields = ("s", "I1", "I2", "I3", "B1", "B2", "f1", "f2")
 
-    def __post_init__(self):
-        I1 = check_index_set(self.I1, self.s)
-        I2 = check_index_set(self.I2, self.s)
-        I3 = check_index_set(self.I3, self.s)
+    def __init__(self, s: int, I1: IndexSet, I2: IndexSet, I3: IndexSet,
+                 B1: HilbertBasis, B2: HilbertBasis, f1: tuple, f2: tuple):
+        I1 = check_index_set(I1, s)
+        I2 = check_index_set(I2, s)
+        I3 = check_index_set(I3, s)
         if not I1 or not I2:
             raise ValueError("I1 and I2 must be nonempty")
-        if I1 | I2 | I3 != frozenset(range(1, self.s + 1)) or \
+        if I1 | I2 | I3 != frozenset(range(1, s + 1)) or \
                 I1 & I2 or I1 & I3 or I2 & I3:
             raise ValueError("I1, I2, I3 must partition the coordinates")
-        object.__setattr__(self, "I1", I1)
-        object.__setattr__(self, "I2", I2)
-        object.__setattr__(self, "I3", I3)
-        for name, basis, rows, block in (("f1", self.B1, self.f1, I1),
-                                         ("f2", self.B2, self.f2, I2)):
+        shadows = []
+        for name, basis, rows, block in (("f1", B1, f1, I1), ("f2", B2, f2, I2)):
             if basis.dim != len(block):
                 raise ValueError(f"B over {sorted(block)} must have dimension {len(block)}")
             rows = tuple(tuple(r) for r in rows)
-            object.__setattr__(self, name, rows)
+            shadows.append(rows)
             if len(rows) != len(basis.gens):
                 raise ValueError(f"{name} must have one row per generator")
             for r in rows:
@@ -148,6 +136,7 @@ class DirectSumData:
                     raise ValueError(f"{name} rows must have length |I3| = {len(I3)}")
                 for v in r:
                     check_int(v, f"{name} entry", 0)
+        self._init(s, I1, I2, I3, B1, B2, *shadows)
 
     def order_unit_support_ok(self) -> bool:
         """The composed monoid contains an order-unit iff the shadows of the

@@ -14,10 +14,9 @@ the package is checked against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import ResourceLimitError
-from .semiring import INF, MAX_DIM, Vec, check_int, dot, sort_key
+from .semiring import INF, MAX_DIM, Record, Vec, check_int, dot, sort_key
 
 Matrix = tuple  # tuple of row tuples
 
@@ -37,34 +36,31 @@ def _check_matrix(rows, s, what, allow_negative=False) -> Matrix:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DioSystem:
+class DioSystem(Record):
     """A homogeneous system F·t = G·t, D·t ∈ diag(moduli)·N0* over s variables.
 
     Zero equation and congruence rows are allowed; the solution set is
     then all of (N0*)^s.
     """
 
-    s: int
-    F: Matrix = ()
-    G: Matrix = ()
-    D: Matrix = ()
-    moduli: tuple = ()
+    __slots__ = _fields = ("s", "F", "G", "D", "moduli")
 
-    def __post_init__(self):
-        check_int(self.s, "dimension", 1)
-        if self.s > MAX_DIM:
-            raise ValueError(f"dimension {self.s} exceeds the supported maximum {MAX_DIM}")
-        object.__setattr__(self, "F", _check_matrix(self.F, self.s, "F"))
-        object.__setattr__(self, "G", _check_matrix(self.G, self.s, "G"))
-        object.__setattr__(self, "D", _check_matrix(self.D, self.s, "D"))
-        object.__setattr__(self, "moduli", tuple(self.moduli))
-        if len(self.F) != len(self.G):
+    def __init__(self, s: int, F: Matrix = (), G: Matrix = (), D: Matrix = (),
+                 moduli: tuple = ()):
+        check_int(s, "dimension", 1)
+        if s > MAX_DIM:
+            raise ValueError(f"dimension {s} exceeds the supported maximum {MAX_DIM}")
+        F = _check_matrix(F, s, "F")
+        G = _check_matrix(G, s, "G")
+        D = _check_matrix(D, s, "D")
+        moduli = tuple(moduli)
+        if len(F) != len(G):
             raise ValueError("F and G must have the same number of rows")
-        if len(self.D) != len(self.moduli):
+        if len(D) != len(moduli):
             raise ValueError("one modulus per congruence row required")
-        for m in self.moduli:
+        for m in moduli:
             check_int(m, "modulus", 2)
+        self._init(s, F, G, D, moduli)
 
     @property
     def n_eq(self) -> int:

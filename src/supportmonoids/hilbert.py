@@ -21,20 +21,18 @@ finite coefficients on all-finite generators below the target can occur.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
 from .equations import ENUMERATION_GUARD, DioSystem, lift_congruences
 from .errors import ResourceLimitError
-from .semiring import (INF, MAX_DIM, Vec, canonical_sorted, check_int,
+from .semiring import (INF, MAX_DIM, Record, Vec, canonical_sorted, check_int,
                        inf_supp, is_finite, supp, unit_vec, vec_add, zero_vec)
 
 MAX_COMPLETION_STATES = 1_000_000
 
 
-@dataclass(frozen=True)
-class HilbertBasis:
+class HilbertBasis(Record):
     """A canonical finite generating set of a submonoid of N0^dim.
 
     Generators are all-finite, nonzero, pairwise distinct, sorted
@@ -43,17 +41,15 @@ class HilbertBasis:
     is already in that shape.
     """
 
-    dim: int
-    gens: tuple
+    __slots__ = _fields = ("dim", "gens")
 
-    def __post_init__(self):
-        check_int(self.dim, "dimension", 0)
-        gens = tuple(tuple(g) for g in self.gens)
-        object.__setattr__(self, "gens", gens)
+    def __init__(self, dim: int, gens: tuple):
+        check_int(dim, "dimension", 0)
+        gens = tuple(tuple(g) for g in gens)
         seen = set()
         for g in gens:
-            if len(g) != self.dim:
-                raise ValueError(f"generator {g} has length {len(g)}, expected {self.dim}")
+            if len(g) != dim:
+                raise ValueError(f"generator {g} has length {len(g)}, expected {dim}")
             for v in g:
                 check_int(v, "generator entry", 0)
             if not any(g):
@@ -63,6 +59,7 @@ class HilbertBasis:
             seen.add(g)
         if gens != canonical_sorted(gens):
             raise ValueError("generators must be canonically sorted")
+        self._init(dim, gens)
 
     @classmethod
     def from_generators(cls, dim: int, gens) -> "HilbertBasis":

@@ -19,28 +19,24 @@ recorded in serialized output, not checkable from a matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .equations import DioSystem, from_integer_matrix
 from .errors import MissingOrderUnitError
 from .hilbert import find_order_unit
-from .semiring import Vec, check_int, dot
+from .semiring import Record, Vec, check_int, dot
 
 ASSUMPTIONS = ("reduced completion", "finitely generated torsion-free module")
 
 
-@dataclass(frozen=True)
-class RankMatrix:
+class RankMatrix(Record):
     """a[j][i] = rank at minimal prime j of the i-th indecomposable.
 
     At least two primes; no indecomposable may vanish at every prime.
     """
 
-    a: tuple
-    labels: tuple | None = None
+    __slots__ = _fields = ("a", "labels")
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.a)
+    def __init__(self, a: tuple, labels: tuple | None = None):
+        rows = tuple(tuple(r) for r in a)
         if len(rows) < 2:
             raise ValueError("a rank matrix needs at least two minimal primes")
         width = len(rows[0])
@@ -54,12 +50,11 @@ class RankMatrix:
         for i in range(width):
             if all(row[i] == 0 for row in rows):
                 raise ValueError(f"column {i + 1} is zero: every summand must be nonzero")
-        object.__setattr__(self, "a", rows)
-        if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
+        if labels is not None:
+            labels = tuple(str(x) for x in labels)
             if len(labels) != width:
                 raise ValueError("one label per indecomposable required")
-            object.__setattr__(self, "labels", labels)
+        self._init(rows, labels)
 
     @property
     def primes(self) -> int:

@@ -112,6 +112,49 @@ Vec = tuple  # tuple of ExtNat
 IndexSet = frozenset  # frozenset of 1-based ints
 
 
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``_fields`` and stores them, once
+    validated, with ``_init`` at the end of its own ``__init__``.  Equal
+    means same class and equal fields; the hash and the
+    ``Name(field=...)`` repr follow the fields too.  Assignment raises
+    AttributeError, and pickling and copying rebuild through
+    ``__init__``, so a copy is validated like any new instance.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, self._values())
+
+
 def is_finite(a: ExtNat) -> bool:
     return a is not INF
 

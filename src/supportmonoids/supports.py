@@ -25,16 +25,17 @@ rows that meet H and then the columns of H.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .equations import DioSystem
-from .errors import MissingOrderUnitError
+from .errors import MissingOrderUnitError, ResourceLimitError
 from .hilbert import (HilbertBasis, find_order_unit, generated_upto,
                       hilbert_basis, in_generated, minimize_generators)
-from .semiring import (INF, IndexSet, Vec, check_index_set, check_vec,
-                       inf_supp, inject, project, supp, vec_from_json,
-                       vec_to_json, zero_vec)
+from .semiring import (INF, IndexSet, Record, Vec, check_index_set,
+                       check_vec, inf_supp, inject, project, supp,
+                       vec_from_json, vec_to_json, zero_vec)
+
+MAX_POWERSET_DIM = 16  # enumerating the 2^s subsets past this is refused
 
 
 def _iset_key(H: IndexSet):
@@ -48,53 +49,45 @@ def _shared(H: IndexSet) -> IndexSet:
     return H
 
 
-@dataclass(frozen=True)
-class SystemOfSupports:
+class SystemOfSupports(Record):
     """Immutable gluing data (S, {A_H}) with a chosen order-unit.
 
     ``families`` maps each H in S (sorted by size then lexicographically)
     to the Hilbert basis of A_H over the complement coordinates in
     ascending order.  ``solution_backed`` records that the instance was
     extracted from a system of equations and congruences, whose A_H are
-    full by construction.
+    full by construction.  ``S`` is the set of the H.
     """
 
-    s: int
-    unit: Vec
-    families: tuple  # tuple of (frozenset H, HilbertBasis) pairs
-    solution_backed: bool = False
+    _fields = ("s", "unit", "families", "solution_backed")
+    __slots__ = _fields + ("S", "_by_H")
 
-    def __post_init__(self):
-        unit = check_vec(self.unit, "unit")
-        if len(unit) != self.s:
-            raise ValueError(f"unit has length {len(unit)}, expected {self.s}")
+    def __init__(self, s: int, unit: Vec, families: tuple,
+                 solution_backed: bool = False):
+        unit = check_vec(unit, "unit")
+        if len(unit) != s:
+            raise ValueError(f"unit has length {len(unit)}, expected {s}")
         if any(v is INF or v < 1 for v in unit):
             raise ValueError(f"unit must be strictly positive and finite, got {unit}")
         fams = []
         seen = set()
-        for H, basis in self.families:
-            H = _shared(check_index_set(H, self.s))
+        for H, basis in families:
+            H = _shared(check_index_set(H, s))
             if H in seen:
                 raise ValueError(f"duplicate support set {sorted(H)}")
             seen.add(H)
             if not isinstance(basis, HilbertBasis):
                 raise ValueError("family entries must be HilbertBasis instances")
-            if basis.dim != self.s - len(H):
+            if basis.dim != s - len(H):
                 raise ValueError(
                     f"basis for H={sorted(H)} has dimension {basis.dim}, "
-                    f"expected {self.s - len(H)}")
+                    f"expected {s - len(H)}")
             fams.append((H, basis))
         fams.sort(key=lambda hb: _iset_key(hb[0]))
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "families", tuple(fams))
-
-    @cached_property
-    def S(self) -> frozenset:
-        return frozenset(H for H, _ in self.families)
-
-    @cached_property
-    def _by_H(self) -> dict:
-        return dict(self.families)
+        self._init(s, unit, tuple(fams), solution_backed)
+        by_H = dict(fams)
+        object.__setattr__(self, "S", frozenset(by_H))
+        object.__setattr__(self, "_by_H", by_H)
 
     def basis_for(self, H) -> HilbertBasis:
         return self._by_H[frozenset(H)]
@@ -152,10 +145,15 @@ def infinite_supports(sys: DioSystem, unit_checked: bool = False) -> frozenset:
 
     Congruence rows never restrict infinite supports (inf is a multiple
     of everything); equation rows admit H exactly when the row misses H
-    or both sides meet it.
+    or both sides meet it.  Past MAX_POWERSET_DIM coordinates the subset
+    loop is refused before it starts.
     """
     if not unit_checked:
         require_order_unit(sys)
+    if sys.s > MAX_POWERSET_DIM:
+        raise ResourceLimitError(
+            f"infinite_supports: enumerating the 2^{sys.s} subsets of {sys.s} "
+            f"coordinates exceeds the cap MAX_POWERSET_DIM = {MAX_POWERSET_DIM}")
     coords = range(1, sys.s + 1)
     out = []
     for r in range(len(coords) + 1):

@@ -1,8 +1,10 @@
 import io
+import itertools
 import json
 import contextlib
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -10,7 +12,8 @@ import pytest
 
 import supportmonoids
 from conftest import FIXTURE_NAMES, FIXTURES
-from supportmonoids.cli import main
+from supportmonoids import INF, generated_truncated
+from supportmonoids.cli import _closed_under_addition, main
 
 
 def run_cli(*argv):
@@ -148,20 +151,89 @@ def test_resource_cap_exits_3(tmp_path):
     assert json.loads(out)["error"] == "resource_limit"
 
 
+def run_cold(*args, timeout):
+    """Run a fresh interpreter on this checkout's package."""
+    src = str(pathlib.Path(supportmonoids.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
 def test_classify_refuses_a_fullness_check_too_large_to_enumerate(tmp_path):
     # is_full on the free monoid N0^12 would enumerate 6^12 points; a cold
     # subprocess with a timeout shows the refusal comes instead of a hang
     f = tmp_path / "s12.json"
     f.write_text(json.dumps({"s": 12}))
-    src = str(pathlib.Path(supportmonoids.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "supportmonoids.cli", "classify", "--system", str(f)],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = run_cold("-m", "supportmonoids.cli", "classify", "--system", str(f),
+                    timeout=120)
     assert proc.returncode == 3
     assert json.loads(proc.stdout)["error"] == "resource_limit"
     assert "generated_upto" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["supports", "classify"])
+def test_subset_enumeration_past_the_cap_is_refused(tmp_path, command):
+    # infinite_supports would materialize all 2^24 subsets of N0*^24
+    f = tmp_path / "s24.json"
+    f.write_text(json.dumps({"s": 24}))
+    proc = run_cold("-m", "supportmonoids.cli", command, "--system", str(f),
+                    timeout=60)
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["error"] == "resource_limit"
+    assert "infinite_supports" in proc.stderr and "16" in proc.stderr
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # both are slow to import; the cold CLI start must not pay for them
+    proc = run_cold("-c", "import sys, supportmonoids.cli; "
+                          "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+                    timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def closed_by_ordered_pairs(enum, members, bound):
+    for x in enum:
+        for y in enum:
+            z = tuple(INF if a is INF or b is INF else a + b for a, b in zip(x, y))
+            if all(v is INF or v <= bound for v in z) and z not in members:
+                return False
+    return True
+
+
+def test_closed_under_addition_finds_a_missing_sum():
+    members = generated_truncated([(1, 0), (0, 1)], 2, 2)
+    enum = sorted(members, key=str)
+    assert _closed_under_addition(enum, members, 2)
+    for missing in ((1, 1), (2, 0), (1, INF), (INF, INF)):
+        rest = members - {missing}
+        assert not _closed_under_addition(sorted(rest, key=str), rest, 2)
+    # a sum outside the box is not required
+    small = [(0, 0), (2, 0)]
+    assert _closed_under_addition(small, frozenset(small), 2)
+
+
+def test_closed_under_addition_agrees_with_ordered_pairs():
+    rng = random.Random(4)
+    answers = []
+    for _ in range(50):
+        s, bound = rng.randint(1, 4), rng.randint(0, 3)
+        values = list(range(bound + 1)) + [INF]
+        box = list(itertools.product(values, repeat=s))
+        if rng.random() < 0.5:
+            gens = rng.sample(box, rng.randint(1, 3))
+            members = set(generated_truncated(gens, bound, s))
+            if rng.random() < 0.5 and len(members) > 1:
+                members.discard(rng.choice(sorted(members, key=str)))
+        else:
+            members = set(rng.sample(box, rng.randint(1, min(len(box), 12))))
+        enum = sorted(members, key=str)
+        members = frozenset(members)
+        want = closed_by_ordered_pairs(enum, members, bound)
+        assert _closed_under_addition(enum, members, bound) == want
+        answers.append(want)
+    assert True in answers and False in answers
 
 
 def test_mismatching_congruence_vector_member():

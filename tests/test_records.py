@@ -1,0 +1,196 @@
+"""The immutable record classes: equality, hashing, repr, immutability,
+pickling and copying, defaults, and validation on construction."""
+
+import copy
+import pickle
+
+import pytest
+
+from supportmonoids import (ClassReport, DioSystem, DirectSumData, HilbertBasis,
+                            RankMatrix, SingleEquationReport, SystemOfSupports)
+
+
+def fset(*items):
+    return frozenset(items)
+
+
+B1 = HilbertBasis(1, ((1,),))
+B0 = HilbertBasis(0, ())
+
+# name -> (instance, an equal instance built positionally, an unequal one)
+SAMPLES = {
+    "DioSystem": (
+        DioSystem(s=2, F=((1, 0),), G=((0, 1),)),
+        DioSystem(2, [[1, 0]], [(0, 1)], (), ()),
+        DioSystem(s=2, D=((1, 1),), moduli=(2,)),
+    ),
+    "HilbertBasis": (
+        HilbertBasis(dim=2, gens=((0, 1), (1, 0))),
+        HilbertBasis(2, [[0, 1], [1, 0]]),
+        HilbertBasis(2, ((1, 1),)),
+    ),
+    "SystemOfSupports": (
+        SystemOfSupports(s=1, unit=(1,), families=((fset(), B1), (fset(1), B0))),
+        SystemOfSupports(1, [1], [({1}, B0), (set(), B1)], False),
+        SystemOfSupports(s=1, unit=(1,), families=((fset(), B1), (fset(1), B0)),
+                         solution_backed=True),
+    ),
+    "ClassReport": (
+        ClassReport(has_order_unit=True, full=True, almost_free=False,
+                    equals_a_plus_inf_a=False, all_fg_sums=False,
+                    witnesses=((1, 0),), verification_bound=5),
+        ClassReport(True, True, False, False, False, ((1, 0),), 5),
+        ClassReport(False, None, None, None, None, (), 5),
+    ),
+    "SingleEquationReport": (
+        SingleEquationReport(has_positive_solution=True, almost_free=True,
+                             equals_a_plus_inf_a=None, closed_form_applicable=False),
+        SingleEquationReport(True, True, None, False),
+        SingleEquationReport(True, True, True, True),
+    ),
+    "DirectSumData": (
+        DirectSumData(s=3, I1=fset(1), I2=fset(2), I3=fset(3),
+                      B1=B1, B2=B1, f1=((1,),), f2=((1,),)),
+        DirectSumData(3, {1}, {2}, {3}, B1, B1, [[1]], [[1]]),
+        DirectSumData(s=3, I1=fset(1), I2=fset(2), I3=fset(3),
+                      B1=B1, B2=B1, f1=((0,),), f2=((1,),)),
+    ),
+    "RankMatrix": (
+        RankMatrix(a=((1, 1), (1, 2))),
+        RankMatrix([[1, 1], [1, 2]], None),
+        RankMatrix(a=((1, 1), (1, 2)), labels=("R", "M")),
+    ),
+}
+
+REPRS = {
+    "DioSystem": "DioSystem(s=2, F=((1, 0),), G=((0, 1),), D=(), moduli=())",
+    "HilbertBasis": "HilbertBasis(dim=2, gens=((0, 1), (1, 0)))",
+    "SystemOfSupports": (
+        "SystemOfSupports(s=1, unit=(1,), families=("
+        "(frozenset(), HilbertBasis(dim=1, gens=((1,),))), "
+        "(frozenset({1}), HilbertBasis(dim=0, gens=()))), solution_backed=False)"),
+    "ClassReport": (
+        "ClassReport(has_order_unit=True, full=True, almost_free=False, "
+        "equals_a_plus_inf_a=False, all_fg_sums=False, witnesses=((1, 0),), "
+        "verification_bound=5)"),
+    "SingleEquationReport": (
+        "SingleEquationReport(has_positive_solution=True, almost_free=True, "
+        "equals_a_plus_inf_a=None, closed_form_applicable=False)"),
+    "DirectSumData": (
+        "DirectSumData(s=3, I1=frozenset({1}), I2=frozenset({2}), "
+        "I3=frozenset({3}), B1=HilbertBasis(dim=1, gens=((1,),)), "
+        "B2=HilbertBasis(dim=1, gens=((1,),)), f1=((1,),), f2=((1,),))"),
+    "RankMatrix": "RankMatrix(a=((1, 1), (1, 2)), labels=None)",
+}
+
+NAMES = sorted(SAMPLES)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_equality(name):
+    a, same, other = SAMPLES[name]
+    assert a == same and not a != same
+    assert a != other and not a == other
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_no_equality_across_classes(name):
+    a = SAMPLES[name][0]
+    for other_name in NAMES:
+        if other_name != name:
+            b = SAMPLES[other_name][0]
+            assert a != b and b != a
+            assert a.__eq__(b) is NotImplemented
+    # nor with the tuple of its own field values
+    values = tuple(getattr(a, f) for f in type(a)._fields)
+    assert a != values and a.__eq__(values) is NotImplemented
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_hash_agrees_with_equality(name):
+    a, same, other = SAMPLES[name]
+    assert hash(a) == hash(same)
+    assert len({a, same, other}) == 2
+    assert {a: 1}[same] == 1
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_repr(name):
+    assert repr(SAMPLES[name][0]) == REPRS[name]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_fields_cannot_be_assigned_or_deleted(name):
+    a = SAMPLES[name][0]
+    field = type(a)._fields[0]
+    before = getattr(a, field)
+    with pytest.raises(AttributeError):
+        setattr(a, field, before)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert getattr(a, field) == before
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_pickle_and_deepcopy_round_trips(name):
+    a = SAMPLES[name][0]
+    for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+        assert type(b) is type(a)
+        assert b == a and hash(b) == hash(a)
+
+
+def test_copies_of_a_system_of_supports_keep_the_derived_data():
+    sos = SAMPLES["SystemOfSupports"][0]
+    for b in (pickle.loads(pickle.dumps(sos)), copy.deepcopy(sos)):
+        assert b.S == fset(fset(), fset(1))
+        assert b.basis_for(()) == B1
+
+
+def test_unpickling_validates_again():
+    # a pickle whose field values are invalid is refused on load, because
+    # loading rebuilds through __init__
+    blob = pickle.dumps(DioSystem(s=2, D=((1, 1),), moduli=(2,)))
+    tampered = blob.replace(pickle.dumps(2)[2:-1], pickle.dumps(1)[2:-1], 1)
+    assert tampered != blob
+    with pytest.raises(ValueError):
+        pickle.loads(tampered)
+
+
+def test_keyword_defaults():
+    assert DioSystem(s=2) == DioSystem(2, (), (), (), ())
+    sys_ = DioSystem(s=2)
+    assert (sys_.F, sys_.G, sys_.D, sys_.moduli) == ((), (), (), ())
+    assert RankMatrix(((1, 1), (1, 2))).labels is None
+    sos = SystemOfSupports(1, (1,), ((fset(), B1), (fset(1), B0)))
+    assert sos.solution_backed is False
+
+
+def test_fields_are_normalized():
+    sys_ = SAMPLES["DioSystem"][1]
+    assert sys_.F == ((1, 0),) and type(sys_.F[0]) is tuple
+    sos = SAMPLES["SystemOfSupports"][1]
+    assert [H for H, _ in sos.families] == [fset(), fset(1)]
+    d = SAMPLES["DirectSumData"][1]
+    assert d.I1 == fset(1) and d.f1 == ((1,),)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: DioSystem(s=2, D=((1, 1),), moduli=(1,)), "modulus"),
+    (lambda: HilbertBasis(2, ((1, 0), (0, 1))), "canonically sorted"),
+    (lambda: SystemOfSupports(s=2, unit=(1, 0), families=()), "strictly positive"),
+    (lambda: DirectSumData(s=2, I1=fset(1), I2=fset(1), I3=fset(),
+                           B1=B1, B2=B1, f1=((),), f2=((),)), "partition"),
+    (lambda: RankMatrix(a=((1, 0),)), "two minimal primes"),
+])
+def test_invalid_input_raises_value_error(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+@pytest.mark.parametrize("cls", [ClassReport, SingleEquationReport])
+def test_reports_need_every_field(cls):
+    # the reports validate nothing, but their fields have no defaults
+    with pytest.raises(TypeError):
+        cls(True)
