@@ -102,7 +102,8 @@ def equals_a_plus_inf_a(sys: DioSystem, sos: SystemOfSupports | None = None):
         shadow = projected(H)
         for j in range(k):
             e = unit_vec(k, j + 1)
-            if not in_generated(shadow, e):
+            # a unit vector is an atom: generated only if it is a generator
+            if e not in shadow:
                 cond_projections = False
                 w = inject(e, H)
                 if is_member(sys, w):

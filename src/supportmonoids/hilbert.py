@@ -7,6 +7,15 @@ equations-only system: grow candidate vectors one unit coordinate at a
 time, but only in directions whose column makes the defect vector
 smaller in the inner-product sense, prune anything that dominates a
 solution already found, and accept a candidate when both sides balance.
+A candidate carries the products of its defect with every column and
+the defect's squared length rather than the defect itself; one step
+updates both from a precomputed Gram matrix of the columns.  A system
+with no rows at all skips the search: its basis is the unit vectors.
+
+Unit vectors are atoms: a sum of nonzero vectors over N0*, or an inf
+multiple of one, equals e_j only when one summand is e_j itself.  So a
+unit vector is never redundant, and a set holding every unit vector
+generates everything.
 
 Membership in a generated monoid (`in_generated`) is decided by exact
 bounded search, including inf coefficients and generators with inf
@@ -63,8 +72,14 @@ class HilbertBasis(Record):
 
     @classmethod
     def from_generators(cls, dim: int, gens) -> "HilbertBasis":
-        """Drop zeros and redundant generators, sort canonically."""
+        """Drop zeros and redundant generators, sort canonically.
+
+        A set holding all dim unit vectors yields the shared free basis:
+        they generate every other vector and none of them is redundant.
+        """
         cleaned = canonical_sorted(tuple(g) for g in gens if any(g))
+        if len(_atoms(cleaned)) == dim and all(len(g) == dim for g in cleaned):
+            return cls.free(dim)
         return cls(dim, minimize_generators(cleaned))
 
     @classmethod
@@ -97,6 +112,19 @@ def _free_basis(dim: int) -> HilbertBasis:
     return HilbertBasis(dim, canonical_sorted(unit_vec(dim, i + 1) for i in range(dim)))
 
 
+def _atoms(vecs) -> frozenset:
+    """The unit vectors among vecs, which no other vectors generate.
+
+    Empty unless all of vecs have one length and entries in N0*: other
+    entries (negative ones, say) could add up to a unit vector.
+    """
+    n = len(vecs[0]) if vecs else 0
+    for g in vecs:
+        if len(g) != n or not all(v is INF or (type(v) is int and v >= 0) for v in g):
+            return frozenset()
+    return frozenset(g for g in vecs if g.count(1) == 1 and g.count(0) == n - 1)
+
+
 # -- Contejean-Devie completion search --------------------------------------
 
 def minimal_solutions(rows, dim: int, max_states: int = MAX_COMPLETION_STATES):
@@ -105,37 +133,45 @@ def minimal_solutions(rows, dim: int, max_states: int = MAX_COMPLETION_STATES):
 
     ``rows`` are integer tuples (entries of any sign).  With no rows at
     all, the answer is the unit vectors.
+
+    A candidate t with defect v = sum_j t_j·col_j is kept as (t, p, n2)
+    with p_k = v·col_k and n2 = |v|^2.  A step in direction j is allowed
+    when p_j < 0 (it shrinks the defect); it adds gram[j] to p and
+    2·p_j + gram[j][j] to n2.  The candidate solves the system iff n2 == 0.
     """
     cols = [tuple(row[j] for row in rows) for j in range(dim)]
+    gram = [tuple(sum(a * b for a, b in zip(c, d)) for d in cols) for c in cols]
     minimals: list[tuple] = []
     frontier = []
     seen = set()
     for j in range(dim):
         t = unit_vec(dim, j + 1)
-        frontier.append((t, cols[j]))
+        frontier.append((t, gram[j], gram[j][j]))
         seen.add(t)
     states = 0
     while frontier:
         nxt = []
-        for t, v in frontier:
+        for t, p, n2 in frontier:
             states += 1
             if states > max_states:
                 raise ResourceLimitError(
                     f"completion search exceeded {max_states} states")
-            if not any(v):
+            if not n2:
                 if not any(_dominates(t, m) for m in minimals):
                     minimals.append(t)
                 continue
-            for j in range(dim):
+            for j, pj in enumerate(p):
                 # move in direction j only if it shrinks the defect
-                if sum(a * b for a, b in zip(v, cols[j])) < 0:
-                    t2 = tuple(a + b for a, b in zip(t, unit_vec(dim, j + 1)))
+                if pj < 0:
+                    t2 = t[:j] + (t[j] + 1,) + t[j + 1:]
                     if t2 in seen:
                         continue
                     if any(_dominates(t2, m) for m in minimals):
                         continue
                     seen.add(t2)
-                    nxt.append((t2, tuple(a + b for a, b in zip(v, cols[j]))))
+                    g = gram[j]
+                    nxt.append((t2, tuple(a + b for a, b in zip(p, g)),
+                                n2 + 2 * pj + g[j]))
         frontier = nxt
     # Already an antichain: candidates are visited level by level in the
     # coordinate sum, so every solution below t has a smaller sum and was
@@ -152,11 +188,18 @@ def _dominates(x, y) -> bool:
 def hilbert_basis(sys: DioSystem, max_states: int = MAX_COMPLETION_STATES) -> HilbertBasis:
     """The minimal generating set of {x in N0^s : x solves sys}.
 
-    Congruences are lifted to equations with fresh variables first; the
-    lifted solutions biject additively with the original ones, so the
-    minimal lifted solutions project onto a generating set, which is
-    then re-minimized for safety.
+    A system with no equation and no congruence rows is solved by all of
+    N0^s, so its basis is the shared free one, ``HilbertBasis.free(s)``,
+    found without a search.  The search would visit just the s unit
+    vectors, so it still runs, and refuses, when max_states < s.
+
+    Otherwise congruences are lifted to equations with fresh variables
+    first; the lifted solutions biject additively with the original
+    ones, so the minimal lifted solutions project onto a generating set,
+    which ``from_generators`` minimizes and sorts.
     """
+    if not sys.F and not sys.D and sys.s <= max_states:
+        return HilbertBasis.free(sys.s)
     lifted = lift_congruences(sys)
     rows = [tuple(f - g for f, g in zip(frow, grow))
             for frow, grow in zip(lifted.F, lifted.G)]
@@ -307,10 +350,13 @@ def minimize_generators(gens) -> tuple:
     (canonical sweep order), and the result still generates the same
     monoid."""
     remaining = list(canonical_sorted(gens))
+    atoms = _atoms(remaining)
     changed = True
     while changed:
         changed = False
         for g in list(remaining):
+            if g in atoms:
+                continue
             others = [h for h in remaining if h != g]
             if others and in_generated(others, g):
                 remaining.remove(g)
@@ -357,14 +403,29 @@ def generated_truncated(gens, bound: int, dim: int) -> frozenset:
     Closure under adding g and adding inf·g suffices: in any sum the
     inf-producing summands can be applied first, after which every
     partial sum stays inside the truncated domain.
+
+    Refused with ResourceLimitError before any point is built when both
+    counts of the points it could build exceed ENUMERATION_GUARD: the
+    domain holds (bound + 2)^dim points, and a member in it takes 0 to
+    bound // m finite copies of each generator g, or inf copies, where m
+    is g's largest finite entry (a generator with no positive finite
+    entry has two choices).
     """
     moves = []
+    choices = 1
     for g in gens:
         g = tuple(g)
         if len(g) != dim:
             raise ValueError(f"generator {g} has length {len(g)}, expected {dim}")
         moves.append(g)
         moves.append(tuple(INF if v != 0 else 0 for v in g))
+        m = max((v for v in g if v is not INF), default=0)
+        choices *= (bound // m + 2) if m > 0 else 2
+    size = min((bound + 2) ** dim, choices)
+    if size > ENUMERATION_GUARD:
+        raise ResourceLimitError(
+            f"generated_truncated: up to {size} points with entries in 0..{bound} "
+            f"or inf in dimension {dim} exceed the enumeration guard {ENUMERATION_GUARD}")
     seen = {zero_vec(dim)}
     frontier = [zero_vec(dim)]
     while frontier:

@@ -88,8 +88,9 @@ class _Infinity:
     def __ne__(self, other):
         return other is not self
 
-    def __hash__(self):
-        return hash("supportmonoids.INF")
+    # Equality is identity, so the identity hash agrees with it, and it
+    # runs in C on every set or dict lookup of a vector with an inf entry.
+    __hash__ = object.__hash__
 
     def __repr__(self):
         return "INF"
@@ -191,7 +192,10 @@ def _check_extnat(a, what="value") -> ExtNat:
 
 def check_vec(x: Iterable, what="vector") -> Vec:
     """Validate and normalize a vector over N0* to a tuple."""
-    t = tuple(_check_extnat(v, what) for v in x)
+    t = tuple(x)
+    for v in t:
+        if v is not INF and (type(v) is not int or v < 0):
+            _check_extnat(v, what)  # raises, or accepts an int subclass
     if not t:
         raise ValueError(f"{what} must have length >= 1")
     if len(t) > MAX_DIM:

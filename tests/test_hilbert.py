@@ -8,6 +8,8 @@ from supportmonoids import (INF, DioSystem, HilbertBasis, find_order_unit,
                             generated_truncated, generated_upto, hilbert_basis,
                             in_generated, is_member, minimize_generators)
 from supportmonoids.errors import ResourceLimitError
+from supportmonoids.hilbert import minimal_solutions
+from supportmonoids.semiring import canonical_sorted
 
 
 def test_basis_randclosure():
@@ -110,6 +112,17 @@ def test_generated_upto_matches_oracle():
         {(c,) + (0,) * 11 for c in (0, 2, 4)})
 
 
+def test_generated_truncated_refuses_before_enumerating():
+    # 7^12 points in the truncated box, and 7 choices per unit vector
+    with pytest.raises(ResourceLimitError, match="generated_truncated") as err:
+        generated_truncated(HilbertBasis.free(12).gens, 5, 12)
+    assert "10000000" in str(err.value) and str(7 ** 12) in str(err.value)
+    # one generator has three choices below bound 5: none, one copy, inf
+    g = (5,) * 12
+    assert generated_truncated((g,), 5, 12) == frozenset(
+        {(0,) * 12, g, (INF,) * 12})
+
+
 def test_generated_truncated_handles_inf_absorption():
     # (2, inf) needs the second coordinate made infinite before the finite
     # overshoot in coordinate one could ever matter
@@ -181,3 +194,102 @@ def test_free_basis_is_shared_per_dimension():
         HilbertBasis.free(True)
     with pytest.raises(ValueError):
         HilbertBasis.free(-1)
+
+
+def test_rowless_systems_get_the_shared_free_basis():
+    for k in range(1, 7):
+        assert hilbert_basis(DioSystem(s=k)) is HilbertBasis.free(k)
+    # the search would visit the 3 unit vectors, so a smaller cap still refuses
+    with pytest.raises(ResourceLimitError):
+        hilbert_basis(DioSystem(s=3), max_states=2)
+
+
+def _restated_minimal_solutions(rows, dim, max_states):
+    """The completion loop as it stood before the incremental products."""
+    cols = [tuple(row[j] for row in rows) for j in range(dim)]
+    unit = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
+    minimals, frontier, seen, states = [], [], set(), 0
+    for j in range(dim):
+        frontier.append((unit[j], cols[j]))
+        seen.add(unit[j])
+    while frontier:
+        nxt = []
+        for t, v in frontier:
+            states += 1
+            if states > max_states:
+                raise ResourceLimitError(f"completion search exceeded {max_states} states")
+            if not any(v):
+                if not any(all(a >= b for a, b in zip(t, m)) for m in minimals):
+                    minimals.append(t)
+                continue
+            for j in range(dim):
+                if sum(a * b for a, b in zip(v, cols[j])) < 0:
+                    t2 = tuple(a + b for a, b in zip(t, unit[j]))
+                    if t2 in seen or any(all(a >= b for a, b in zip(t2, m))
+                                         for m in minimals):
+                        continue
+                    seen.add(t2)
+                    nxt.append((t2, tuple(a + b for a, b in zip(v, cols[j]))))
+        frontier = nxt
+    return minimals
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ResourceLimitError as err:
+        return str(err)
+
+
+def test_minimal_solutions_match_the_restated_search():
+    rng = random.Random(41)
+    for _ in range(300):
+        dim = rng.randint(1, 5)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(dim))
+                for _ in range(rng.randint(0, 3))]
+        assert minimal_solutions(rows, dim) == \
+            _restated_minimal_solutions(rows, dim, 10 ** 6), rows
+        cap = rng.randint(0, 40)
+        assert _outcome(minimal_solutions, rows, dim, cap) == \
+            _outcome(_restated_minimal_solutions, rows, dim, cap), (rows, cap)
+
+
+def test_from_generators_with_every_unit_vector_is_free():
+    units = HilbertBasis.free(3).gens
+    extra = ((1, 1, 0), (0, 2, 5), (3, 0, 0), (0, 0, 0))
+    assert HilbertBasis.from_generators(3, units + extra) is HilbertBasis.free(3)
+    # vectors with inf entries are generated by the unit vectors too
+    assert HilbertBasis.from_generators(3, units + ((INF, 1, 0),)) is HilbertBasis.free(3)
+    # a missing unit vector leaves the ordinary minimization
+    assert HilbertBasis.from_generators(3, units[:2] + ((2, 0, 0), (3, 0, 0))).gens == \
+        ((0, 0, 1), (0, 1, 0), (2, 0, 0), (3, 0, 0))
+    # invalid extras are still refused, not absorbed into the free basis
+    for bad in ((-1, 0, 0), (1, 0)):
+        with pytest.raises(ValueError):
+            HilbertBasis.from_generators(3, units + (bad,))
+
+
+def _restated_minimize(gens):
+    """The redundancy sweep as it stood before unit vectors were skipped."""
+    remaining = list(canonical_sorted(gens))
+    changed = True
+    while changed:
+        changed = False
+        for g in list(remaining):
+            others = [h for h in remaining if h != g]
+            if others and in_generated(others, g):
+                remaining.remove(g)
+                changed = True
+    return tuple(remaining)
+
+
+def test_minimize_generators_matches_the_restated_sweep():
+    rng = random.Random(43)
+    values = (0, 0, 1, 1, 2, 3, INF)
+    for _ in range(100):
+        dim = rng.randint(1, 4)
+        gens = [tuple(rng.choice(values) for _ in range(dim))
+                for _ in range(rng.randint(1, 6))]
+        gens += [tuple(int(i == j) for i in range(dim))
+                 for j in range(dim) if rng.random() < 0.6]
+        assert minimize_generators(gens) == _restated_minimize(gens), gens

@@ -56,8 +56,20 @@ def test_infinity_is_a_singleton():
     assert 5 < INF
     assert INF >= INF
     assert hash(INF) == hash(INF)
+    import copy
     import pickle
-    assert pickle.loads(pickle.dumps(INF)) is INF
+    for clone in (pickle.loads(pickle.dumps(INF)), copy.deepcopy(INF), copy.copy(INF)):
+        assert clone is INF and hash(clone) == hash(INF)
+
+
+def test_inf_vectors_as_set_and_dict_keys():
+    vecs = [(INF, 1, INF, 0), (0, INF), (INF,), (1, 2)]
+    table = {v: i for i, v in enumerate(vecs)}
+    assert all(table[tuple(v)] == i for i, v in enumerate(vecs))
+    assert (INF, 1, INF, 0) in set(vecs) and (INF, 1, 0, INF) not in set(vecs)
+    import pickle
+    assert pickle.loads(pickle.dumps(table)) == table
+    assert pickle.loads(pickle.dumps(set(vecs))) == set(vecs)
 
 
 def test_vec_add_and_scale():
@@ -143,13 +155,29 @@ def test_vector_validation():
     with pytest.raises(ValueError):
         check_vec(())
     with pytest.raises(ValueError):
-        check_vec((1, -1))
-    with pytest.raises(ValueError):
-        check_vec((1, 2.5))
-    with pytest.raises(ValueError):
-        check_vec((True, 1))
-    with pytest.raises(ValueError):
         check_vec((0,) * 25)  # dimension cap
+    bad = {
+        (1, -1): "vector: expected at least 0, got -1",
+        (1, 2.5): "vector: expected an integer, got 2.5",
+        (1.0,): "vector: expected an integer, got 1.0",
+        (True, 1): "vector: expected an integer, got True",
+        (0, False): "vector: expected an integer, got False",
+        (2, "3"): "vector: expected an integer, got '3'",
+        (None,): "vector: expected an integer, got None",
+    }
+    for x, message in bad.items():
+        with pytest.raises(ValueError) as err:
+            check_vec(x)
+        assert str(err.value) == message
+    with pytest.raises(ValueError, match="^point: expected at least 0, got -2$"):
+        check_vec([INF, -2], "point")
+
+    class Count(int):
+        pass
+
+    ok = check_vec([Count(3), INF, 0])
+    assert ok == (3, INF, 0) and type(ok[0]) is Count
+    assert check_vec(iter((0, 1))) == (0, 1)
 
 
 def test_canonical_order_puts_finite_below_infinite():
