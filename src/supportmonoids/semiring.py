@@ -120,12 +120,27 @@ class Record:
     validated, with ``_init`` at the end of its own ``__init__``.  Equal
     means same class and equal fields; the hash and the
     ``Name(field=...)`` repr follow the fields too.  Assignment raises
-    AttributeError, and pickling and copying rebuild through
-    ``__init__``, so a copy is validated like any new instance.
+    AttributeError.
+
+    Input is validated once, at the boundary.  The public constructor,
+    pickling and copying go through ``__init__``, which checks every
+    field, and the loaders (``from_json``, ``from_generators``) check
+    every raw entry they are given.  ``_trusted`` skips the checks; it
+    is only for objects the library builds itself from values already
+    in normal form (subsystems, computed bases, extracted and
+    constructed systems of supports), so every such object equals
+    ``type(r)(*r._values())``.
     """
 
     __slots__ = ()
     _fields: tuple = ()
+
+    @classmethod
+    def _trusted(cls, *values):
+        """An instance holding ``values`` as they are, without validation."""
+        self = object.__new__(cls)
+        self._init(*values)
+        return self
 
     def _init(self, *values) -> None:
         for name, value in zip(self._fields, values, strict=True):
@@ -269,7 +284,11 @@ def divides(x: Vec, y: Vec) -> bool:
 
 def project(x: Vec, H: Iterable[int]) -> Vec:
     """Drop the coordinates in H (1-based), keeping the rest in order."""
-    Hs = check_index_set(H, len(x))
+    return _project(x, check_index_set(H, len(x)))
+
+
+def _project(x: Vec, Hs: IndexSet) -> Vec:
+    """project for an index set already known to lie inside 1..len(x)."""
     return tuple(v for i, v in enumerate(x, 1) if i not in Hs)
 
 
@@ -334,12 +353,27 @@ def vec_to_json(x: Vec) -> list:
 
 
 def vec_from_json(obj) -> Vec:
+    """A JSON array of nonnegative ints and "inf" tokens as a vector.
+
+    One pass accepts plain nonnegative ints and the exact token "inf";
+    an array holding anything else (other spellings of inf, digit
+    strings, invalid entries), or of a length out of range, takes the
+    general parse, which raises the same errors as ever.
+    """
     if not isinstance(obj, (list, tuple)):
         raise ValueError(f"vector must be a JSON array, got {obj!r}")
     out = []
     for v in obj:
-        if isinstance(v, str):
-            out.append(parse_extnat(v))
-        else:
+        if v.__class__ is int and v >= 0:
             out.append(v)
-    return check_vec(out)
+        elif v.__class__ is str and v == "inf":
+            out.append(INF)
+        else:
+            return _parse_json_vec(obj)
+    if not out or len(out) > MAX_DIM:
+        return _parse_json_vec(obj)
+    return tuple(out)
+
+
+def _parse_json_vec(obj) -> Vec:
+    return check_vec(parse_extnat(v) if isinstance(v, str) else v for v in obj)

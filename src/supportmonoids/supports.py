@@ -85,7 +85,10 @@ class SystemOfSupports(Record):
             fams.append((H, basis))
         fams.sort(key=lambda hb: _iset_key(hb[0]))
         self._init(s, unit, tuple(fams), solution_backed)
-        by_H = dict(fams)
+
+    def _init(self, *values) -> None:
+        super()._init(*values)
+        by_H = dict(self.families)
         object.__setattr__(self, "S", frozenset(by_H))
         object.__setattr__(self, "_by_H", by_H)
 
@@ -117,6 +120,19 @@ class SystemOfSupports(Record):
             gens = tuple(tuple(g) for g in entry.get("basis", ()))
             fams.append((H, HilbertBasis.from_generators(s - len(H), gens)))
         return cls(s=s, unit=vec_from_json(obj["unit"]), families=tuple(fams))
+
+
+def _glued(s: int, unit: Vec, families, solution_backed: bool = False) -> SystemOfSupports:
+    """A SystemOfSupports from data the library built itself, unvalidated.
+
+    ``unit`` is a strictly positive int tuple of length s, and
+    ``families`` holds (H, basis) pairs already in the order of
+    ``SystemOfSupports.families``, with distinct frozensets H inside
+    1..s and bases of dimension s - |H|.  Equal H are shared here, as
+    ``SystemOfSupports.__init__`` would.
+    """
+    fams = tuple((_shared(H), basis) for H, basis in families)
+    return SystemOfSupports._trusted(s, unit, fams, solution_backed)
 
 
 # -- extraction from a defining system ---------------------------------------
@@ -181,7 +197,7 @@ def _subsystem(sys: DioSystem, H: IndexSet) -> DioSystem:
             continue
         D.append(drop(d))
         moduli.append(m)
-    return DioSystem(s=len(keep), F=tuple(F), G=tuple(G), D=tuple(D), moduli=tuple(moduli))
+    return DioSystem._trusted(len(keep), tuple(F), tuple(G), tuple(D), tuple(moduli))
 
 
 def subsystem_for(sys: DioSystem, H) -> DioSystem:
@@ -206,15 +222,14 @@ def extract(sys: DioSystem) -> SystemOfSupports:
     unit = _system_unit(basis0.order_unit())
     fams = []
     full = frozenset(range(1, sys.s + 1))
-    for H in infinite_supports(sys, unit_checked=True):
+    for H in sorted(infinite_supports(sys, unit_checked=True), key=_iset_key):
         if H == full:
             fams.append((H, HilbertBasis(0, ())))
         elif not H:
             fams.append((H, basis0))
         else:
             fams.append((H, hilbert_basis(_subsystem(sys, H))))
-    return SystemOfSupports(s=sys.s, unit=unit, families=tuple(fams),
-                            solution_backed=True)
+    return _glued(sys.s, unit, fams, solution_backed=True)
 
 
 # -- membership, generators, validation --------------------------------------

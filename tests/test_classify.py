@@ -47,15 +47,14 @@ def test_equals_matches_direct_comparison_on_fixtures():
     for sys_ in fixtures:
         flag, witnesses = equals_a_plus_inf_a(sys_)
         sols = o_solutions(sys_.to_json(), bound)
-        finite = {x for x in sols if None not in x}
-        direct = o_a_plus_inf_a(finite, bound) == sols
-        assert flag == direct, sys_
+        a_plus = o_a_plus_inf_a(sys_.to_json(), bound)
+        assert flag == (a_plus == sols), sys_
         # and on these fixtures the flag alone decides witness existence
         assert bool(witnesses) == (not flag)
         for w in witnesses:
             lw = from_lib(w, INF)
             if all(v is None or v <= bound for v in lw):
-                assert lw in sols and lw not in o_a_plus_inf_a(finite, bound)
+                assert lw in sols and lw not in a_plus
 
 
 def test_single_equation_overlapping_supports():
@@ -157,7 +156,6 @@ def test_degenerate_equality_without_almost_freeness():
     assert flag is False
     assert witnesses == ()
     sols = o_solutions(sys_.to_json(), 3)
-    finite = {x for x in sols if None not in x}
-    assert o_a_plus_inf_a(finite, 3) == sols  # equality does hold
+    assert o_a_plus_inf_a(sys_.to_json(), 3) == sols  # equality does hold
     rep = verdict(sys_)
     assert rep.almost_free is False

@@ -74,6 +74,32 @@ def test_oracle_passes_on_every_fixture(name):
     assert doc["ok"] is True and all(doc["checks"].values())
 
 
+def test_oracle_builds_a_plus_inf_a_from_supports_beyond_the_box(tmp_path):
+    # 5·x2 = 2·x6 first holds at (0, 2, 0, 0, 0, 5), so (0, inf, 0, 0, 0, inf)
+    # lies in A + inf·A although no finite member in the box has that
+    # support; classify says B = A + inf·A, and the oracle must agree
+    f = tmp_path / "wide.json"
+    f.write_text(json.dumps({"s": 6, "equations": {"F": [[7, 5, 0, 0, 0, 0]],
+                                                   "G": [[0, 0, 3, 11, 13, 2]]}}))
+    rc, out, _ = run_cli("classify", "--system", str(f))
+    assert rc == 0 and json.loads(out)["equals_a_plus_inf_a"] is True
+    rc, out, _ = run_cli("oracle", "--system", str(f), "--bound", "3")
+    doc = json.loads(out)
+    assert rc == 0, doc
+    assert doc["ok"] is True and all(doc["checks"].values())
+
+
+def test_basis_loader_checks_every_entry(tmp_path):
+    # [true, 1] is redundant next to the unit vectors, and is refused anyway
+    basis_file = tmp_path / "basis.json"
+    basis_file.write_text(json.dumps([[1, 0], [0, 1], [True, 1]]))
+    for sub in ("aplusinfa", "bmin", "bmax"):
+        rc, out, _ = run_cli(sub, "--basis", str(basis_file))
+        assert rc == 2
+        assert json.loads(out) == {"error": "invalid_input",
+                                   "message": "generator entry: expected an integer, got True"}
+
+
 def test_basis_commands(tmp_path):
     basis_file = tmp_path / "basis.json"
     basis_file.write_text(json.dumps([[1, 0, 0], [0, 1, 1]]))

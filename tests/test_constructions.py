@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -7,8 +8,8 @@ from supportmonoids import (INF, DioSystem, DirectSumData, HilbertBasis,
                             a_plus_inf_a, b_max, b_min, compose_direct_sum,
                             decompose_direct_sum, decomposed_almost_free,
                             enumerate_truncated, extract, generated_truncated,
-                            is_almost_free, member_via_supports, monoid_sum,
-                            truncated_members, validate)
+                            hilbert_basis, is_almost_free, member_via_supports,
+                            monoid_sum, truncated_members, validate)
 from supportmonoids.errors import MissingOrderUnitError, ResourceLimitError
 
 RANDCLOSURE = DioSystem(s=3, F=((1, 1, 0),), G=((1, 0, 1),))
@@ -279,3 +280,57 @@ def test_powerset_guard():
                       for i in range(17)))
     with pytest.raises(ResourceLimitError):
         b_max(big)
+
+
+def _restated_a_plus_inf_a(basis):
+    """a_plus_inf_a as it stood before families were projected from the
+    family below: each family is the projection of A itself."""
+    from supportmonoids import SystemOfSupports, project
+    from supportmonoids.supports import support_closure
+    fams = []
+    for H in support_closure(basis.gens):
+        projected = [project(g, H) for g in basis.gens]
+        fams.append((H, HilbertBasis.from_generators(basis.dim - len(H), projected)))
+    return SystemOfSupports(s=basis.dim, unit=basis.order_unit(), families=tuple(fams))
+
+
+def _non_free(sos):
+    return sum(b != HilbertBasis.free(sos.s - len(H)) for H, b in sos.families)
+
+
+def test_a_plus_inf_a_matches_the_per_support_definition():
+    rng = random.Random(59)
+    bases = []
+    while len(bases) < 60:
+        s = rng.randint(2, 5)
+        if rng.random() < 0.5:
+            gens = [tuple(rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(s))
+                    for _ in range(rng.randint(1, 7))]
+            b = HilbertBasis.from_generators(s, gens)
+        else:
+            n_eq = rng.randint(1, 2)
+            b = hilbert_basis(DioSystem(
+                s=s, F=tuple(tuple(rng.randint(0, 4) for _ in range(s)) for _ in range(n_eq)),
+                G=tuple(tuple(rng.randint(0, 4) for _ in range(s)) for _ in range(n_eq))))
+        if b.order_unit() is not None:
+            bases.append(b)
+    non_free = 0
+    for b in bases:
+        got = a_plus_inf_a(b)
+        assert got == _restated_a_plus_inf_a(b), b
+        non_free += _non_free(got) > 1
+    assert non_free >= 20
+
+
+def test_a_plus_inf_a_on_twelve_coordinates():
+    # 2·e_i and e_i + e_(i+1): every subset is a support, and most
+    # families are not free
+    s = 12
+    gens = [tuple(2 if j == i else 0 for j in range(s)) for i in range(s)]
+    gens += [tuple(1 if j in (i, i + 1) else 0 for j in range(s)) for i in range(s - 1)]
+    b = HilbertBasis.from_generators(s, gens)
+    start = time.perf_counter()
+    got = a_plus_inf_a(b)
+    assert time.perf_counter() - start < 30
+    assert len(got.families) == 4096 and _non_free(got) == 4096 - 1201
+    assert got == _restated_a_plus_inf_a(b)

@@ -105,7 +105,6 @@ def test_classification_flag_law_on_random_systems():
     """flag == (truncated equality holds) AND (almost-free); and every
     in-box witness is a genuine member outside A + inf·A."""
     rng = random.Random(79)
-    bound = 3
     checked = 0
     while checked < 40:
         s = rng.randint(2, 4)
@@ -121,26 +120,46 @@ def test_classification_flag_law_on_random_systems():
         if find_order_unit(sys_) is None:
             continue
         checked += 1
-        sos = extract(sys_)
-        flag, witnesses = equals_a_plus_inf_a(sys_, sos)
-        af = is_almost_free(sos)
-        sols = o_solutions(sys_.to_json(), bound)
-        finite = {x for x in sols if None not in x}
-        a_plus = o_a_plus_inf_a(finite, bound)
-        # the flag entails both equality and almost-freeness
-        if flag:
-            assert a_plus == sols
-            assert af
-        if not af:
-            assert not flag
-        # witnesses in the box are genuine members outside A + inf·A
-        for w in witnesses:
-            lw = from_lib(w, INF)
-            if all(v is None or v <= bound for v in lw):
-                assert lw in sols and lw not in a_plus
-        # conversely, an in-box separation forces the flag down
-        if af and a_plus != sols:
-            assert not flag
+        check_flag_law(sys_, bound=3)
+
+
+def test_classification_flag_law_with_large_coefficients():
+    # one equation a·x = b·x with disjoint supports and entries up to 13:
+    # B = A + inf·A is common, and its members in the box come from
+    # minimal solutions outside the box, so the oracle must not build
+    # A + inf·A from the finite members in the box
+    rng = random.Random(89)
+    flags = 0
+    for _ in range(30):
+        s = rng.randint(2, 4)
+        left = set(rng.sample(range(s), rng.randint(1, s - 1)))
+        a = tuple(rng.randint(1, 13) if j in left else 0 for j in range(s))
+        b = tuple(0 if j in left else rng.randint(1, 13) for j in range(s))
+        flags += check_flag_law(DioSystem(s=s, F=(a,), G=(b,)), bound=3)
+    assert flags >= 10
+
+
+def check_flag_law(sys_, bound):
+    sos = extract(sys_)
+    flag, witnesses = equals_a_plus_inf_a(sys_, sos)
+    af = is_almost_free(sos)
+    sols = o_solutions(sys_.to_json(), bound)
+    a_plus = o_a_plus_inf_a(sys_.to_json(), bound)
+    # the flag entails both equality and almost-freeness
+    if flag:
+        assert a_plus == sols
+        assert af
+    if not af:
+        assert not flag
+    # witnesses in the box are genuine members outside A + inf·A
+    for w in witnesses:
+        lw = from_lib(w, INF)
+        if all(v is None or v <= bound for v in lw):
+            assert lw in sols and lw not in a_plus
+    # conversely, an in-box separation forces the flag down
+    if af and a_plus != sols:
+        assert not flag
+    return flag
 
 
 def test_decompose_returns_the_same_monoid():

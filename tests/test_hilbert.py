@@ -168,6 +168,13 @@ def test_completion_state_cap():
         hilbert_basis(sys_, max_states=5)
 
 
+def test_lifting_past_the_dimension_cap_is_refused():
+    # two congruences on 23 coordinates lift to 25 variables
+    sys_ = DioSystem(s=23, D=((1,) * 23, (2,) * 23), moduli=(2, 3))
+    with pytest.raises(ValueError, match="^dimension 25 exceeds the supported maximum 24$"):
+        hilbert_basis(sys_)
+
+
 def test_hilbert_basis_type_validation():
     with pytest.raises(ValueError):
         HilbertBasis(2, ((0, 0),))
@@ -293,3 +300,85 @@ def test_minimize_generators_matches_the_restated_sweep():
         gens += [tuple(int(i == j) for i in range(dim))
                  for j in range(dim) if rng.random() < 0.6]
         assert minimize_generators(gens) == _restated_minimize(gens), gens
+
+
+def test_packed_search_matches_on_coordinates_above_the_small_fields():
+    # minimal solutions such as (37, 1) for x1 = 37·x2 need more than four
+    # bits per coordinate, and caps near the state count they take give
+    # the narrowest fields; the answer, its order and the refusal agree
+    rng = random.Random(47)
+    # the last case needs the spare bit: with fields one bit narrower, a
+    # coordinate of 32 under the cap 63 spills into the guard and the
+    # search refuses instead of returning [(0, 26, 1)]
+    cases = [[(1, -37)], [(3, -40)], [(2, 5, -37)], [(1, 1, -19), (0, 2, -3)],
+             [(55, -2, 52), (51, -1, 26)]]
+    for _ in range(60):
+        dim = rng.randint(2, 4)
+        cases.append([tuple(rng.choice((-1, 1)) * rng.randint(0, 40) for _ in range(dim))
+                      for _ in range(rng.randint(1, 2))])
+    big = 0
+    for rows in cases:
+        dim = len(rows[0])
+        want = _outcome(_restated_minimal_solutions, rows, dim, 20000)
+        assert _outcome(minimal_solutions, rows, dim, 20000) == want, rows
+        big += isinstance(want, list) and any(v > 15 for t in want for v in t)
+        for cap in {rng.randint(0, 80), 1, 2, 15, 16, 31, 32, 63, 64}:
+            assert _outcome(minimal_solutions, rows, dim, cap) == \
+                _outcome(_restated_minimal_solutions, rows, dim, cap), (rows, cap)
+    assert big >= 15
+
+
+def _antichain(rng, dim, values):
+    out = []
+    for _ in range(rng.randint(1, 7)):
+        g = tuple(rng.choice(values) for _ in range(dim))
+        if any(g) and not any(all(a >= b for a, b in zip(g, h)) or
+                              all(a <= b for a, b in zip(g, h)) for h in out):
+            out.append(g)
+    return out
+
+
+def test_antichains_are_kept_whole(monkeypatch):
+    rng = random.Random(53)
+    finite, with_inf = [], []
+    for _ in range(200):
+        dim = rng.randint(1, 5)
+        finite.append((dim, _antichain(rng, dim, (0, 0, 1, 2, 3, 9, 40))))
+        with_inf.append((dim, _antichain(rng, dim, (0, 0, 1, 2, 3, INF))))
+    assert any(INF in g for _, gens in with_inf for g in gens)
+    # and sets that are not antichains still lose their redundant vectors
+    others = [(dim, [tuple(rng.choice((0, 1, 2, 4)) for _ in range(dim))
+                     for _ in range(rng.randint(2, 7))])
+              for dim in (rng.randint(1, 4) for _ in range(200))]
+    assert sum(len(_restated_minimize(g)) < len(set(g) - {(0,) * d}) for d, g in others) > 50
+    for dim, gens in finite + with_inf + others:
+        want = _restated_minimize(gens)
+        assert minimize_generators(gens) == want, gens
+        nonzero = [g for g in gens if any(g)]
+        assert HilbertBasis._minimal(dim, nonzero).gens == _restated_minimize(nonzero), gens
+    # an all-finite antichain needs no redundancy sweep
+    import supportmonoids.hilbert as hilbert_module
+
+    def no_sweep(*args):
+        raise AssertionError("in_generated called on an antichain")
+
+    monkeypatch.setattr(hilbert_module, "in_generated", no_sweep)
+    for dim, gens in finite:
+        assert HilbertBasis.from_generators(dim, gens).gens == canonical_sorted(gens)
+
+
+def test_from_generators_checks_every_raw_entry():
+    # a bad entry in a vector the minimization would drop is still refused
+    for gens, message in (
+            (((1, 0), (0, 1), (True, 1)), "generator entry: expected an integer, got True"),
+            (((1, 0), (0, 1), (2, -1)), "generator entry: expected at least 0, got -1"),
+            (((1, 0), (2, 0), (1.0, 0)), "generator entry: expected an integer, got 1.0"),
+            (((1, 0), (0, 1), (1, 1, 0)), "generator (1, 1, 0) has length 3, expected 2"),
+            (((1, INF), (0, 1)), "generator entry: expected an integer, got INF")):
+        with pytest.raises(ValueError) as err:
+            HilbertBasis.from_generators(2, gens)
+        assert str(err.value) == message
+    with pytest.raises(ValueError, match="dimension"):
+        HilbertBasis.from_generators(True, ((1,),))
+    # inf entries are fine in redundant vectors
+    assert HilbertBasis.from_generators(2, ((1, 0), (0, 2), (INF, 2))).gens == ((0, 2), (1, 0))

@@ -3,6 +3,7 @@ pickling and copying, defaults, and validation on construction."""
 
 import copy
 import pickle
+import random
 
 import pytest
 
@@ -194,3 +195,54 @@ def test_reports_need_every_field(cls):
     # the reports validate nothing, but their fields have no defaults
     with pytest.raises(TypeError):
         cls(True)
+
+
+def library_built_records(rng):
+    """Records the library builds itself, unvalidated: subsystems, lifted
+    systems, computed bases and the four kinds of systems of supports."""
+    from supportmonoids import (a_plus_inf_a, b_max, b_min, extract, hilbert_basis,
+                                infinite_supports, subsystem_for)
+    from supportmonoids.equations import lift_congruences
+    out = []
+    while len(out) < 1500:
+        s = rng.randint(1, 4)
+        n_eq, n_cg = rng.randint(0, 2), rng.randint(0, 2)
+        sys_ = DioSystem(
+            s=s, F=tuple(tuple(rng.randint(0, 3) for _ in range(s)) for _ in range(n_eq)),
+            G=tuple(tuple(rng.randint(0, 3) for _ in range(s)) for _ in range(n_eq)),
+            D=tuple(tuple(rng.randint(0, 3) for _ in range(s)) for _ in range(n_cg)),
+            moduli=tuple(rng.choice((2, 3)) for _ in range(n_cg)))
+        out += [lift_congruences(sys_), hilbert_basis(sys_)]
+        basis = out[-1]
+        if basis.order_unit() is None:
+            continue
+        for H in infinite_supports(sys_):
+            if len(H) < s:
+                out.append(subsystem_for(sys_, H))
+        for sos in (extract(sys_), a_plus_inf_a(basis), b_min(basis), b_max(basis)):
+            out.append(sos)
+            out += [b for _, b in sos.families]
+    return out
+
+
+def test_library_built_records_equal_their_validated_rebuild():
+    built = library_built_records(random.Random(61))
+    assert {type(r) for r in built} == {DioSystem, HilbertBasis, SystemOfSupports}
+    for r in built:
+        again = type(r)(*r._values())
+        assert again == r and hash(again) == hash(r), r
+        back = pickle.loads(pickle.dumps(r))
+        assert back == r and repr(back) == repr(r)
+        if isinstance(r, SystemOfSupports):
+            assert again.S == r.S == back.S and again._by_H == r._by_H == back._by_H
+
+
+def test_system_of_supports_loader_checks_every_entry():
+    doc = {"s": 2, "unit": [1, 1],
+           "supports": [{"H": [], "basis": [[1, 0], [0, 1], [True, 1]]},
+                        {"H": [1, 2], "basis": []}]}
+    with pytest.raises(ValueError) as err:
+        SystemOfSupports.from_json(doc)
+    assert str(err.value) == "generator entry: expected an integer, got True"
+    doc["supports"][0]["basis"].pop()
+    assert SystemOfSupports.from_json(doc).basis_for(()) == HilbertBasis.free(2)

@@ -188,3 +188,41 @@ def test_canonical_order_puts_finite_below_infinite():
 def test_module_docstring_examples():
     result = doctest.testmod(semiring)
     assert result.attempted > 0 and result.failed == 0
+
+
+def _restated_vec_from_json(obj):
+    """vec_from_json as it stood before the one-pass loop."""
+    if not isinstance(obj, (list, tuple)):
+        raise ValueError(f"vector must be a JSON array, got {obj!r}")
+    return check_vec([semiring.parse_extnat(v) if isinstance(v, str) else v for v in obj])
+
+
+def _parsed(fn, obj):
+    try:
+        return fn(obj)
+    except ValueError as err:
+        return "ValueError", str(err)
+
+
+def test_vec_from_json_keeps_every_answer_and_message():
+    cases = [[True, 1], [1, -1], [2.5], [None, 0], [" Inf "], ["INF", 3], ["inf", 0],
+             [], [0] * 24, [0] * 25, ["inf"] * 25, [1, "x"], [True, "x"], ["7", 1],
+             ["inf", False], [-3, None], "1,2", {"a": 1}, (1, "inf")]
+    rng = random.Random(67)
+    tokens = (0, 1, 3, 12, "inf", "Inf", " inf ", "5", True, -1, 1.5, None, "x")
+    cases += [[rng.choice(tokens) for _ in range(rng.randint(0, 5))] for _ in range(500)]
+    for obj in cases:
+        want = _parsed(_restated_vec_from_json, obj)
+        assert _parsed(semiring.vec_from_json, obj) == want, obj
+    assert semiring.vec_from_json([" Inf ", 2]) == (INF, 2)
+    assert _parsed(semiring.vec_from_json, [True, 1]) == \
+        ("ValueError", "vector: expected an integer, got True")
+    assert _parsed(semiring.vec_from_json, [0] * 25) == \
+        ("ValueError", "vector longer than the supported maximum of 24")
+    assert _parsed(semiring.vec_from_json, []) == ("ValueError", "vector must have length >= 1")
+
+    class Count(int):
+        pass
+
+    kept = semiring.vec_from_json([Count(3), "inf"])
+    assert kept == (3, INF) and type(kept[0]) is Count
