@@ -118,23 +118,44 @@ def _closed_under_addition(enum, members, bound: int) -> bool:
     (each coordinate inf or at most bound) belong to members?
 
     Addition in N0* is commutative, so each unordered pair is visited
-    once.  A sum is built coordinate by coordinate and dropped as soon
-    as a finite coordinate passes bound.
+    once.  Each vector is packed into ints: an inf mask (bit j for
+    coordinate j), its finite entries in fields of w = bound.bit_length()
+    + 1 bits (0 on inf coordinates), and a keep mask covering the fields
+    of its finite coordinates.  With the bias 2^(w-1) - 1 - bound added
+    to every field, a field of a finite coordinate of x + y holds
+    a + b + bias <= 2^w - 1, so no field carries, and its top bit is set
+    iff a + b > bound.  A member is keyed by its biased fields, kept,
+    above its inf mask, and so is the sum of a pair.
     """
-    for i, x in enumerate(enum):
-        for y in enum[i:]:
-            z = []
-            for a, b in zip(x, y):
-                if a is INF or b is INF:
-                    z.append(INF)
-                    continue
-                c = a + b
-                if c > bound:
-                    break
-                z.append(c)
+    s = len(enum[0]) if enum else 0
+    width = bound.bit_length() + 1
+    field = (1 << width) - 1
+    bias = sum(((1 << (width - 1)) - 1 - bound) << (j * width) for j in range(s))
+    top = sum(1 << (j * width + width - 1) for j in range(s))
+
+    def pack(z):
+        inf = fin = keep = 0
+        for j, v in enumerate(z):
+            if v is INF:
+                inf |= 1 << j
             else:
-                if tuple(z) not in members:
-                    return False
+                fin |= v << (j * width)
+                keep |= field << (j * width)
+        return inf, fin, keep
+
+    packed = [pack(z) for z in enum]
+    keys = set()
+    for z in members:
+        inf, fin, keep = pack(z)
+        keys.add(((fin + bias) & keep) << s | inf)
+    for i, (inf_x, fin_x, keep_x) in enumerate(packed):
+        fin_x += bias
+        for inf_y, fin_y, keep_y in packed[i:]:
+            total = (fin_x + fin_y) & keep_x & keep_y
+            if total & top:
+                continue
+            if total << s | inf_x | inf_y not in keys:
+                return False
     return True
 
 

@@ -401,16 +401,15 @@ def minimize_generators(gens) -> tuple:
     monoid."""
     remaining = list(canonical_sorted(gens))
     atoms = _atoms(remaining)
-    changed = True
-    while changed:
-        changed = False
-        for g in list(remaining):
-            if g in atoms:
-                continue
-            others = [h for h in remaining if h != g]
-            if others and in_generated(others, g):
-                remaining.remove(g)
-                changed = True
+    # One pass suffices: a vector kept against a set is kept against any
+    # subset of it, and the set only shrinks, so a second pass would
+    # remove nothing.
+    for g in list(remaining):
+        if g in atoms:
+            continue
+        others = [h for h in remaining if h != g]
+        if others and in_generated(others, g):
+            remaining.remove(g)
     return tuple(remaining)
 
 

@@ -29,11 +29,11 @@ from functools import lru_cache
 
 from .equations import DioSystem
 from .errors import MissingOrderUnitError, ResourceLimitError
-from .hilbert import (HilbertBasis, find_order_unit, generated_upto,
-                      hilbert_basis, in_generated, minimize_generators)
-from .semiring import (INF, IndexSet, Record, Vec, check_index_set,
-                       check_vec, inf_supp, inject, project, supp,
-                       vec_from_json, vec_to_json, zero_vec)
+from .hilbert import (HilbertBasis, _in_generated_finite, find_order_unit,
+                      generated_upto, hilbert_basis, in_generated)
+from .semiring import (INF, IndexSet, Record, Vec, canonical_sorted,
+                       check_index_set, check_vec, inf_supp, inject, project,
+                       supp, vec_from_json, vec_to_json, zero_vec)
 
 MAX_POWERSET_DIM = 16  # enumerating the 2^s subsets past this is refused
 
@@ -246,19 +246,73 @@ def member_via_supports(sos: SystemOfSupports, x: Vec) -> bool:
 
 
 def generators(sos: SystemOfSupports) -> tuple:
-    """A minimal generating set of the glued monoid under N0*-combinations.
+    """A minimal generating set of the glued monoid under N0*-combinations,
+    canonically sorted.
 
-    Candidates are the injected family generators and the injections of
-    zero (inf exactly on H); redundant ones are swept out in canonical
-    order, so the first listed generator is the canonically smallest.
+    The candidates are the generators of A_∅ and, for each nonempty H in
+    S, z_H (inf on H, 0 elsewhere) and inject(g, H) for each generator g
+    of A_H.  The answer is the set ``minimize_generators`` keeps from
+    them, found with one test per candidate instead of a general sweep.
+
+    Rank a vector by (|inf-supp|, sum of its finite entries).  Every
+    N0*-expression of a candidate c with inf-supp H by other vectors
+    uses only vectors of lower rank.  A summand v has inf-supp inside H.
+    With an inf coefficient, supp(v) lies inside H, so v is z_H (below
+    c, as c is not z_H) or has a smaller inf-supp.  With a finite one
+    and inf-supp(v) = H, the finite part of v lies below that of c,
+    strictly in sum, since v differs from c.  So removing a redundant
+    candidate never changes the span of the candidates ranked below
+    another, and the sweep, in any order, keeps exactly the candidates
+    the lower-ranked ones do not generate.  Per kind of candidate:
+
+    * g in A_∅: the summands are finite, so g is tested against the
+      other generators of A_∅ (a public HilbertBasis need not be
+      minimal).
+    * z_H: the summands have support inside H, and inf times all of
+      them is inf on the union of their supports, so z_H is redundant
+      iff the other candidates with support inside H cover H.
+    * inject(g, H), g nonzero: the summands with a finite coefficient
+      have inf-supp inside H and add up to g outside H, and those with
+      an inf coefficient vanish there.  Conversely inf·z_H fills H with
+      inf.  So it is redundant iff g is in the N0-span of the nonzero
+      projections outside H of the other candidates with inf-supp
+      inside H.
+
+    Supports are int bitmasks, bit i - 1 for coordinate i.
     """
-    candidates = set()
+    bits = [1 << i for i in range(sos.s)]
+    fams = []
     for H, basis in sos.families:
-        candidates.add(inject(zero_vec(sos.s - len(H)), H) if H else zero_vec(sos.s))
-        for g in basis.gens:
-            candidates.add(inject(g, H) if H else g)
-    candidates.discard(zero_vec(sos.s))
-    return minimize_generators(candidates)
+        outside = [bits[i - 1] for i in range(1, sos.s + 1) if i not in H]
+        fams.append((H, sum(bits[i - 1] for i in H), outside, basis.gens))
+    gen_supps = {h | sum(b for b, v in zip(outside, g) if v)
+                 for _, h, outside, gens in fams for g in gens}
+    supps = gen_supps | {h for _, h, _, _ in fams}
+    kept = []
+    for H, h, outside, gens in fams:
+        if h and h not in gen_supps:
+            cover = 0
+            for m in supps:
+                if not m & ~h and m != h:
+                    cover |= m
+            if cover != h:
+                kept.append(inject(zero_vec(sos.s - len(H)), H))
+        if not gens:
+            continue
+        shadows = set()
+        for _, k, outside_k, gens_k in fams:
+            if k & ~h or k == h:
+                continue
+            keep = [j for j, b in enumerate(outside_k) if not b & h]
+            for g in gens_k:
+                p = tuple(g[j] for j in keep)
+                if any(p):
+                    shadows.add(p)
+        for g in gens:
+            pool = [*shadows, *(o for o in gens if o is not g)]
+            if not _in_generated_finite(pool, g):
+                kept.append(inject(g, H))
+    return canonical_sorted(kept)
 
 
 def truncated_members(sos: SystemOfSupports, bound: int) -> frozenset:
@@ -275,10 +329,21 @@ def truncated_members(sos: SystemOfSupports, bound: int) -> frozenset:
 
 def support_closure(gens) -> frozenset:
     """All unions of generator supports, the empty set included: the
-    supports of the members of the generated monoid."""
+    supports of the members of the generated monoid.
+
+    There are at most 2^min(u, d) of them, for u coordinates in the
+    union of the supports and d distinct supports.  Past
+    2^MAX_POWERSET_DIM the loop is refused before it starts, so no
+    input with at most MAX_POWERSET_DIM coordinates is refused.
+    """
+    supps = {supp(g) for g in gens}
+    size = min(len(frozenset().union(*supps)), len(supps))
+    if size > MAX_POWERSET_DIM:
+        raise ResourceLimitError(
+            f"support_closure: up to 2^{size} unions of generator supports "
+            f"exceed the cap 2^MAX_POWERSET_DIM = 2^{MAX_POWERSET_DIM}")
     out = {frozenset()}
-    for g in gens:
-        H = supp(g)
+    for H in supps:
         out |= {K | H for K in out}
     return frozenset(out)
 

@@ -7,6 +7,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ import supportmonoids
 from conftest import FIXTURE_NAMES, FIXTURES
 from supportmonoids import INF, generated_truncated
 from supportmonoids.cli import _closed_under_addition, main
+from supportmonoids.supports import support_closure
 
 
 def run_cli(*argv):
@@ -210,6 +212,30 @@ def test_subset_enumeration_past_the_cap_is_refused(tmp_path, command):
     assert "infinite_supports" in proc.stderr and "16" in proc.stderr
 
 
+@pytest.mark.parametrize("dim", [17, 24])
+def test_support_closure_past_the_cap_is_refused(tmp_path, dim):
+    # the free basis of N0^dim has 2^dim supports of members
+    f = tmp_path / "free.json"
+    f.write_text(json.dumps([[int(i == j) for j in range(dim)] for i in range(dim)]))
+    start = time.perf_counter()
+    rc, out, err = run_cli("aplusinfa", "--basis", str(f))
+    assert time.perf_counter() - start < 1
+    assert rc == 3 and json.loads(out)["error"] == "resource_limit"
+    assert "support_closure" in err and "2^16" in err and f"2^{dim}" in err
+
+
+def test_support_closure_counts_distinct_supports(tmp_path):
+    # at the cap itself the closure is built
+    units = [tuple(int(i == j) for j in range(16)) for i in range(16)]
+    assert len(support_closure(units)) == 1 << 16
+    # 24 generators sharing the full support have only two support unions
+    f = tmp_path / "full.json"
+    f.write_text(json.dumps([[1 + (i == j) for j in range(24)] for i in range(24)]))
+    rc, out, _ = run_cli("aplusinfa", "--basis", str(f))
+    assert rc == 0
+    assert [fam["H"] for fam in json.loads(out)["supports"]] == [[], list(range(1, 25))]
+
+
 def test_cli_import_skips_dataclasses_and_inspect():
     # both are slow to import; the cold CLI start must not pay for them
     proc = run_cold("-c", "import sys, supportmonoids.cli; "
@@ -244,7 +270,7 @@ def test_closed_under_addition_agrees_with_ordered_pairs():
     rng = random.Random(4)
     answers = []
     for _ in range(50):
-        s, bound = rng.randint(1, 4), rng.randint(0, 3)
+        s, bound = rng.randint(1, 4), rng.randint(0, 9)
         values = list(range(bound + 1)) + [INF]
         box = list(itertools.product(values, repeat=s))
         if rng.random() < 0.5:

@@ -5,12 +5,15 @@ import pytest
 
 from oracles import o_solutions
 from supportmonoids import (INF, DioSystem, HilbertBasis, SystemOfSupports,
+                            a_plus_inf_a, b_max, b_min,
                             divides, enumerate_truncated, extract, generators,
                             generated_truncated, infinite_supports, inject,
                             is_almost_free, is_full, is_member,
                             member_via_supports, minimal_nonempty,
-                            subsystem_for, truncated_members, validate)
+                            minimize_generators, subsystem_for, supp,
+                            truncated_members, validate)
 from supportmonoids.errors import MissingOrderUnitError
+from supportmonoids.semiring import canonical_sorted
 
 RANDCLOSURE = DioSystem(s=3, F=((1, 1, 0),), G=((1, 0, 1),))
 PARITY = DioSystem(s=2, D=((1, 1),), moduli=(2,))
@@ -162,6 +165,81 @@ def test_generators_regenerate_the_monoid():
         gens = generators(sos)
         assert generated_truncated(gens, 3, sys_.s) == \
             frozenset(enumerate_truncated(sys_, 3))
+
+
+def _candidates(sos):
+    """z_H and the injected family generators, zero left out."""
+    out = set()
+    for H, basis in sos.families:
+        out.add(inject((0,) * (sos.s - len(H)), H))
+        for g in basis.gens:
+            out.add(inject(g, H))
+    out.discard((0,) * sos.s)
+    return out
+
+
+def _random_system(rng):
+    s = rng.randint(1, 4)
+    n_eq, n_cg = rng.randint(0, 2), rng.randint(0, 1)
+    row = lambda: tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(s))
+    return DioSystem(s=s, F=tuple(row() for _ in range(n_eq)),
+                     G=tuple(row() for _ in range(n_eq)),
+                     D=tuple(row() for _ in range(n_cg)),
+                     moduli=tuple(rng.choice((2, 3, 4)) for _ in range(n_cg)))
+
+
+def _hand_built(rng, s):
+    """Random S, with or without the empty set, and random families that
+    need not be minimal; some are trivial (they generate only zero)."""
+    fams = []
+    for r in range(s + 1):
+        for H in itertools.combinations(range(1, s + 1), r):
+            if rng.random() < 0.6:
+                k = s - r
+                gens = {tuple(rng.randint(0, 2) for _ in range(k))
+                        for _ in range(rng.randint(0, 5) if k else 0)}
+                gens.discard((0,) * k)
+                fams.append((frozenset(H), HilbertBasis(k, canonical_sorted(gens))))
+    return SystemOfSupports(s=s, unit=(1,) * s, families=tuple(fams))
+
+
+def test_generators_match_the_sweep_over_all_candidates():
+    # extracted systems, the three constructions over their finite parts,
+    # and hand-built systems; the counts show each of the three tests
+    # deciding both ways
+    rng = random.Random(59)
+    systems = []
+    while len(systems) < 1000:
+        try:
+            sos = extract(_random_system(rng))
+        except MissingOrderUnitError:
+            continue
+        finite = sos.basis_for(frozenset())
+        systems += [sos, a_plus_inf_a(finite), b_min(finite), b_max(finite),
+                    _hand_built(rng, sos.s)]
+    seen = dict.fromkeys(("finite dropped", "z_H kept", "z_H covered by several",
+                          "injection dropped", "empty set missing", "trivial family"), 0)
+    for sos in systems:
+        candidates = _candidates(sos)
+        got = generators(sos)
+        assert got == minimize_generators(candidates), sos
+        empty = frozenset()
+        if empty in sos.S:
+            seen["finite dropped"] += len(sos.basis_for(empty).gens) > sum(
+                INF not in g for g in got)
+        else:
+            seen["empty set missing"] += 1
+        for H, basis in sos.families:
+            if not H:
+                continue
+            z = inject((0,) * (sos.s - len(H)), H)
+            if z in got:
+                seen["z_H kept"] += 1
+            elif not any(supp(c) == H for c in candidates - {z}):
+                seen["z_H covered by several"] += 1
+            seen["injection dropped"] += any(inject(g, H) not in got for g in basis.gens)
+            seen["trivial family"] += len(H) < sos.s and not basis.gens
+    assert all(n >= 20 for n in seen.values()), seen
 
 
 def test_validate_catches_broken_systems():
