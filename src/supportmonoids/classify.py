@@ -185,8 +185,9 @@ def verdict(sys: DioSystem, bound: int = 5) -> ClassReport:
     A missing order-unit is reported in-band (all structural fields
     None).  For single-equation systems the closed form is computed as
     well and any disagreement with the general pathway is an internal
-    error.
+    error.  A negative bound is refused.
     """
+    check_int(bound, "verification bound", 0)
     unit = find_order_unit(sys)
     if unit is None:
         return ClassReport(

@@ -40,7 +40,7 @@ def _load_basis(path: str) -> HilbertBasis:
     obj = _load_json(path)
     if isinstance(obj, dict):
         gens = obj.get("gens", ())
-        dim = obj.get("s") or obj.get("dim")
+        dim = obj["s"] if "s" in obj else obj.get("dim")
         if dim is None:
             raise ValueError("basis JSON object needs an 's' key")
     else:

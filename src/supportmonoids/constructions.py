@@ -34,6 +34,9 @@ UNIQUENESS_BOUND = 5       # truncated uniqueness verification for direct sums
 
 
 def _order_unit_of(basis: HilbertBasis) -> Vec:
+    """basis.order_unit(), refused for a basis with no coordinate or no unit."""
+    if not basis.dim:
+        raise ValueError("a system of supports needs at least one coordinate")
     unit = basis.order_unit()
     if unit is None:
         raise MissingOrderUnitError(

@@ -23,15 +23,13 @@ multiple of one, equals e_j only when one summand is e_j itself.  So a
 unit vector is never redundant, and a set holding every unit vector
 generates everything.
 
-Membership in a generated monoid (`in_generated`) is decided by exact
-bounded search, including inf coefficients and generators with inf
-entries: a finite coefficient on g is bounded by the finite coordinates
-of the target, and an inf coefficient is only useful when supp(g) sits
-inside the target's infinite support.  An all-finite target, the
-question every membership test in A_H reduces to, takes a shorter
-search: an inf coefficient on a nonzero generator, or any coefficient
-on a generator with an inf entry, would put inf into the sum, so only
-finite coefficients on all-finite generators below the target can occur.
+Membership in a generated monoid (`in_generated`) has one search, over
+finite coefficients for an all-finite target, the question every
+membership test in A_H reduces to.  A target that is inf on a set lam
+is decided by finite membership of its projection off lam: generators
+supported inside lam take inf coefficients and cover their supports,
+and the rest of lam is covered by peeling off, one at a time, a copy
+of a generator that is inf there.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from operator import add, mul
 from .equations import ENUMERATION_GUARD, DioSystem, lift_congruences
 from .errors import ResourceLimitError
 from .semiring import (INF, MAX_DIM, Record, Vec, canonical_sorted, check_int,
-                       inf_supp, is_finite, supp, unit_vec, vec_add, zero_vec)
+                       unit_vec, vec_add, zero_vec)
 
 MAX_COMPLETION_STATES = 1_000_000
 
@@ -60,7 +58,7 @@ class HilbertBasis(Record):
     __slots__ = _fields = ("dim", "gens")
 
     def __init__(self, dim: int, gens: tuple):
-        check_int(dim, "dimension", 0)
+        _check_dim(dim)
         gens = tuple(tuple(g) for g in gens)
         seen = set()
         for g in gens:
@@ -85,7 +83,7 @@ class HilbertBasis(Record):
         each vector has length dim and entries in N0*.  A generator with
         an inf entry is refused unless it is redundant.
         """
-        check_int(dim, "dimension", 0)
+        _check_dim(dim)
         raw = []
         for g in gens:
             g = tuple(g)
@@ -125,7 +123,7 @@ class HilbertBasis(Record):
         dimension is checked first: ``free(True)`` must not find the
         instance cached under the equal key 1.
         """
-        check_int(dim, "dimension", 0)
+        _check_dim(dim)
         return _free_basis(dim)
 
     def order_unit(self):
@@ -140,6 +138,12 @@ class HilbertBasis(Record):
 
     def to_json(self) -> list:
         return [list(g) for g in self.gens]
+
+
+def _check_dim(dim) -> None:
+    """Refuse a dimension that is not an int in 0..MAX_DIM."""
+    if check_int(dim, "dimension", 0) > MAX_DIM:
+        raise ValueError(f"dimension {dim} exceeds the supported maximum {MAX_DIM}")
 
 
 @lru_cache(maxsize=MAX_DIM + 1)
@@ -264,16 +268,20 @@ def hilbert_basis(sys: DioSystem, max_states: int = MAX_COMPLETION_STATES) -> Hi
 def in_generated(gens, x: Vec) -> bool:
     """Is x a sum of N0*-multiples of the given generators?
 
-    Exact: coefficients are searched over {0, ..., c_max, inf} where
-    c_max is forced by the finite coordinates of x, and an inf
-    coefficient is tried only when supp(g) lies inside inf-supp(x),
-    which loses nothing (any larger finite coefficient could be replaced
-    by inf without changing the sum).
+    An all-finite target goes to the finite search: any coefficient on a
+    generator with an inf entry, and an inf coefficient on any nonzero
+    generator, put inf into the sum.
 
-    A target with no inf entry goes to a shorter search over finite
-    coefficients on the all-finite generators g <= x only.  That is
-    exact too: any coefficient on a generator with an inf entry, and an
-    inf coefficient on any nonzero generator, put inf into the sum.
+    A target with inf on lam is reduced to that search.  Generators
+    supported inside lam take inf coefficients and cover their supports;
+    those with an inf entry outside lam cannot occur; the rest take
+    finite coefficients and add their projections off lam.  The lowest
+    coordinate of lam still uncovered is covered by peeling off one copy
+    of a generator that is inf there, and the rest is decided
+    recursively; once lam is covered, the finite search decides the
+    remainder over all the projections.  Exact both ways: a sum covering
+    that coordinate uses such a generator, so one copy of it can be the
+    one peeled off.
     """
     x = tuple(x)
     dim = len(x)
@@ -286,77 +294,36 @@ def in_generated(gens, x: Vec) -> bool:
             pool.append(g)
     if not any(v is INF for v in x):
         return _in_generated_finite(pool, x)
-    lam = inf_supp(x)
     fin = [i for i in range(dim) if x[i] is not INF]
-    if not pool:
-        return all(x[i] == 0 for i in fin) and not lam
-
-    options = []  # per generator: (finite_cmax, inf_allowed, fin_profile, cover_fin, cover_inf)
+    uncovered = {i for i in range(dim) if x[i] is INF}
+    projections, carriers = [], []
     for g in pool:
-        g_inf = inf_supp(g)
-        g_supp = supp(g)
-        usable = g_inf <= lam  # any coefficient >= 1 puts inf on g's inf entries
-        inf_ok = usable and g_supp <= lam
-        cmax = 0
-        if usable:
-            bounds = []
-            feasible = True
-            for i in fin:
-                v = g[i]
-                if v is INF:
-                    feasible = False
-                    break
-                if v:
-                    bounds.append(x[i] // v)
-            if feasible and bounds:
-                cmax = min(bounds)
-        options.append((g, cmax, inf_ok, g_inf, g_supp))
-
-    # suffix reachability for pruning
-    n = len(options)
-    reach_fin = [frozenset()] * (n + 1)
-    reach_cov = [frozenset()] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        g, cmax, inf_ok, g_inf, g_supp = options[k]
-        f = frozenset(i + 1 for i in fin if cmax and is_finite(g[i]) and g[i])
-        c = (g_inf if cmax else frozenset()) | (g_supp if inf_ok else frozenset())
-        reach_fin[k] = reach_fin[k + 1] | f
-        reach_cov[k] = reach_cov[k + 1] | c
-
-    target_fin = tuple(x[i] for i in fin)
+        p = tuple(g[i] for i in fin)
+        if INF in p:
+            continue
+        if any(p):
+            projections.append(p)
+            carriers.append(frozenset(i for i in range(dim) if g[i] is INF))
+        else:
+            uncovered.difference_update(i for i in range(dim) if g[i])
     failed = set()
 
-    def search(k, remaining, covered) -> bool:
-        if all(v == 0 for v in remaining) and covered == lam:
-            return True
-        if k == n:
-            return False
-        state = (k, remaining, covered)
+    def cover(rest, todo) -> bool:
+        if not todo:
+            return _in_generated_finite(projections, rest)
+        state = (rest, todo)
         if state in failed:
             return False
-        for pos, i in enumerate(fin):
-            if remaining[pos] and (i + 1) not in reach_fin[k]:
-                failed.add(state)
-                return False
-        if not (lam - covered) <= reach_cov[k]:
-            failed.add(state)
-            return False
-        g, cmax, inf_ok, g_inf, g_supp = options[k]
-        if inf_ok and search(k + 1, remaining, covered | g_supp):
-            return True
-        if cmax:
-            fin_part = tuple(g[i] for i in fin)
-            top = min((r // v for r, v in zip(remaining, fin_part) if v), default=cmax)
-            for c in range(min(cmax, top), 0, -1):
-                rem2 = tuple(r - c * v for r, v in zip(remaining, fin_part))
-                if search(k + 1, rem2, covered | g_inf):
+        low = min(todo)
+        for p, inf_at in zip(projections, carriers):
+            if low in inf_at:
+                rest2 = tuple(r - v for r, v in zip(rest, p))
+                if min(rest2, default=0) >= 0 and cover(rest2, todo - inf_at):
                     return True
-        if search(k + 1, remaining, covered):
-            return True
         failed.add(state)
         return False
 
-    return search(0, target_fin, frozenset())
+    return cover(tuple(x[i] for i in fin), frozenset(uncovered))
 
 
 def _in_generated_finite(pool, x) -> bool:
@@ -456,6 +423,8 @@ def generated_upto(gens, bound: int, dim: int) -> frozenset:
     box holds (bound + 1)^dim points, and a member in the box takes at
     most bound // max(g) copies of each generator g.
     """
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
     for g in gens:
         if len(g) != dim or any(v is INF for v in g):
             raise ValueError(f"generated_upto needs finite generators of length {dim}")

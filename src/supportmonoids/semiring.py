@@ -171,10 +171,6 @@ class Record:
         return (self.__class__, self._values())
 
 
-def is_finite(a: ExtNat) -> bool:
-    return a is not INF
-
-
 def add(a: ExtNat, b: ExtNat) -> ExtNat:
     """a + b in N0*; any infinite operand makes the sum infinite."""
     if a is INF or b is INF:

@@ -116,6 +116,14 @@ def test_verdict_empty_system():
     assert rep.witnesses == ()
 
 
+def test_verdict_refuses_a_negative_bound():
+    # checked on entry, before the early answer for a missing order unit
+    for sys_ in (RANDCLOSURE, DioSystem(s=2, F=((1, 0),), G=((0, 0),))):
+        with pytest.raises(ValueError, match="^verification bound: expected at least 0, got -1$"):
+            verdict(sys_, bound=-1)
+    assert verdict(RANDCLOSURE, bound=0).verification_bound == 0
+
+
 def test_verdict_reports_missing_order_unit_in_band():
     rep = verdict(DioSystem(s=2, F=((1, 0),), G=((0, 0),)))
     assert rep.has_order_unit is False

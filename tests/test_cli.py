@@ -114,6 +114,41 @@ def test_basis_commands(tmp_path):
     assert len(json.loads(out)["supports"]) == 8
 
 
+def test_basis_commands_cap_the_dimension(tmp_path):
+    basis_file = tmp_path / "wide.json"
+    basis_file.write_text(json.dumps([[1] * 30]))
+    for sub in ("aplusinfa", "bmin", "bmax"):
+        rc, out, _ = run_cli(sub, "--basis", str(basis_file))
+        assert rc == 2
+        assert json.loads(out) == {
+            "error": "invalid_input",
+            "message": "dimension 30 exceeds the supported maximum 24"}
+
+
+def test_basis_commands_refuse_zero_dimensions(tmp_path):
+    # "s": 0 is read as the dimension 0, not as a missing key
+    basis_file = tmp_path / "empty.json"
+    for doc in ({"dim": 0, "gens": []}, {"s": 0, "gens": []}):
+        basis_file.write_text(json.dumps(doc))
+        for sub in ("aplusinfa", "bmin", "bmax"):
+            rc, out, _ = run_cli(sub, "--basis", str(basis_file))
+            assert rc == 2
+            assert json.loads(out) == {
+                "error": "invalid_input",
+                "message": "a system of supports needs at least one coordinate"}
+
+
+def test_negative_verification_bound_exits_2(tmp_path):
+    pinned = tmp_path / "pinned.json"
+    pinned.write_text(json.dumps({"s": 2, "equations": {"F": [[1, 0]], "G": [[0, 0]]}}))
+    for system in (fixture_path("cusp"), str(pinned)):
+        rc, out, _ = run_cli("classify", "--system", system, "--bound", "-1")
+        assert rc == 2
+        assert json.loads(out) == {
+            "error": "invalid_input",
+            "message": "verification bound: expected at least 0, got -1"}
+
+
 def test_lo_commands(tmp_path):
     ranks_file = tmp_path / "ranks.json"
     ranks_file.write_text(json.dumps({"a": [[1, 1, 0], [1, 0, 1]]}))

@@ -64,6 +64,11 @@ def test_a_plus_inf_a_membership_is_the_sum_set():
 def test_a_plus_inf_a_requires_order_unit():
     with pytest.raises(MissingOrderUnitError):
         a_plus_inf_a(basis(2, (1, 0)))
+    # the empty sum is no order unit of a zero-dimensional basis: a
+    # system of supports needs at least one coordinate
+    for build in (a_plus_inf_a, b_min, b_max):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            build(HilbertBasis(0, ()))
 
 
 def test_a_plus_inf_a_is_minimal():

@@ -72,6 +72,42 @@ def test_in_generated_against_coefficient_oracle():
             if max(x) <= 6:
                 targets.append(x)
         cases.extend((gens, x) for x in targets)
+    # Inf targets are covered by generators inf on their inf coordinates;
+    # try covers that need two or more of them, and covers that succeed
+    # while the finite remainder fails.
+    cases += [
+        (((INF, 0, 1, 0), (0, INF, 1, 0), (1, 1, 1, 0)), (INF, INF, 2, 0)),
+        (((INF, 0, 1, 0), (0, INF, 1, 0), (1, 1, 1, 0)), (INF, INF, 1, 0)),
+        (((INF, INF, 1, 0), (INF, 0, 1, 0), (0, INF, 1, 0)), (INF, INF, 2, 0)),
+        (((INF, 1, 0, 0, 0), (0, 0, 2, 0, 1)), (INF, 1, 1, 0, 0)),
+        (((INF, 1, 0, 0, 0), (0, 0, 2, 0, 1)), (INF, 1, 0, 0, 0)),
+        (((INF, 0, 0, 2, 0), (0, INF, 0, 0, 3), (INF, INF, 0, 1, 1)),
+         (INF, INF, 0, 3, 3)),
+        (((0, 0, INF, 1), (INF, 0, 0, 1), (0, INF, 0, 1), (0, 0, 0, 2)),
+         (INF, INF, INF, 4)),
+        (((0, 0, INF, 1), (INF, 0, 0, 1), (0, INF, 0, 1), (0, 0, 0, 2)),
+         (INF, INF, INF, 2)),
+        # the first cover of coordinate 1 leaves too little for coordinate 2
+        (((INF, 0, 3), (INF, 0, 1), (0, INF, 2)), (INF, INF, 3)),
+    ]
+    for _ in range(30):
+        s = rng.randint(4, 5)
+        gens = []
+        for _ in range(rng.randint(2, 5)):
+            g = [rng.choice((0, 0, 1, 2)) for _ in range(s)]
+            for i in rng.sample(range(s), rng.randint(1, 2)):
+                g[i] = INF
+            gens.append(tuple(g))
+        lam = rng.sample(range(s), rng.randint(1, 3))
+        targets = [tuple(INF if i in lam else rng.randint(0, 2) for i in range(s))]
+        for _ in range(2):  # sums using two or more inf-carrying generators
+            used = rng.sample(range(len(gens)), 2)
+            x = (0,) * s
+            for k, g in enumerate(gens):
+                x = vec_add(x, scale(1 if k in used else rng.randint(0, 1), g))
+            targets.append(x)
+        cases.extend((gens, x) for x in targets
+                     if max((v for v in x if v is not INF), default=0) <= 3)
     for gens, x in cases:
         assert in_generated(gens, x) == coefficient_oracle(gens, x), (gens, x)
 

@@ -104,6 +104,9 @@ def test_generated_upto_matches_oracle():
     assert generated_upto(gens, 5, 2) == frozenset(o_finite_closure(gens, 5, 2))
     with pytest.raises(ValueError):
         generated_upto(((INF, 1),), 3, 2)
+    # no point lies below a negative bound, not even the zero vector
+    with pytest.raises(ValueError, match="bound must be >= 0"):
+        generated_upto(gens, -1, 2)
     # 6^12 points in the box: refused before anything is enumerated
     with pytest.raises(ResourceLimitError, match="generated_upto"):
         generated_upto(HilbertBasis.free(12).gens, 5, 12)
@@ -188,6 +191,14 @@ def test_hilbert_basis_type_validation():
         HilbertBasis(True, ((1,),))
     with pytest.raises(ValueError):
         HilbertBasis(1, ((True,),))
+    # bases share the 24-coordinate cap of systems and vectors
+    wide = ((1,) * 25,)
+    for build in (HilbertBasis, HilbertBasis.from_generators):
+        with pytest.raises(ValueError, match="^dimension 25 exceeds the supported maximum 24$"):
+            build(25, wide)
+    with pytest.raises(ValueError, match="^dimension 25 exceeds"):
+        HilbertBasis.free(25)
+    assert HilbertBasis.from_generators(24, ((1,) * 24,)).dim == 24
     ok = HilbertBasis.from_generators(2, ((1, 0), (0, 1), (1, 1), (0, 0)))
     assert ok.gens == ((0, 1), (1, 0))
 

@@ -1,0 +1,83 @@
+"""Static checks on the package source: no unused import, no dead code.
+
+Every module of ``src/supportmonoids`` is parsed with ``ast``.  An
+import is used when the module reads the name it binds, or lists it in
+its ``__all__``.  A module-level function or class is alive when the
+package's ``__all__`` lists it, or when some module of the package
+reads or imports its name outside the definition itself.
+"""
+
+import ast
+import collections
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).parent.parent / "src" / "supportmonoids"
+
+
+def _modules():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _exported(tree) -> set:
+    """The string entries of a module-level ``__all__`` list or tuple."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts
+                    if isinstance(elt, ast.Constant)}
+    return set()
+
+
+def _references(node) -> collections.Counter:
+    """Names read, attributes taken and names imported below node."""
+    seen = collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            seen[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            seen[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            seen.update(alias.name for alias in sub.names)
+    return seen
+
+
+def _bound_imports(tree):
+    """(line, bound name) for every import in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def test_every_import_is_used():
+    unused = []
+    for name, tree in _modules().items():
+        reads = {sub.id for sub in ast.walk(tree)
+                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        used = reads | _exported(tree)
+        unused += [f"{name}:{line}: {bound}"
+                   for line, bound in _bound_imports(tree) if bound not in used]
+    assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_every_module_level_definition_is_used():
+    modules = _modules()
+    public = _exported(modules["__init__.py"])
+    everywhere = collections.Counter()
+    for tree in modules.values():
+        everywhere.update(_references(tree))
+    dead = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name in public:
+                continue
+            outside = everywhere[node.name] - _references(node)[node.name]
+            if outside <= 0:
+                dead.append(f"{name}:{node.lineno}: {node.name}")
+    assert not dead, "definitions nothing uses:\n" + "\n".join(dead)
