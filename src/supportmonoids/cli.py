@@ -16,7 +16,7 @@ from .classify import verdict
 from .constructions import a_plus_inf_a, b_max, b_min
 from .equations import DioSystem, enumerate_truncated, is_member
 from .errors import MissingOrderUnitError, ResourceLimitError
-from .hilbert import HilbertBasis, generated_truncated, generated_upto
+from .hilbert import HilbertBasis, _box_packing, generated_truncated, generated_upto
 from .ranks import ASSUMPTIONS, RankMatrix, is_extended, realize_wiegand, vstar_system
 from .semiring import INF, inject, parse_vec, project, scale, vec_to_json
 from .supports import extract, generators, support_closure, truncated_members
@@ -118,31 +118,12 @@ def _closed_under_addition(enum, members, bound: int) -> bool:
     (each coordinate inf or at most bound) belong to members?
 
     Addition in N0* is commutative, so each unordered pair is visited
-    once.  Each vector is packed into ints: an inf mask (bit j for
-    coordinate j), its finite entries in fields of w = bound.bit_length()
-    + 1 bits (0 on inf coordinates), and a keep mask covering the fields
-    of its finite coordinates.  With the bias 2^(w-1) - 1 - bound added
-    to every field, a field of a finite coordinate of x + y holds
-    a + b + bias <= 2^w - 1, so no field carries, and its top bit is set
-    iff a + b > bound.  A member is keyed by its biased fields, kept,
-    above its inf mask, and so is the sum of a pair.
+    once.  Each vector is packed into ints by ``_box_packing``.  A member
+    is keyed by its biased fields, kept, above its inf mask, and so is
+    the sum of a pair, whose top bits flag an entry above the bound.
     """
     s = len(enum[0]) if enum else 0
-    width = bound.bit_length() + 1
-    field = (1 << width) - 1
-    bias = sum(((1 << (width - 1)) - 1 - bound) << (j * width) for j in range(s))
-    top = sum(1 << (j * width + width - 1) for j in range(s))
-
-    def pack(z):
-        inf = fin = keep = 0
-        for j, v in enumerate(z):
-            if v is INF:
-                inf |= 1 << j
-            else:
-                fin |= v << (j * width)
-                keep |= field << (j * width)
-        return inf, fin, keep
-
+    _, bias, top, pack = _box_packing(bound, s)
     packed = [pack(z) for z in enum]
     keys = set()
     for z in members:

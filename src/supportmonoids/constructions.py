@@ -26,8 +26,8 @@ from .errors import MissingOrderUnitError, ResourceLimitError
 from .hilbert import HilbertBasis, generated_upto, minimize_generators
 from .semiring import (IndexSet, Record, Vec, _project, canonical_sorted,
                        check_index_set, check_int, sort_key, supp)
-from .supports import (MAX_POWERSET_DIM, SystemOfSupports, _glued, _iset_key,
-                       support_closure)
+from .supports import (MAX_POWERSET_DIM, SystemOfSupports, _capped_supports,
+                       _iset_key, _shared, support_closure)
 
 MAX_DECOMPOSE_GENS = 20    # partition search is exponential in the basis size
 UNIQUENESS_BOUND = 5       # truncated uniqueness verification for direct sums
@@ -49,73 +49,77 @@ def a_plus_inf_a(basis: HilbertBasis) -> SystemOfSupports:
 
     Its supports are the supports of members of A and each family is the
     projection of A; it is the unique minimal monoid given by a system
-    of supports whose finite part is A.
+    of supports whose finite part is A.  H is a support when the
+    generator supports inside H cover it.
 
-    Families are built in order of increasing |H|.  The family at H is
-    projected from one already built at some H minus {i} when there is
-    one, else from A itself: proj_H(A) = proj_H(proj_K(A)) for K inside
-    H, and a projection maps a generating set onto a generating set of
-    the image, which ``minimize_generators`` reduces to the unique
-    minimal one.  The projection of a free family is free.
+    Families are built on first use, all of them in order of increasing
+    |H|.  The family at H is projected from one already built at some H
+    minus {i} when there is one, else from A itself: proj_H(A) =
+    proj_H(proj_K(A)) for K inside H, and a projection maps a generating
+    set onto a generating set of the image, which ``minimize_generators``
+    reduces to the unique minimal one.  The projection of a free family
+    is free.  The cap of ``support_closure`` is checked here.
     """
     unit = _order_unit_of(basis)
     s = basis.dim
-    built = {}
-    for H in sorted(support_closure(basis.gens), key=_iset_key):
+    supps = _capped_supports(basis.gens)
+
+    def admit(H):
+        return frozenset().union(*(m for m in supps if m <= H)) == H
+
+    def build(H, known):
         k = s - len(H)
         source = None
         for i in H:  # on a hit, i and K = H - {i} name the family below
             K = H - {i}
-            source = built.get(K)
+            source = known.get(K)
             if source is not None:
                 break
         if source is None:
-            family = HilbertBasis._minimal(k, [_project(g, H) for g in basis.gens])
-        elif source is HilbertBasis.free(k + 1):
-            family = HilbertBasis.free(k)
-        else:
-            # i sits at this position among the coordinates outside K
-            pos = i - 1 - sum(1 for j in K if j < i)
-            family = HilbertBasis._minimal(k, [g[:pos] + g[pos + 1:] for g in source.gens])
-        built[H] = family
-    return _glued(s, unit, built.items())
+            return HilbertBasis._minimal(k, [_project(g, H) for g in basis.gens])
+        if source is HilbertBasis.free(k + 1):
+            return HilbertBasis.free(k)
+        # i sits at this position among the coordinates outside K
+        pos = i - 1 - sum(1 for j in K if j < i)
+        return HilbertBasis._minimal(k, [g[:pos] + g[pos + 1:] for g in source.gens])
 
-
-def _free_families(supports, basis: HilbertBasis):
-    return ((H, HilbertBasis.free(basis.dim - len(H)) if H else basis)
-            for H in supports)
+    return SystemOfSupports._deferred(
+        s, unit, admit, build,
+        lambda: sorted(support_closure(basis.gens), key=_iset_key))
 
 
 def b_min(basis: HilbertBasis) -> SystemOfSupports:
     """The least monoid given by an almost-free system of supports with
     finite part A: supports are all supersets of member supports, and
     every nonempty family is free."""
-    unit = _order_unit_of(basis)
-    s = basis.dim
-    if s > MAX_POWERSET_DIM:
-        raise ResourceLimitError(f"materializing subsets of {s} coordinates refused")
-    min_supports = [supp(g) for g in basis.gens]
-    S = [frozenset()]
-    for H in _subsets_in_order(s, 1):
-        if any(H >= m for m in min_supports):
-            S.append(H)
-    return _glued(s, unit, _free_families(S, basis))
+    min_supports = [_shared(supp(g)) for g in basis.gens]
+    return _almost_free(basis, lambda H: not H or any(H >= m for m in min_supports))
 
 
 def b_max(basis: HilbertBasis) -> SystemOfSupports:
     """The largest monoid given by a system of supports with finite part A:
     every subset is a support and every nonempty family is free."""
+    return _almost_free(basis, lambda H: True)
+
+
+def _almost_free(basis: HilbertBasis, admit) -> SystemOfSupports:
+    """The system whose supports are the subsets of 1..s that ``admit``
+    accepts, with A at the empty set and the free family elsewhere;
+    the families are built on first use."""
     unit = _order_unit_of(basis)
     s = basis.dim
     if s > MAX_POWERSET_DIM:
         raise ResourceLimitError(f"materializing subsets of {s} coordinates refused")
-    return _glued(s, unit, _free_families(_subsets_in_order(s, 0), basis))
+    return SystemOfSupports._deferred(
+        s, unit, admit,
+        lambda H, _known: HilbertBasis.free(s - len(H)) if H else basis,
+        lambda: [H for H in _subsets_in_order(s) if admit(H)])
 
 
-def _subsets_in_order(s: int, least: int):
-    """The subsets of 1..s with at least ``least`` elements, by size and
-    then lexicographically, the order of ``SystemOfSupports.families``."""
-    return (frozenset(c) for r in range(least, s + 1)
+def _subsets_in_order(s: int):
+    """The subsets of 1..s by size and then lexicographically, the order
+    of ``SystemOfSupports.families``."""
+    return (frozenset(c) for r in range(s + 1)
             for c in itertools.combinations(range(1, s + 1), r))
 
 

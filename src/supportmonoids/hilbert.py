@@ -41,7 +41,7 @@ from operator import add, mul
 from .equations import ENUMERATION_GUARD, DioSystem, lift_congruences
 from .errors import ResourceLimitError
 from .semiring import (INF, MAX_DIM, Record, Vec, canonical_sorted, check_int,
-                       unit_vec, vec_add, zero_vec)
+                       unit_vec, zero_vec)
 
 MAX_COMPLETION_STATES = 1_000_000
 
@@ -454,7 +454,10 @@ def generated_truncated(gens, bound: int, dim: int) -> frozenset:
 
     Closure under adding g and adding inf·g suffices: in any sum the
     inf-producing summands can be applied first, after which every
-    partial sum stays inside the truncated domain.
+    partial sum stays inside the truncated domain.  Points and moves
+    are packed with ``_box_packing``; a point keeps its fields biased,
+    so adding a move's fields and masking both keep masks gives the
+    biased sum, whose top bits flag an entry above the bound.
 
     Refused with ResourceLimitError before any point is built when both
     counts of the points it could build exceed ENUMERATION_GUARD: the
@@ -478,21 +481,62 @@ def generated_truncated(gens, bound: int, dim: int) -> frozenset:
         raise ResourceLimitError(
             f"generated_truncated: up to {size} points with entries in 0..{bound} "
             f"or inf in dimension {dim} exceed the enumeration guard {ENUMERATION_GUARD}")
-    seen = {zero_vec(dim)}
-    frontier = [zero_vec(dim)]
+    width, bias, top, pack = _box_packing(bound, dim)
+    moves = [pack(g) for g in moves]
+    _, _, keep0 = pack(zero_vec(dim))
+    seen = {bias << dim}
+    frontier = [(0, bias, keep0)]
     while frontier:
         nxt = []
-        for t in frontier:
-            for g in moves:
-                t2 = vec_add(t, g)
-                if t2 in seen:
+        for inf, fin, keep in frontier:
+            for inf_g, fin_g, keep_g in moves:
+                total = (fin + fin_g) & keep & keep_g
+                if total & top:
                     continue
-                if any(v is not INF and v > bound for v in t2):
+                key = total << dim | inf | inf_g
+                if key in seen:
                     continue
-                seen.add(t2)
-                nxt.append(t2)
+                seen.add(key)
+                nxt.append((inf | inf_g, total, keep & keep_g))
         frontier = nxt
-    return frozenset(seen)
+    field = (1 << width) - 1
+    low = (1 << (width - 1)) - 1 - bound
+    return frozenset(
+        tuple(INF if key >> j & 1 else (key >> (dim + j * width) & field) - low
+              for j in range(dim))
+        for key in seen)
+
+
+def _box_packing(bound: int, dim: int):
+    """Pack vectors of (N0*)^dim into ints for sums checked against a box.
+
+    Returns (width, bias, top, pack).  ``pack(z)`` gives an inf mask (bit
+    j for coordinate j + 1), the finite entries, capped at bound + 1, in
+    fields of width = bound.bit_length() + 1 bits (0 on inf
+    coordinates), and a keep mask covering the fields of the finite
+    coordinates.  With ``bias`` adding 2^(width-1) - 1 - bound to every
+    field, a field holding a + b + bias for a <= bound and b <= bound + 1
+    stays below 2^width, so no field carries, and its bit in ``top`` is
+    set iff a + b > bound.
+    """
+    width = bound.bit_length() + 1
+    field = (1 << width) - 1
+    shifts = [j * width for j in range(dim)]
+    bias = sum(((1 << (width - 1)) - 1 - bound) << k for k in shifts)
+    top = sum(1 << (k + width - 1) for k in shifts)
+    cap = bound + 1
+
+    def pack(z):
+        inf = fin = keep = 0
+        for j, v in enumerate(z):
+            if v is INF:
+                inf |= 1 << j
+            else:
+                fin |= min(v, cap) << shifts[j]
+                keep |= field << shifts[j]
+        return inf, fin, keep
+
+    return width, bias, top, pack
 
 
 def find_order_unit(sys: DioSystem):

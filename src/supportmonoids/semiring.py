@@ -127,9 +127,9 @@ class Record:
     field, and the loaders (``from_json``, ``from_generators``) check
     every raw entry they are given.  ``_trusted`` skips the checks; it
     is only for objects the library builds itself from values already
-    in normal form (subsystems, computed bases, extracted and
-    constructed systems of supports), so every such object equals
-    ``type(r)(*r._values())``.
+    in normal form (subsystems, computed bases; extracted and
+    constructed systems of supports use ``SystemOfSupports._deferred``
+    instead), so every such object equals ``type(r)(*r._values())``.
     """
 
     __slots__ = ()

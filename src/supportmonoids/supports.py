@@ -57,10 +57,21 @@ class SystemOfSupports(Record):
     ascending order.  ``solution_backed`` records that the instance was
     extracted from a system of equations and congruences, whose A_H are
     full by construction.  ``S`` is the set of the H.
+
+    The systems the library builds (``extract``, ``a_plus_inf_a``,
+    ``b_min``, ``b_max``) hold a test that admits H into S and a builder
+    for A_H instead of the families, and build each A_H on first use.
+    ``member_via_supports`` and ``basis_for`` build only the family they
+    read; ``families`` and ``S`` build them all, in the same order and
+    with the same values as the eager constructor, so equality, hashing,
+    repr, JSON and pickling see the same record.  The memo ``_by_H``
+    only stores what the builder returns, keyed by the ``_shared`` set
+    (``None`` for an H outside S), so concurrent readers can at worst
+    repeat work.
     """
 
     _fields = ("s", "unit", "families", "solution_backed")
-    __slots__ = _fields + ("S", "_by_H")
+    __slots__ = ("s", "unit", "solution_backed", "_families", "_S", "_by_H", "_lazy")
 
     def __init__(self, s: int, unit: Vec, families: tuple,
                  solution_backed: bool = False):
@@ -86,14 +97,89 @@ class SystemOfSupports(Record):
         fams.sort(key=lambda hb: _iset_key(hb[0]))
         self._init(s, unit, tuple(fams), solution_backed)
 
-    def _init(self, *values) -> None:
-        super()._init(*values)
-        by_H = dict(self.families)
-        object.__setattr__(self, "S", frozenset(by_H))
-        object.__setattr__(self, "_by_H", by_H)
+    def _init(self, s, unit, families, solution_backed) -> None:
+        by_H = dict(families)
+        self._set(s=s, unit=unit, solution_backed=solution_backed, _by_H=by_H,
+                  _S=frozenset(by_H), _families=families, _lazy=None)
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():  # in the order given, which readers rely on
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _deferred(cls, s: int, unit: Vec, admit, build, supports,
+                  solution_backed: bool = False) -> "SystemOfSupports":
+        """A system the library builds itself, unvalidated, whose families
+        are built on first use.
+
+        ``unit`` is a strictly positive int tuple of length s.
+        ``admit(H)`` decides whether a subset H of 1..s lies in S.
+        ``build(H, known)`` returns A_H for an admitted H, as a basis of
+        dimension s - |H|; ``known`` maps some H to their families
+        (``None`` for an H outside S) and may be read, not written.
+        ``supports()`` lists S in the order of ``families``.
+        """
+        self = object.__new__(cls)
+        self._set(s=s, unit=unit, solution_backed=solution_backed, _by_H={},
+                  _S=None, _families=None, _lazy=(admit, build, supports))
+        return self
+
+    @property
+    def families(self) -> tuple:
+        fams = self._families
+        if fams is None:
+            fams = self._build_families()
+        return fams
+
+    @property
+    def S(self) -> frozenset:
+        if self._S is None:
+            self._build_families()
+        return self._S
+
+    def _build_families(self) -> tuple:
+        lazy = self._lazy
+        if lazy is None:  # built meanwhile, and _families is set before _lazy clears
+            return self._families
+        _, build, supports = lazy
+        known = self._by_H
+        fams = []
+        for H in supports():
+            H = _shared(H)
+            basis = known.get(H)
+            if basis is None:
+                basis = known[H] = build(H, known)
+            fams.append((H, basis))
+        fams = tuple(fams)
+        by_H = dict(fams)
+        # readers check _lazy first, then _by_H, _S or _families
+        self._set(_by_H=by_H, _S=frozenset(by_H), _families=fams, _lazy=None)
+        return fams
+
+    def _family(self, H: IndexSet):
+        """A_H, or None when H is not in S: one dict lookup, and the
+        builder only on a miss.  ``_lazy`` is read first: once it is
+        None, ``_by_H`` holds every family."""
+        lazy = self._lazy
+        try:
+            return self._by_H[H]
+        except KeyError:
+            if lazy is None:
+                return None
+        key = frozenset(i for i in range(1, self.s + 1) if i in H)
+        if len(key) != len(H):  # not a subset of the coordinates
+            return None
+        admit, build, _ = lazy
+        key = _shared(key)
+        basis = self._by_H[key] = build(key, self._by_H) if admit(key) else None
+        return basis
 
     def basis_for(self, H) -> HilbertBasis:
-        return self._by_H[frozenset(H)]
+        H = frozenset(H)
+        basis = self._family(H)
+        if basis is None:
+            raise KeyError(H)
+        return basis
 
     def complement(self, H) -> tuple:
         Hs = frozenset(H)
@@ -122,27 +208,22 @@ class SystemOfSupports(Record):
         return cls(s=s, unit=vec_from_json(obj["unit"]), families=tuple(fams))
 
 
-def _glued(s: int, unit: Vec, families, solution_backed: bool = False) -> SystemOfSupports:
-    """A SystemOfSupports from data the library built itself, unvalidated.
-
-    ``unit`` is a strictly positive int tuple of length s, and
-    ``families`` holds (H, basis) pairs already in the order of
-    ``SystemOfSupports.families``, with distinct frozensets H inside
-    1..s and bases of dimension s - |H|.  Equal H are shared here, as
-    ``SystemOfSupports.__init__`` would.
-    """
-    fams = tuple((_shared(H), basis) for H, basis in families)
-    return SystemOfSupports._trusted(s, unit, fams, solution_backed)
-
-
 # -- extraction from a defining system ---------------------------------------
 
-def _row_allows(frow, grow, H: IndexSet) -> bool:
-    """Zero-pattern criterion for one equation row: the all-inf-on-H vector
-    solves it iff the row misses H entirely or both sides meet H."""
-    f_hits = any(frow[i - 1] for i in H)
-    g_hits = any(grow[i - 1] for i in H)
-    return (not f_hits and not g_hits) or (f_hits and g_hits)
+def _admits(sys: DioSystem, H: IndexSet) -> bool:
+    """Is H an infinite support of sys?  Zero-pattern criterion, row by
+    equation row: the all-inf-on-H vector solves a row iff the row
+    misses H entirely or both sides meet H."""
+    return all(any(f[i - 1] for i in H) == any(g[i - 1] for i in H)
+               for f, g in zip(sys.F, sys.G))
+
+
+def _check_powerset(s: int) -> None:
+    """Refuse enumerating the subsets of s > MAX_POWERSET_DIM coordinates."""
+    if s > MAX_POWERSET_DIM:
+        raise ResourceLimitError(
+            f"infinite_supports: enumerating the 2^{s} subsets of {s} "
+            f"coordinates exceeds the cap MAX_POWERSET_DIM = {MAX_POWERSET_DIM}")
 
 
 def _system_unit(unit: Vec | None) -> Vec:
@@ -166,16 +247,13 @@ def infinite_supports(sys: DioSystem, unit_checked: bool = False) -> frozenset:
     """
     if not unit_checked:
         require_order_unit(sys)
-    if sys.s > MAX_POWERSET_DIM:
-        raise ResourceLimitError(
-            f"infinite_supports: enumerating the 2^{sys.s} subsets of {sys.s} "
-            f"coordinates exceeds the cap MAX_POWERSET_DIM = {MAX_POWERSET_DIM}")
+    _check_powerset(sys.s)
     coords = range(1, sys.s + 1)
     out = []
     for r in range(len(coords) + 1):
         for combo in itertools.combinations(coords, r):
             H = frozenset(combo)
-            if all(_row_allows(f, g, H) for f, g in zip(sys.F, sys.G)):
+            if _admits(sys, H):
                 out.append(H)
     return frozenset(out)
 
@@ -217,19 +295,28 @@ def subsystem_for(sys: DioSystem, H) -> DioSystem:
 
 
 def extract(sys: DioSystem) -> SystemOfSupports:
-    """Recover the full gluing data of the solution monoid of sys."""
+    """Recover the full gluing data of the solution monoid of sys.
+
+    The families are built on first use.  The refusals come here, as
+    when they were all built up front: the completion search of the
+    finite part, a missing order unit, then more than MAX_POWERSET_DIM
+    coordinates.
+    """
     basis0 = hilbert_basis(sys)
     unit = _system_unit(basis0.order_unit())
-    fams = []
-    full = frozenset(range(1, sys.s + 1))
-    for H in sorted(infinite_supports(sys, unit_checked=True), key=_iset_key):
-        if H == full:
-            fams.append((H, HilbertBasis(0, ())))
-        elif not H:
-            fams.append((H, basis0))
-        else:
-            fams.append((H, hilbert_basis(_subsystem(sys, H))))
-    return _glued(sys.s, unit, fams, solution_backed=True)
+    _check_powerset(sys.s)
+
+    def build(H, _known):
+        if not H:
+            return basis0
+        if len(H) == sys.s:
+            return HilbertBasis(0, ())
+        return hilbert_basis(_subsystem(sys, H))
+
+    return SystemOfSupports._deferred(
+        sys.s, unit, lambda H: _admits(sys, H), build,
+        lambda: sorted(infinite_supports(sys, unit_checked=True), key=_iset_key),
+        solution_backed=True)
 
 
 # -- membership, generators, validation --------------------------------------
@@ -240,9 +327,10 @@ def member_via_supports(sos: SystemOfSupports, x: Vec) -> bool:
     if len(x) != sos.s:
         raise ValueError(f"vector has length {len(x)}, expected {sos.s}")
     H = inf_supp(x)
-    if H not in sos.S:
+    basis = sos._family(H)
+    if basis is None:
         return False
-    return in_generated(sos.basis_for(H).gens, project(x, H))
+    return in_generated(basis.gens, project(x, H))
 
 
 def generators(sos: SystemOfSupports) -> tuple:
@@ -336,16 +424,23 @@ def support_closure(gens) -> frozenset:
     2^MAX_POWERSET_DIM the loop is refused before it starts, so no
     input with at most MAX_POWERSET_DIM coordinates is refused.
     """
-    supps = {supp(g) for g in gens}
+    supps = _capped_supports(gens)
+    out = {frozenset()}
+    for H in supps:
+        out |= {K | H for K in out}
+    return frozenset(out)
+
+
+def _capped_supports(gens) -> set:
+    """The distinct generator supports, refused as ``support_closure``
+    refuses them: before any union is formed."""
+    supps = {_shared(supp(g)) for g in gens}
     size = min(len(frozenset().union(*supps)), len(supps))
     if size > MAX_POWERSET_DIM:
         raise ResourceLimitError(
             f"support_closure: up to 2^{size} unions of generator supports "
             f"exceed the cap 2^MAX_POWERSET_DIM = 2^{MAX_POWERSET_DIM}")
-    out = {frozenset()}
-    for H in supps:
-        out |= {K | H for K in out}
-    return frozenset(out)
+    return supps
 
 
 def minimal_nonempty(S) -> list:

@@ -11,6 +11,7 @@ from supportmonoids import (INF, DioSystem, DirectSumData, HilbertBasis,
                             hilbert_basis, is_almost_free, member_via_supports,
                             monoid_sum, truncated_members, validate)
 from supportmonoids.errors import MissingOrderUnitError, ResourceLimitError
+from test_supports import assert_lazy_matches_eager, seeded_extractable_systems
 
 RANDCLOSURE = DioSystem(s=3, F=((1, 1, 0),), G=((1, 0, 1),))
 
@@ -339,3 +340,28 @@ def test_a_plus_inf_a_on_twelve_coordinates():
     assert time.perf_counter() - start < 30
     assert len(got.families) == 4096 and _non_free(got) == 4096 - 1201
     assert got == _restated_a_plus_inf_a(b)
+
+
+def test_constructions_answer_alike_before_and_after_building():
+    for sys_ in seeded_extractable_systems(random.Random(103), 200):
+        A = extract(sys_).basis_for(fset())
+        for construct in (a_plus_inf_a, b_min, b_max):
+            assert_lazy_matches_eager(lambda: construct(A))
+
+
+def test_constructions_build_only_the_family_a_query_reads():
+    A = basis(4, (1, 1, 0, 0), (0, 1, 2, 0), (0, 0, 1, 1), (1, 0, 0, 3))
+    for construct in (a_plus_inf_a, b_min, b_max):
+        sos = construct(A)
+        assert member_via_supports(sos, (INF, INF, 3, 1))
+        assert len(sos._by_H) == 1 and sos._families is None
+        # {1} contains no generator support: only b_max admits it
+        assert member_via_supports(sos, (INF, 0, 0, 0)) == (construct is b_max)
+        assert len(sos._by_H) == 2 and sos._families is None
+
+
+def test_constructions_refuse_seventeen_coordinates_at_the_call():
+    free = HilbertBasis.free(17)
+    for construct in (a_plus_inf_a, b_min, b_max):
+        with pytest.raises(ResourceLimitError):
+            construct(free)

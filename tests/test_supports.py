@@ -1,5 +1,10 @@
+import copy
+import importlib
 import itertools
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -12,7 +17,7 @@ from supportmonoids import (INF, DioSystem, HilbertBasis, SystemOfSupports,
                             member_via_supports, minimal_nonempty,
                             minimize_generators, subsystem_for, supp,
                             truncated_members, validate)
-from supportmonoids.errors import MissingOrderUnitError
+from supportmonoids.errors import MissingOrderUnitError, ResourceLimitError
 from supportmonoids.semiring import canonical_sorted
 
 RANDCLOSURE = DioSystem(s=3, F=((1, 1, 0),), G=((1, 0, 1),))
@@ -393,3 +398,143 @@ def test_json_roundtrip():
     assert again.families == sos.families
     # equal support sets are one shared object across instances
     assert all(H is K for (H, _), (K, _) in zip(again.families, sos.families))
+
+
+# -- systems of supports that build each family on first use ---------------
+
+def seeded_extractable_systems(rng, count):
+    """``count`` systems with an order unit: s 1-4, 0-2 equations and
+    0-2 congruences, at least one congruence in every other system."""
+    out = []
+    while len(out) < count:
+        s = rng.randint(1, 4)
+        n_eq, n_cg = rng.randint(0, 2), rng.randint(len(out) % 2, 2)
+        sys_ = DioSystem(
+            s=s,
+            F=tuple(tuple(rng.randint(0, 3) for _ in range(s)) for _ in range(n_eq)),
+            G=tuple(tuple(rng.randint(0, 3) for _ in range(s)) for _ in range(n_eq)),
+            D=tuple(tuple(rng.randint(0, 3) for _ in range(s)) for _ in range(n_cg)),
+            moduli=tuple(rng.choice((2, 3)) for _ in range(n_cg)))
+        try:
+            extract(sys_)
+        except MissingOrderUnitError:
+            continue
+        out.append(sys_)
+    return out
+
+
+def assert_lazy_matches_eager(make):
+    """``make()`` returns a new library-built system of supports.
+
+    Membership over the box {0, 1, 2, inf}^s answers the same before and
+    after the families are built, and as the record the validating
+    constructor builds from the same fields.  ``basis_for`` agrees on
+    every H in S and raises KeyError for every other subset, and for
+    sets outside the coordinates, both before and after.  Equality,
+    hash, JSON, repr, pickling and copying of new instances see that
+    record too.
+    """
+    built = make()
+    eager = SystemOfSupports(built.s, built.unit, built.families, built.solution_backed)
+    s = eager.s
+    box = list(itertools.product((0, 1, 2, INF), repeat=s))
+    want = [member_via_supports(eager, x) for x in box]
+    subsets = [frozenset(c) for r in range(s + 1)
+               for c in itertools.combinations(range(1, s + 1), r)]
+    subsets += [fset(0), fset(s + 1)]
+
+    lazy = make()
+    assert [member_via_supports(lazy, x) for x in box] == want
+    fresh = make()
+    for H in subsets:
+        if H in eager.S:
+            assert fresh.basis_for(H) == eager.basis_for(H)
+        else:
+            with pytest.raises(KeyError):
+                fresh.basis_for(H)
+    assert fresh._families is None  # no query built every family
+
+    assert lazy.families == eager.families and lazy.S == eager.S
+    assert [member_via_supports(lazy, x) for x in box] == want
+    for H in subsets:
+        if H not in eager.S:
+            with pytest.raises(KeyError):
+                lazy.basis_for(H)
+
+    assert make() == eager and eager == make() and hash(make()) == hash(eager)
+    assert make().to_json() == eager.to_json() and repr(make()) == repr(eager)
+    for again in (pickle.loads(pickle.dumps(make())), copy.copy(make()),
+                  copy.deepcopy(make())):
+        assert again == eager and again.S == eager.S
+
+
+def test_extracted_systems_answer_alike_before_and_after_building():
+    for sys_ in seeded_extractable_systems(random.Random(101), 200):
+        assert_lazy_matches_eager(lambda: extract(sys_))
+
+
+def test_extract_builds_only_the_families_it_reads(monkeypatch):
+    supports = importlib.import_module("supportmonoids.supports")
+    calls = []
+    real = supports.hilbert_basis
+    monkeypatch.setattr(supports, "hilbert_basis",
+                        lambda sys_: calls.append(sys_) or real(sys_))
+    # congruences never restrict infinite supports: all 16 subsets are in S
+    sos = extract(DioSystem(s=4, D=((1, 1, 1, 0),), moduli=(2,)))
+    assert member_via_supports(sos, (INF, INF, 1, 0))
+    assert len(calls) <= 2
+    [key] = sos._by_H
+    assert key == fset(1, 2) and key is supports._shared(fset(1, 2))
+    query = fset(3)
+    assert sos.basis_for(query) == HilbertBasis.free(3)
+    [key] = (K for K in sos._by_H if K == query)
+    assert key is supports._shared(query) and key is not query
+    # building every family reuses the two already built
+    assert len(sos.S) == 16 and len(calls) == 1 + 14
+
+
+def test_extract_refuses_seventeen_coordinates_at_the_call():
+    with pytest.raises(ResourceLimitError, match="MAX_POWERSET_DIM"):
+        extract(DioSystem(s=17))
+    # sixteen are accepted, and one query builds one family
+    sos = extract(DioSystem(s=16))
+    assert member_via_supports(sos, (INF,) * 8 + (1,) * 8)
+    assert len(sos._by_H) == 1 and sos._families is None
+
+
+def test_concurrent_readers_of_lazy_systems_agree():
+    # threads race to build the same families: the memo only stores what
+    # the builder returns, so every reader sees the eager answers
+    systems = seeded_extractable_systems(random.Random(107), 24)
+    eager = []
+    for sys_ in systems:
+        sos = extract(sys_)
+        eager.append(SystemOfSupports(sos.s, sos.unit, sos.families, True))
+    lazy = [extract(sys_) for sys_ in systems]
+    boxes = [list(itertools.product((0, 1, INF), repeat=sys_.s)) for sys_ in systems]
+    wrong = []
+
+    def reader(k):
+        try:
+            for sos, ref, box in zip(lazy, eager, boxes):
+                for x in box[k:] + box[:k]:
+                    if member_via_supports(sos, x) != member_via_supports(ref, x):
+                        wrong.append((sos, x))
+                if k % 2 and (sos.families != ref.families or sos.S != ref.S):
+                    wrong.append(sos)
+        except Exception as exc:  # reported below, with the thread's answers
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert lazy == eager
