@@ -16,9 +16,9 @@ from .classify import verdict
 from .constructions import a_plus_inf_a, b_max, b_min
 from .equations import DioSystem, enumerate_truncated, is_member
 from .errors import MissingOrderUnitError, ResourceLimitError
-from .hilbert import HilbertBasis, _box_packing, generated_truncated, generated_upto
+from .hilbert import HilbertBasis, _Fields, generated_truncated, generated_upto
 from .ranks import ASSUMPTIONS, RankMatrix, is_extended, realize_wiegand, vstar_system
-from .semiring import INF, inject, parse_vec, project, scale, vec_to_json
+from .semiring import INF, _inject_all, parse_vec, project, scale, vec_to_json
 from .supports import extract, generators, support_closure, truncated_members
 
 EXIT_OK = 0
@@ -117,26 +117,43 @@ def _closed_under_addition(enum, members, bound: int) -> bool:
     """Does every sum of two vectors of enum that lies in the truncated box
     (each coordinate inf or at most bound) belong to members?
 
-    Addition in N0* is commutative, so each unordered pair is visited
-    once.  Each vector is packed into ints by ``_box_packing``.  A member
-    is keyed by its biased fields, kept, above its inf mask, and so is
-    the sum of a pair, whose top bits flag an entry above the bound.
+    Vectors are truncated packed words (``hilbert`` module docstring),
+    bucketed by inf mask.  The sum of x and y is inf on the union U of
+    their inf masks and x_j + y_j off it, so it depends only on the two
+    masks and on the entries of x and y off U.  Hence, for each pair of
+    buckets, it suffices to add the distinct projections off U of one
+    bucket to those of the other: two vectors of a bucket that agree off
+    U have the same sum with every vector of the other.  Addition in N0*
+    is commutative, so each unordered pair of buckets, and within one
+    bucket each unordered pair of vectors, is visited once.  Exact both
+    ways: every pair of vectors of enum is represented, and every sum
+    formed is the sum of such a pair.
     """
     s = len(enum[0]) if enum else 0
-    _, bias, top, pack = _box_packing(bound, s)
-    packed = [pack(z) for z in enum]
+    fields = _Fields(s, bound)
+    top, bias = fields.top, fields.bias
     keys = set()
-    for z in members:
-        inf, fin, keep = pack(z)
+    buckets = {}
+    for inf, fin, keep in fields.pack_truncated(enum):
+        buckets.setdefault((inf, keep), []).append(fin)
+    for inf, fin, keep in fields.pack_truncated(members):
         keys.add(((fin + bias) & keep) << s | inf)
-    for i, (inf_x, fin_x, keep_x) in enumerate(packed):
-        fin_x += bias
-        for inf_y, fin_y, keep_y in packed[i:]:
-            total = (fin_x + fin_y) & keep_x & keep_y
-            if total & top:
-                continue
-            if total << s | inf_x | inf_y not in keys:
-                return False
+    groups = list(buckets.items())
+    for i, ((inf_x, keep_x), fins_x) in enumerate(groups):
+        for (inf_y, keep_y), fins_y in groups[i:]:
+            keep = keep_x & keep_y
+            inf = inf_x | inf_y
+            xs = list({f & keep for f in fins_x})
+            ys = xs if fins_y is fins_x else list({f & keep for f in fins_y})
+            bias_k = bias & keep
+            for n, x in enumerate(xs):
+                x += bias_k
+                for y in (ys[n:] if ys is xs else ys):
+                    total = x + y
+                    if total & top:
+                        continue
+                    if total << s | inf not in keys:
+                        return False
     return True
 
 
@@ -176,8 +193,8 @@ def _cmd_oracle(args) -> int:
     a_plus = set()
     for H in support_closure(gens0):
         shadow = [project(g, H) for g in gens0]
-        for y in generated_upto(shadow, bound, sys_.s - len(H)):
-            a_plus.add(inject(y, H))
+        a_plus.update(_inject_all(generated_upto(shadow, bound, sys_.s - len(H)),
+                                  H, sys_.s))
     ok = all(w in members and w not in a_plus
              for w in report.witnesses
              if all(v is INF or v <= bound for v in w))

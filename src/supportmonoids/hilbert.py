@@ -10,13 +10,33 @@ solution already found, and accept a candidate when both sides balance.
 A candidate carries the products of its defect with every column and
 the defect's squared length rather than the defect itself; one step
 updates both from a precomputed Gram matrix of the columns.  The
-candidate vector is packed into one int with a fixed-width field per
-coordinate and a guard bit on top of each field, so a step is one
-addition, the visited set holds ints, and a domination test is one
-subtraction and one mask.  A field of max_states.bit_length() + 1 bits
-is wide enough: no visited coordinate exceeds the number of states
-counted so far, which the state cap bounds.  A system with no rows at
-all skips the search: its basis is the unit vectors.
+candidate vector is a packed word (below), so a step is one addition,
+the visited set holds ints, and a domination test is one subtraction
+and one mask.  A system with no rows at all skips the search: its basis
+is the unit vectors.
+
+Packed words.  The enumerations here add and compare vectors of N0^dim
+packed into one int, one fixed-width field per coordinate (SWAR;
+Lamport, "Multiple byte processing with full-word instructions", CACM
+18(8), 1975).  ``_Fields(dim, cap)`` is the one layout they share:
+
+* coordinate j (from 0) fills bits j·w to j·w + w - 1, with
+  w = cap.bit_length() + 1, so an entry of at most cap leaves the top
+  bit of its field, the guard, clear; ``top`` holds every guard bit;
+* a packed x dominates a packed y (x >= y coordinatewise) iff
+  (x | top) - y still has every guard bit set: no field borrows;
+* a biased word adds ``bias``, 2^(w-1) - 1 - cap, to every field.  A
+  biased field holding a <= cap plus an entry b <= cap + 1 stays below
+  2^w, so no field carries into the next, and its guard bit is set iff
+  a + b > cap.  A closure in the box [0, cap]^dim keeps its points
+  biased: a step is one addition and one ``& top`` test;
+* a vector of the truncated domain {0, ..., cap, inf}^dim is an inf
+  mask (bit j for coordinate j), its finite entries capped at cap + 1
+  in their fields (0 under inf), and a keep mask of the finite fields.
+  It is keyed by its biased, kept fields shifted above the inf mask.
+
+Hot loops use the masks inline; ``_Fields`` packs on entry and unpacks
+on exit.
 
 Unit vectors are atoms: a sum of nonzero vectors over N0*, or an inf
 multiple of one, equals e_j only when one summand is e_j itself.  So a
@@ -35,13 +55,12 @@ of a generator that is inf there.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import prod
 from operator import add, mul
 
 from .equations import ENUMERATION_GUARD, DioSystem, lift_congruences
 from .errors import ResourceLimitError
 from .semiring import (INF, MAX_DIM, Record, Vec, canonical_sorted, check_int,
-                       unit_vec, zero_vec)
+                       unit_vec)
 
 MAX_COMPLETION_STATES = 1_000_000
 
@@ -164,6 +183,74 @@ def _atoms(vecs) -> frozenset:
     return frozenset(g for g in vecs if g.count(1) == 1 and g.count(0) == n - 1)
 
 
+# -- packed words ------------------------------------------------------------
+
+class _Fields:
+    """The packed-word layout for dim fields holding entries up to cap;
+    see "Packed words" in the module docstring."""
+
+    __slots__ = ("dim", "cap", "width", "shifts", "field", "top", "bias")
+
+    def __init__(self, dim: int, cap: int):
+        width = cap.bit_length() + 1
+        field = (1 << width) - 1
+        ones = ((1 << dim * width) - 1) // field  # a 1 at the foot of each field
+        self.dim = dim
+        self.cap = cap
+        self.width = width
+        self.shifts = range(0, dim * width, width)
+        self.field = field
+        self.top = ones << (width - 1)
+        self.bias = ones * ((1 << (width - 1)) - 1 - cap)
+
+    def pack(self, vecs) -> list:
+        """One word per vector; every entry must fit its field."""
+        width = self.width
+        out = []
+        for v in vecs:
+            x = 0
+            for a in reversed(v):
+                x = x << width | a
+            out.append(x)
+        return out
+
+    def unpack(self, words, biased: bool = False) -> list:
+        """The vectors of the words, unbiased first when ``biased``."""
+        field = self.field
+        if biased:
+            bias = self.bias
+            words = [w - bias for w in words]
+        if not self.dim:
+            return [()] * len(words)
+        # one pass per coordinate; zip builds the tuples
+        return list(zip(*[[w >> k & field for w in words] for k in self.shifts]))
+
+    def pack_truncated(self, vecs) -> list:
+        """(inf mask, finite fields, keep mask) per vector of (N0*)^dim."""
+        field, shifts, cap = self.field, self.shifts, self.cap + 1
+        out = []
+        for z in vecs:
+            inf = fin = keep = 0
+            for j, (k, v) in enumerate(zip(shifts, z)):
+                if v is INF:
+                    inf |= 1 << j
+                else:
+                    fin |= min(v, cap) << k
+                    keep |= field << k
+            out.append((inf, fin, keep))
+        return out
+
+    def unpack_truncated(self, keys) -> list:
+        """The vectors of the truncated domain the keys stand for."""
+        dim, field = self.dim, self.field
+        low = (1 << (self.width - 1)) - 1 - self.cap
+        if not dim:
+            return [()] * len(keys)
+        return list(zip(*[[INF if key >> j & 1 else (key >> (dim + k) & field) - low
+                           for key in keys]
+                          for j, k in enumerate(self.shifts)]))
+
+
 # -- Contejean-Devie completion search --------------------------------------
 
 def minimal_solutions(rows, dim: int, max_states: int = MAX_COMPLETION_STATES):
@@ -178,23 +265,20 @@ def minimal_solutions(rows, dim: int, max_states: int = MAX_COMPLETION_STATES):
     when p_j < 0 (it shrinks the defect); it adds gram[j] to p and
     2·p_j + gram[j][j] to n2.  The candidate solves the system iff n2 == 0.
 
-    t itself is packed into one int: coordinate j fills bits j·w to
-    j·w + w - 1, w = max_states.bit_length() + 1 (at least 2), and the
-    top bit of each field is a guard that stays clear.  A step is one
-    addition, ``seen`` holds ints, and t dominates a packed m iff
-    subtracting m from t with every guard bit set leaves every guard bit
-    set (no field borrows).  No coordinate reaches its guard bit: a
-    candidate with coordinate sum n descends from one counted state on
-    every level 1..n, so n <= states <= max_states before any step from
-    it; and a step in direction j needs p_j < 0, which fails when t is a
-    multiple of e_j (then p_j = t_j·|col_j|^2 >= 0), so the stepped
-    coordinate ends at most n.
+    t itself is a packed word with fields for entries up to max_states
+    (at least 1), and a domination test is the packed one (module
+    docstring).  No coordinate reaches its guard bit: a candidate with
+    coordinate sum n descends from one counted state on every level
+    1..n, so n <= states <= max_states before any step from it; and a
+    step in direction j needs p_j < 0, which fails when t is a multiple
+    of e_j (then p_j = t_j·|col_j|^2 >= 0), so the stepped coordinate
+    ends at most n.
     """
     cols = [tuple(row[j] for row in rows) for j in range(dim)]
     gram = [tuple(sum(map(mul, c, d)) for d in cols) for c in cols]
-    width = max(max_states, 1).bit_length() + 1
-    step = [1 << (j * width) for j in range(dim)]
-    guard = sum(step) << (width - 1)
+    fields = _Fields(dim, max(max_states, 1))
+    step = [1 << k for k in fields.shifts]
+    guard = fields.top
     minimals: list[int] = []
     frontier = [(step[j], gram[j], gram[j][j]) for j in range(dim)]
     seen = set(step)
@@ -229,9 +313,7 @@ def minimal_solutions(rows, dim: int, max_states: int = MAX_COMPLETION_STATES):
     # coordinate sum, so every solution below t has a smaller sum and was
     # found on an earlier level, and t was accepted only if it dominates
     # none of those.
-    mask = (1 << width) - 1
-    shifts = [j * width for j in range(dim)]
-    return [tuple((m >> k) & mask for k in shifts) for m in minimals]
+    return fields.unpack(minimals)
 
 
 def hilbert_basis(sys: DioSystem, max_states: int = MAX_COMPLETION_STATES) -> HilbertBasis:
@@ -385,9 +467,8 @@ def _is_antichain(vecs) -> bool:
     entries in N0, with none dominating another?
 
     A vector dominating another follows it in canonical order, so each
-    is compared with the ones before it, packed into one int as in
-    ``minimal_solutions`` (fields wide enough for the largest entry,
-    plus a guard bit).
+    is compared with the ones before it, by the packed domination test
+    (module docstring) with fields for the largest entry.
     """
     n = len(vecs[0]) if vecs else 0
     top = 0
@@ -399,13 +480,10 @@ def _is_antichain(vecs) -> bool:
                 return False
             if v > top:
                 top = v
-    width = top.bit_length() + 1
-    guard = sum(1 << (k * width) for k in range(n)) << (width - 1)
+    fields = _Fields(n, top)
+    guard = fields.top
     packed = []
-    for g in vecs:
-        x = 0
-        for v in reversed(g):
-            x = (x << width) | v
+    for x in fields.pack(vecs):
         xg = x | guard
         for m in packed:
             if (xg - m) & guard == guard:
@@ -414,38 +492,56 @@ def _is_antichain(vecs) -> bool:
     return True
 
 
+def _check_bound(bound) -> None:
+    """Refuse a bound that is not an int (a bool included) or is negative."""
+    if bound.__class__ is not int:
+        raise ValueError(f"bound must be an int, got {bound!r}")
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+
+
 def generated_upto(gens, bound: int, dim: int) -> frozenset:
-    """All elements of the generated monoid (all-finite generators) with
-    every coordinate <= bound.  Exact: partial sums never exceed totals.
+    """All elements of the generated monoid (generators in N0^dim) with
+    every coordinate <= bound.  Exact: partial sums never exceed totals,
+    so a generator with an entry above the bound is dropped up front.
 
     Refused with ResourceLimitError before any point is built when both
     counts of the points it could build exceed ENUMERATION_GUARD: the
     box holds (bound + 1)^dim points, and a member in the box takes at
     most bound // max(g) copies of each generator g.
+
+    Points are biased packed words with fields for entries up to bound
+    (module docstring): a step is one addition, and its guard bits flag
+    a point outside the box.  The generators are taken one at a time:
+    closing the points found so far under adding the next one, a copy
+    per round, gives the closure under all generators taken so far.
     """
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
+    _check_bound(bound)
+    copies = 1
+    fit = []
     for g in gens:
-        if len(g) != dim or any(v is INF for v in g):
-            raise ValueError(f"generated_upto needs finite generators of length {dim}")
-    size = min((bound + 1) ** dim, prod(bound // max(g) + 1 for g in gens if any(g)))
+        if len(g) != dim or any(v.__class__ is not int or v < 0 for v in g):
+            raise ValueError(
+                f"generated_upto needs generators of length {dim} with entries in N0")
+        m = max(g, default=0)
+        if m:
+            copies *= bound // m + 1
+            if m <= bound:
+                fit.append(g)
+    size = min((bound + 1) ** dim, copies)
     if size > ENUMERATION_GUARD:
         raise ResourceLimitError(
             f"generated_upto: up to {size} points below bound {bound} in dimension "
             f"{dim} exceed the enumeration guard {ENUMERATION_GUARD}")
-    seen = {zero_vec(dim)}
-    frontier = [zero_vec(dim)]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for g in gens:
-                t2 = tuple(a + b for a, b in zip(t, g))
-                if t2 in seen or any(v > bound for v in t2):
-                    continue
-                seen.add(t2)
-                nxt.append(t2)
-        frontier = nxt
-    return frozenset(seen)
+    fields = _Fields(dim, bound)
+    top = fields.top
+    seen = {fields.bias}
+    for g in set(fields.pack(fit)):
+        frontier = seen
+        while frontier:
+            frontier = {t2 for t in frontier if not (t2 := t + g) & top} - seen
+            seen |= frontier
+    return frozenset(fields.unpack(seen, biased=True))
 
 
 def generated_truncated(gens, bound: int, dim: int) -> frozenset:
@@ -455,9 +551,10 @@ def generated_truncated(gens, bound: int, dim: int) -> frozenset:
     Closure under adding g and adding inf·g suffices: in any sum the
     inf-producing summands can be applied first, after which every
     partial sum stays inside the truncated domain.  Points and moves
-    are packed with ``_box_packing``; a point keeps its fields biased,
-    so adding a move's fields and masking both keep masks gives the
-    biased sum, whose top bits flag an entry above the bound.
+    are truncated packed words (module docstring); a point keeps its
+    fields biased, so adding a move's fields and masking both keep
+    masks gives the biased sum, whose guard bits flag an entry above the
+    bound.
 
     Refused with ResourceLimitError before any point is built when both
     counts of the points it could build exceed ENUMERATION_GUARD: the
@@ -466,6 +563,7 @@ def generated_truncated(gens, bound: int, dim: int) -> frozenset:
     is g's largest finite entry (a generator with no positive finite
     entry has two choices).
     """
+    _check_bound(bound)
     moves = []
     choices = 1
     for g in gens:
@@ -481,9 +579,10 @@ def generated_truncated(gens, bound: int, dim: int) -> frozenset:
         raise ResourceLimitError(
             f"generated_truncated: up to {size} points with entries in 0..{bound} "
             f"or inf in dimension {dim} exceed the enumeration guard {ENUMERATION_GUARD}")
-    width, bias, top, pack = _box_packing(bound, dim)
-    moves = [pack(g) for g in moves]
-    _, _, keep0 = pack(zero_vec(dim))
+    fields = _Fields(dim, bound)
+    moves = fields.pack_truncated(moves)
+    top, bias = fields.top, fields.bias
+    [(_, _, keep0)] = fields.pack_truncated([(0,) * dim])
     seen = {bias << dim}
     frontier = [(0, bias, keep0)]
     while frontier:
@@ -499,44 +598,7 @@ def generated_truncated(gens, bound: int, dim: int) -> frozenset:
                 seen.add(key)
                 nxt.append((inf | inf_g, total, keep & keep_g))
         frontier = nxt
-    field = (1 << width) - 1
-    low = (1 << (width - 1)) - 1 - bound
-    return frozenset(
-        tuple(INF if key >> j & 1 else (key >> (dim + j * width) & field) - low
-              for j in range(dim))
-        for key in seen)
-
-
-def _box_packing(bound: int, dim: int):
-    """Pack vectors of (N0*)^dim into ints for sums checked against a box.
-
-    Returns (width, bias, top, pack).  ``pack(z)`` gives an inf mask (bit
-    j for coordinate j + 1), the finite entries, capped at bound + 1, in
-    fields of width = bound.bit_length() + 1 bits (0 on inf
-    coordinates), and a keep mask covering the fields of the finite
-    coordinates.  With ``bias`` adding 2^(width-1) - 1 - bound to every
-    field, a field holding a + b + bias for a <= bound and b <= bound + 1
-    stays below 2^width, so no field carries, and its bit in ``top`` is
-    set iff a + b > bound.
-    """
-    width = bound.bit_length() + 1
-    field = (1 << width) - 1
-    shifts = [j * width for j in range(dim)]
-    bias = sum(((1 << (width - 1)) - 1 - bound) << k for k in shifts)
-    top = sum(1 << (k + width - 1) for k in shifts)
-    cap = bound + 1
-
-    def pack(z):
-        inf = fin = keep = 0
-        for j, v in enumerate(z):
-            if v is INF:
-                inf |= 1 << j
-            else:
-                fin |= min(v, cap) << shifts[j]
-                keep |= field << shifts[j]
-        return inf, fin, keep
-
-    return width, bias, top, pack
+    return frozenset(fields.unpack_truncated(seen))
 
 
 def find_order_unit(sys: DioSystem):

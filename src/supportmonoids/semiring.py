@@ -43,6 +43,7 @@ freely between threads.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Union
 
 MAX_DIM = 24  # subset enumeration must stay tractable; rejected at parse time
@@ -301,6 +302,21 @@ def inject(x: Vec, H: Iterable[int]) -> Vec:
     for i in range(1, s + 1):
         out.append(INF if i in Hs else next(it))
     return tuple(out)
+
+
+def _inject_all(xs, H: IndexSet, s: int) -> list:
+    """[inject(x, H) for x in xs], for xs of length s - len(H) and an
+    index set H already checked against s."""
+    k = s - len(H)
+    if not H:
+        return list(xs)
+    if not k:
+        return [(INF,) * s for _ in xs]
+    slots = iter(range(k))
+    # s >= 2 here, so the getter returns a tuple; index k is the pad
+    pick = itemgetter(*(k if i in H else next(slots) for i in range(1, s + 1)))
+    pad = (INF,)
+    return [pick(x + pad) for x in xs]
 
 
 def zero_vec(s: int) -> Vec:

@@ -31,7 +31,7 @@ from .equations import DioSystem
 from .errors import MissingOrderUnitError, ResourceLimitError
 from .hilbert import (HilbertBasis, _in_generated_finite, find_order_unit,
                       generated_upto, hilbert_basis, in_generated)
-from .semiring import (INF, IndexSet, Record, Vec, canonical_sorted,
+from .semiring import (INF, IndexSet, Record, Vec, _inject_all, canonical_sorted,
                        check_index_set, check_vec, inf_supp, inject, project,
                        supp, vec_from_json, vec_to_json, zero_vec)
 
@@ -405,13 +405,12 @@ def generators(sos: SystemOfSupports) -> tuple:
 
 def truncated_members(sos: SystemOfSupports, bound: int) -> frozenset:
     """All members with coordinates in {0, ..., bound, inf}; bulk version
-    of member_via_supports built from per-family closures."""
+    of member_via_supports built from per-family closures.  H comes from
+    ``sos.families``, so the points are placed without checking it again."""
     out = set()
     for H, basis in sos.families:
-        k = sos.s - len(H)
-        fin = generated_upto(basis.gens, bound, k) if k else {()}
-        for y in fin:
-            out.add(inject(y, H) if H else y)
+        fin = generated_upto(basis.gens, bound, sos.s - len(H))
+        out.update(_inject_all(fin, H, sos.s))
     return frozenset(out)
 
 

@@ -393,3 +393,105 @@ def test_from_generators_checks_every_raw_entry():
         HilbertBasis.from_generators(True, ((1,),))
     # inf entries are fine in redundant vectors
     assert HilbertBasis.from_generators(2, ((1, 0), (0, 2), (INF, 2))).gens == ((0, 2), (1, 0))
+
+
+def _random_gens(rng, dim, bound, values):
+    """Generators for the closures: a zero generator, duplicates and
+    entries above the bound turn up."""
+    gens = [tuple(rng.choice(values) for _ in range(dim))
+            for _ in range(rng.randint(0, 4))]
+    if gens and rng.random() < 0.3:
+        gens.append(rng.choice(gens))
+    if rng.random() < 0.3:
+        gens.append((0,) * dim)
+    if rng.random() < 0.3:
+        gens.append(tuple(bound + 1 if j == 0 else 0 for j in range(dim)))
+    rng.shuffle(gens)
+    return gens
+
+
+def test_closures_match_the_oracles_on_seeded_inputs():
+    rng = random.Random(61)
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        bound = rng.randint(0, 4)
+        gens = _random_gens(rng, dim, bound, (0, 0, 1, 2, 3, 5))
+        assert generated_upto(gens, bound, dim) == \
+            frozenset(o_finite_closure(gens, bound, dim)), (gens, bound)
+        gens = _random_gens(rng, dim, bound, (0, 0, 1, 2, 3, 5, INF))
+        want = o_closure([from_lib(g, INF) for g in gens], bound, dim)
+        got = generated_truncated(gens, bound, dim)
+        assert {from_lib(x, INF) for x in got} == want, (gens, bound)
+    # bound 0 keeps the zero vector alone, or inf where a generator reaches
+    assert generated_upto(((1, 0), (0, 0)), 0, 2) == {(0, 0)}
+    assert generated_truncated(((1, 0), (0, 0)), 0, 2) == {(0, 0), (INF, 0)}
+    # wide fields: bound 70 takes eight bits per coordinate
+    sparse = (0, 37, 0, 0)
+    assert generated_upto((sparse,), 70, 4) == {(0,) * 4, sparse}
+    assert generated_upto((sparse, (0, 1, 0, 64)), 70, 4) == \
+        frozenset(o_finite_closure((sparse, (0, 1, 0, 64)), 70, 4))
+    wide = ((0, 37, 0, 0), (INF, 0, 0, 33))
+    assert {from_lib(x, INF) for x in generated_truncated(wide, 70, 4)} == \
+        o_closure([from_lib(g, INF) for g in wide], 70, 4)
+
+
+def test_closures_refuse_before_packing(monkeypatch):
+    import supportmonoids.hilbert as hilbert_module
+
+    def no_packing(*args):
+        raise AssertionError("a point was packed")
+
+    monkeypatch.setattr(hilbert_module, "_Fields", no_packing)
+    free = HilbertBasis.free(12).gens
+    with pytest.raises(ResourceLimitError, match="generated_upto"):
+        generated_upto(free, 5, 12)
+    with pytest.raises(ResourceLimitError, match="generated_truncated"):
+        generated_truncated(free, 5, 12)
+
+
+def test_closures_validate_the_bound():
+    gens = ((1, 2), (2, 1))
+    for closure in (generated_upto, generated_truncated):
+        for bad in (1.5, True, "3", None):
+            with pytest.raises(ValueError, match="bound must be an int"):
+                closure(gens, bad, 2)
+        with pytest.raises(ValueError, match="^bound must be >= 0$"):
+            closure(gens, -1, 2)
+    for bad in (((1, -1),), ((1, True),), ((1, 0, 0),)):
+        with pytest.raises(ValueError, match="generated_upto needs generators"):
+            generated_upto(bad, 3, 2)
+
+
+def _vectors(rng, n, dim, cap):
+    return [tuple(rng.randint(0, cap) for _ in range(dim)) for _ in range(n)]
+
+
+def test_packed_words_round_trip_flag_overflow_and_compare():
+    from supportmonoids.hilbert import MAX_COMPLETION_STATES, _Fields
+    rng = random.Random(67)
+    caps = [0, 1, 2, 3, 7, 8, 63, 64, 255, MAX_COMPLETION_STATES]
+    caps += [rng.randint(0, MAX_COMPLETION_STATES) for _ in range(10)]
+    widest = _Fields(1, MAX_COMPLETION_STATES).width
+    assert widest == 21 and max(_Fields(1, c).width for c in caps) == widest
+    for cap in caps:
+        for dim in (0, 1, 2, 5):
+            fields = _Fields(dim, cap)
+            top, bias = fields.top, fields.bias
+            xs, ys = _vectors(rng, 30, dim, cap), _vectors(rng, 30, dim, cap)
+            ys += [tuple(min(v + 1, cap + 1) for v in y) for y in ys]
+            px, py = fields.pack(xs), fields.pack(ys)
+            assert fields.unpack(px) == xs and fields.unpack(py) == ys
+            assert fields.unpack([w + bias for w in px], biased=True) == xs
+            for x, wx in zip(xs, px):
+                for y, wy in zip(ys, py):
+                    total = wx + bias + wy
+                    flags = [total >> (k + fields.width - 1) & 1 for k in fields.shifts]
+                    assert flags == [int(a + b > cap) for a, b in zip(x, y)]
+                    if max(y, default=0) <= cap:
+                        dominates = (wx | top) - wy & top == top
+                        assert dominates == all(a >= b for a, b in zip(x, y))
+            # truncated words: inf mask, finite fields and keep mask
+            zs = [tuple(INF if rng.random() < 0.3 else v for v in x) for x in xs]
+            keys = [((fin + bias) & keep) << dim | inf
+                    for inf, fin, keep in fields.pack_truncated(zs)]
+            assert fields.unpack_truncated(keys) == zs

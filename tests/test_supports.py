@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from oracles import o_solutions
+from oracles import from_lib, o_closure, o_solutions
 from supportmonoids import (INF, DioSystem, HilbertBasis, SystemOfSupports,
                             a_plus_inf_a, b_max, b_min,
                             divides, enumerate_truncated, extract, generators,
@@ -69,6 +69,38 @@ def test_infinite_supports_match_oracle():
         sols = o_solutions(sys_.to_json(), 2)
         want = {frozenset(i + 1 for i, v in enumerate(x) if v is None) for x in sols}
         assert S == frozenset(want)
+
+
+def test_truncated_members_match_the_oracles():
+    rng = random.Random(71)
+    found = 0
+    while found < 25:
+        s = rng.randint(1, 4)
+        n_eq = rng.randint(0, 2)
+        sys_ = DioSystem(
+            s=s,
+            F=tuple(tuple(rng.randint(0, 2) for _ in range(s)) for _ in range(n_eq)),
+            G=tuple(tuple(rng.randint(0, 2) for _ in range(s)) for _ in range(n_eq)),
+        )
+        try:
+            sos = extract(sys_)
+        except MissingOrderUnitError:
+            continue
+        found += 1
+        bound = rng.randint(0, 3)
+        got = {from_lib(x, INF) for x in truncated_members(sos, bound)}
+        assert got == o_solutions(sys_.to_json(), bound), (sys_, bound)
+        # A + inf·A is the closure of A's generators under adding g and inf·g
+        gens = sos.basis_for(frozenset()).gens
+        got = {from_lib(x, INF) for x in truncated_members(a_plus_inf_a(
+            HilbertBasis.from_generators(s, gens)), bound)}
+        assert got == o_closure(gens, bound, s), (gens, bound)
+    # the family at H = {1, ..., s} adds (inf, ..., inf), one at H = {} the
+    # finite members, and members of width 70 fit their fields
+    sos = a_plus_inf_a(HilbertBasis.from_generators(2, ((37, 0), (0, 1))))
+    got = truncated_members(sos, 70)
+    assert (INF, INF) in got and (37, 70) in got and (74, 0) not in got
+    assert {from_lib(x, INF) for x in got} == o_closure(((37, 0), (0, 1)), 70, 2)
 
 
 def test_subsystem_for():
