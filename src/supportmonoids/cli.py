@@ -16,10 +16,10 @@ from .classify import verdict
 from .constructions import a_plus_inf_a, b_max, b_min
 from .equations import DioSystem, enumerate_truncated, is_member
 from .errors import MissingOrderUnitError, ResourceLimitError
-from .hilbert import HilbertBasis, _Fields, generated_truncated, generated_upto
+from .hilbert import HilbertBasis, _Fields, generated_truncated
 from .ranks import ASSUMPTIONS, RankMatrix, is_extended, realize_wiegand, vstar_system
-from .semiring import INF, _inject_all, parse_vec, project, scale, vec_to_json
-from .supports import extract, generators, support_closure, truncated_members
+from .semiring import INF, parse_vec, scale, vec_to_json
+from .supports import extract, generators, truncated_members
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -184,17 +184,9 @@ def _cmd_oracle(args) -> int:
         (0,) * sys_.s in members and _closed_under_addition(enum, members, bound)
 
     report = verdict(sys_, bound=max(bound, 1))
-    # a1 + inf·a2 is inf on H = supp(a2), a support of A, and equals a1
-    # elsewhere, so its finite part ranges over the projection of A.
-    # a1 and a2 may need entries above the bound on H, so the box is
-    # filled from the projected generators of A, not from its members
-    # in the box.
-    gens0 = sos.basis_for(frozenset()).gens
-    a_plus = set()
-    for H in support_closure(gens0):
-        shadow = [project(g, H) for g in gens0]
-        a_plus.update(_inject_all(generated_upto(shadow, bound, sys_.s - len(H)),
-                                  H, sys_.s))
+    # a1 and a2 may need entries above the bound, so A + inf·A is filled
+    # in the box family by family, not from the members of A in the box
+    a_plus = truncated_members(a_plus_inf_a(sos.basis_for(frozenset())), bound)
     ok = all(w in members and w not in a_plus
              for w in report.witnesses
              if all(v is INF or v <= bound for v in w))

@@ -13,9 +13,10 @@ Given a finite part A generated by a Hilbert basis:
   is free.
 
 ``compose_direct_sum`` / ``decompose_direct_sum`` realize and recognize
-internal direct sums A = A_1 ⊕ A_2 of a full finite part via disjoint
+internal direct sums A = A_1 ⊕ A_2 of a finite part via disjoint
 outer coordinate blocks I_1, I_2, a shared block I_3, and the two
-"shadow" maps f_i recording what each factor deposits on I_3.
+"shadow" maps f_i recording what each factor deposits on I_3.  The
+recognition is exact for any finitely generated finite part, full or not.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ from __future__ import annotations
 import itertools
 
 from .errors import MissingOrderUnitError, ResourceLimitError
-from .hilbert import HilbertBasis, generated_upto, minimize_generators
+from .hilbert import HilbertBasis, minimize_generators
 from .semiring import (IndexSet, Record, Vec, _project, canonical_sorted,
-                       check_index_set, check_int, sort_key, supp)
+                       check_index_set, check_int, supp)
 from .supports import (MAX_POWERSET_DIM, SystemOfSupports, _capped_supports,
                        _iset_key, _shared, support_closure)
 
 MAX_DECOMPOSE_GENS = 20    # partition search is exponential in the basis size
-UNIQUENESS_BOUND = 5       # truncated uniqueness verification for direct sums
 
 
 def _order_unit_of(basis: HilbertBasis) -> Vec:
@@ -136,11 +136,12 @@ def monoid_sum(m1, m2) -> tuple:
 # -- direct sums of finite parts ---------------------------------------------
 
 class DirectSumData(Record):
-    """A witness that a full finite part splits as A_1 ⊕ A_2.
+    """A witness that a finite part splits as A_1 ⊕ A_2.
 
     I1, I2, I3 partition {1, ..., s} with I1, I2 nonempty; B_i is the
-    (full) image of A_i on its own block I_i; row j of f_i is the I_3
-    part of the lift of the j-th generator of B_i.
+    image of A_i on its own block I_i; row j of f_i is the I_3 part of
+    the lift of the j-th generator of B_i.  The rows define a monoid map
+    on B_i exactly when appending them to the generators keeps the rank.
     """
 
     __slots__ = _fields = ("s", "I1", "I2", "I3", "B1", "B2", "f1", "f2")
@@ -168,6 +169,9 @@ class DirectSumData(Record):
                     raise ValueError(f"{name} rows must have length |I3| = {len(I3)}")
                 for v in r:
                     check_int(v, f"{name} entry", 0)
+            if _rank([g + r for g, r in zip(basis.gens, rows)]) != _rank(basis.gens):
+                raise ValueError(f"{name} is not a monoid map on its factor: a relation "
+                                 f"among the generators of B fails on the shadows")
         self._init(s, I1, I2, I3, B1, B2, *shadows)
 
     def order_unit_support_ok(self) -> bool:
@@ -220,16 +224,34 @@ def compose_direct_sum(d: DirectSumData, require_order_unit: bool = False) -> Hi
     return HilbertBasis.from_generators(d.s, gens)
 
 
-def decompose_direct_sum(basis: HilbertBasis,
-                         bound: int = UNIQUENESS_BOUND) -> DirectSumData | None:
+def _rank(rows) -> int:
+    """The rank over Q of integer vectors, by fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968): each entry left is a minor of the
+    input, so dividing by the previous pivot is exact."""
+    m, rank, prev = [list(r) for r in rows], 0, 1
+    for c in range(len(m[0]) if m else 0):
+        top = next((row for row in m if row[c]), None)
+        if top is None:
+            continue
+        p = top[c]
+        m = [[(p * x - row[c] * y) // prev for x, y in zip(row, top)]
+             for row in m if row is not top]
+        prev, rank = p, rank + 1
+    return rank
+
+
+def decompose_direct_sum(basis: HilbertBasis) -> DirectSumData | None:
     """Search for a splitting of the generated monoid as a direct sum.
 
-    Generators are split into two groups; the blocks are read off the
-    group supports; a split is accepted when, on the truncated monoid,
-    every member has exactly one expression as group1 + group2 and the
-    shadow maps are well defined on the projected generators.  Returns
-    the first witness in canonical order, or None.  Assumes the input
-    generates a full monoid with an order-unit.
+    Generators are split into two groups G1 (holding the first) and G2;
+    the blocks are read off the group supports.  A split is accepted
+    when rank G1 + rank G2 = rank G, so ZG1 ∩ ZG2 = 0 and every member
+    has exactly one expression as group1 + group2, and when each G_i
+    keeps its rank projected onto its own block I_i, so the shadow map
+    on I3 is a monoid map.  Both are exact integer ranks, so the answer
+    is exact for any finitely generated finite part, full or not.
+    Returns the first witness in canonical order, or None; refuses more
+    than MAX_DECOMPOSE_GENS generators, and a basis with no order unit.
     """
     gens = basis.gens
     if len(gens) > MAX_DECOMPOSE_GENS:
@@ -240,7 +262,7 @@ def decompose_direct_sum(basis: HilbertBasis,
     _order_unit_of(basis)
     s = basis.dim
     coords = frozenset(range(1, s + 1))
-    full_closure = generated_upto(gens, bound, s)
+    rank = _rank(gens)
     rest = range(1, len(gens))
     for r in range(0, len(gens) - 1):
         for extra in itertools.combinations(rest, r):
@@ -253,44 +275,24 @@ def decompose_direct_sum(basis: HilbertBasis,
             I1, I2, I3 = supp1 - supp2, supp2 - supp1, supp1 & supp2
             if not I1 or not I2:
                 continue
-            witness = _check_split(basis, group1, group2, I1, I2, I3,
-                                   full_closure, bound)
-            if witness is not None:
-                return witness
+            rank1 = _rank(group1)
+            if rank1 + _rank(group2) != rank:
+                continue
+            pieces = []
+            for group, block, want in ((group1, I1, rank1), (group2, I2, rank - rank1)):
+                own, third = sorted(block), sorted(I3)
+                # equal projections collapse, leaving the rank of the keys
+                shadow = {tuple(g[i - 1] for i in own): tuple(g[i - 1] for i in third)
+                          for g in group}
+                if _rank(shadow) != want:
+                    break
+                factor = canonical_sorted(shadow)
+                pieces.append((HilbertBasis(len(own), factor),
+                               tuple(shadow[p] for p in factor)))
+            else:
+                (b1, f1), (b2, f2) = pieces
+                return DirectSumData._trusted(s, I1, I2, I3, b1, b2, f1, f2)
     return None
-
-
-def _check_split(basis, group1, group2, I1, I2, I3, full_closure, bound):
-    s = basis.dim
-    c1 = sorted(generated_upto(group1, bound, s), key=sort_key)
-    c2 = generated_upto(group2, bound, s)
-    for x in full_closure:
-        count = 0
-        for u in c1:
-            if all(a <= b for a, b in zip(u, x)):
-                if tuple(b - a for a, b in zip(u, x)) in c2:
-                    count += 1
-                    if count > 1:
-                        return None
-        if count != 1:
-            return None
-    pieces = []
-    for group, block in ((group1, I1), (group2, I2)):
-        own = sorted(block)
-        third = sorted(I3)
-        proj = [tuple(g[i - 1] for i in own) for g in group]
-        shadows = [tuple(g[i - 1] for i in third) for g in group]
-        seen = {}
-        for p, sh in zip(proj, shadows):
-            if not any(p):
-                return None  # a factor generator invisible on its own block
-            if seen.setdefault(p, sh) != sh:
-                return None  # shadow map not well defined
-        factor = canonical_sorted(seen)
-        pieces.append((HilbertBasis(len(own), factor),
-                       tuple(seen[p] for p in factor)))
-    (b1, f1), (b2, f2) = pieces
-    return DirectSumData(s=s, I1=I1, I2=I2, I3=I3, B1=b1, B2=b2, f1=f1, f2=f2)
 
 
 def decomposed_almost_free(d: DirectSumData) -> bool:

@@ -287,9 +287,13 @@ def subsystem_for(sys: DioSystem, H) -> DioSystem:
     which either side meets H go away (for H an infinite support, both
     sides then meet H and the row holds with inf = inf); finally the H
     columns are removed.
+
+    H alone is tested, by the zero-pattern criterion, so neither a system
+    without an order unit nor one of more than MAX_POWERSET_DIM
+    coordinates is refused.  A set that is not a support raises ValueError.
     """
     H = check_index_set(H, sys.s)
-    if H not in infinite_supports(sys):
+    if not _admits(sys, H):
         raise ValueError(f"{sorted(H)} is not an infinite support of the system")
     return _subsystem(sys, H)
 

@@ -179,6 +179,24 @@ def o_finite_supports(sysdict):
     return out
 
 
+def o_rank(rows):
+    """The rank of integer rows over Q, by Gauss-Jordan elimination on
+    Fractions."""
+    a = [[Fraction(v) for v in r] for r in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        p = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        a[rank], a[p] = a[p], a[rank]
+        for i in range(len(a)):
+            if i != rank and a[i][c]:
+                f = a[i][c] / a[rank][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
 def o_integer_solvable(rows, rhs):
     """Is there an integer vector x (entries of any sign) with rows·x = rhs?
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import time
@@ -10,7 +11,9 @@ from supportmonoids import (INF, DioSystem, DirectSumData, HilbertBasis,
                             enumerate_truncated, extract, generated_truncated,
                             hilbert_basis, is_almost_free, member_via_supports,
                             monoid_sum, truncated_members, validate)
+from supportmonoids.constructions import _rank
 from supportmonoids.errors import MissingOrderUnitError, ResourceLimitError
+from oracles import o_finite_closure, o_rank
 from test_supports import assert_lazy_matches_eager, seeded_extractable_systems
 
 RANDCLOSURE = DioSystem(s=3, F=((1, 1, 0),), G=((1, 0, 1),))
@@ -212,11 +215,104 @@ def test_decompose_uniqueness_filter():
     assert entangled is None
 
 
+def test_decompose_is_exact_past_any_bound():
+    # 2·(0,1,0) + (2,0,6) = 2·(1,0,0) + (0,2,6), with the entry 6 above
+    # any bound of 5: the sum map of the split is not injective
+    assert decompose_direct_sum(
+        basis(3, (0, 1, 0), (0, 2, 6), (1, 0, 0), (2, 0, 6))) is None
+    # {(1,0,1), (2,0,1)} projects onto (1), (2) on its block {1}: the
+    # shadow would send 2·(1) and (2) to 2 and to 1, no monoid map
+    assert decompose_direct_sum(basis(3, (0, 1, 1), (1, 0, 1), (2, 0, 1))) is None
+
+
+def test_decompose_refuses_shadows_drawn_row_by_row():
+    # two copies of <(0,2),(1,1),(2,0)> on the blocks {4, 5} and {1, 2},
+    # glued on {3} by shadows drawn one row at a time: 2·f(1,1) differs
+    # from f(0,2) + f(2,0) in each factor, so a member has two expressions
+    gens = ((0, 0, 1, 1, 1), (0, 0, 2, 0, 2), (0, 0, 2, 2, 0),
+            (0, 2, 1, 0, 0), (1, 1, 2, 0, 0), (2, 0, 1, 0, 0))
+    total = lambda *vs: tuple(map(sum, zip(*vs)))
+    left = total(gens[1], gens[2], gens[3], gens[5])
+    right = total(gens[0], gens[0], gens[4], gens[4])
+    assert left == right == (2, 2, 6, 2, 2)
+    assert decompose_direct_sum(basis(5, *gens)) is None
+
+
+def test_decompose_free_basis_of_twelve_coordinates():
+    free = HilbertBasis.free(12)
+    d = decompose_direct_sum(free)
+    assert d is not None and d.I3 == fset() and len(d.I1) + len(d.I2) == 12
+    assert compose_direct_sum(d) == free
+
+
+def _unique_upto(gens, group1, group2, bound, s):
+    """The bounded test decompose_direct_sum once ran: every member of
+    the truncated monoid <gens> has exactly one expression u + v with u
+    in <group1> and v in <group2>, both truncated at bound."""
+    counts = collections.Counter()
+    c2 = o_finite_closure(group2, bound, s)
+    for u in o_finite_closure(group1, bound, s):
+        for v in c2:
+            x = tuple(a + b for a, b in zip(u, v))
+            if max(x) <= bound:
+                counts[x] += 1
+    return all(counts[x] == 1 for x in o_finite_closure(gens, bound, s))
+
+
+def seeded_bases(rng, count):
+    """Bases with an order unit and 2 to 8 generators: Hilbert bases of
+    one or two random equations, and random generator sets."""
+    out = []
+    while len(out) < count:
+        s = rng.randint(2, 4)
+        if len(out) % 2:
+            gens = [tuple(rng.choice((0, 0, 0, 1, 1, 2, 3, 6)) for _ in range(s))
+                    for _ in range(rng.randint(2, 6))]
+            b = HilbertBasis.from_generators(s, gens)
+        else:
+            n_eq = rng.randint(1, 2)
+            b = hilbert_basis(DioSystem(
+                s=s, F=tuple(tuple(rng.randint(0, 3) for _ in range(s)) for _ in range(n_eq)),
+                G=tuple(tuple(rng.randint(0, 3) for _ in range(s)) for _ in range(n_eq))))
+        if b.order_unit() is not None and 2 <= len(b.gens) <= 8:
+            out.append(b)
+    return out
+
+
+def test_decompose_witnesses_on_seeded_bases():
+    found = 0
+    for b in seeded_bases(random.Random(1212), 300):
+        d = decompose_direct_sum(b)
+        if d is None:
+            continue
+        found += 1
+        assert compose_direct_sum(d) == b
+        assert DirectSumData.from_json(d.to_json()) == d
+        assert DirectSumData(*d._values()) == d
+        group1 = [g for g in b.gens if any(g[i - 1] for i in d.I1)]
+        group2 = [g for g in b.gens if g not in group1]
+        assert _unique_upto(b.gens, group1, group2, 5, b.dim), b
+    assert found >= 100
+
+
+def test_rank_matches_the_oracle():
+    rng = random.Random(17)
+    for _ in range(2000):
+        k = rng.randint(1, 6)
+        rows = [tuple(rng.choice((0, 0, 1, 2, 3, 6, -1)) for _ in range(k))
+                for _ in range(rng.randint(0, 6))]
+        if len(rows) > 1 and rng.random() < 0.4:
+            rows.append(tuple(a + 2 * b for a, b in zip(rows[0], rows[1])))
+        assert _rank(rows) == o_rank(rows), rows
+
+
 def random_recoverable_direct_sum(rng):
     """Instances whose decomposition is essentially unique: factors are
     single-generator or entangled (never free of rank >= 2, which splits
     along any line), and every generator's shadow covers the shared block,
-    as it does in canonically presented decompositions."""
+    as it does in canonically presented decompositions.  Each shadow
+    coordinate is a linear form c·g with c in {1, 2}^k, so the shadow
+    rows are a monoid map on the factor."""
     factors = {
         1: (((1,),), ((2,),)),
         2: (((1, 1),), ((1, 1), (0, 2), (2, 0))),
@@ -229,8 +325,13 @@ def random_recoverable_direct_sum(rng):
                   fset(*coords[k1 + k2:]))
     B1 = basis(k1, *rng.choice(factors[k1]))
     B2 = basis(k2, *rng.choice(factors[k2]))
-    f1 = tuple(tuple(rng.randint(1, 2) for _ in range(k3)) for _ in B1.gens)
-    f2 = tuple(tuple(rng.randint(1, 2) for _ in range(k3)) for _ in B2.gens)
+
+    def shadows(B):
+        forms = [[rng.randint(1, 2) for _ in range(B.dim)] for _ in range(k3)]
+        return tuple(tuple(sum(c * v for c, v in zip(form, g)) for form in forms)
+                     for g in B.gens)
+
+    f1, f2 = shadows(B1), shadows(B2)
     return DirectSumData(s=s, I1=I1, I2=I2, I3=I3, B1=B1, B2=B2, f1=f1, f2=f2)
 
 
@@ -279,6 +380,22 @@ def test_direct_sum_data_validation():
         DirectSumData(s=3, I1=fset(1, 2), I2=fset(2), I3=fset(3),
                       B1=basis(2, (1, 0)), B2=basis(1, (1,)),
                       f1=((0,),), f2=((0,),))
+    # shadows that are no monoid map: 2·f(1,1) = (2,) but f(0,2) + f(2,0) = (4,)
+    square = basis(2, (0, 2), (1, 1), (2, 0))
+    with pytest.raises(ValueError, match="f2 is not a monoid map"):
+        DirectSumData(s=5, I1=fset(4, 5), I2=fset(1, 2), I3=fset(3),
+                      B1=square, B2=square, f1=((2,), (4,), (6,)),
+                      f2=((2,), (1,), (2,)))
+    # on <2, 3> the relation 3·2 = 2·3 must hold among the shadows
+    with pytest.raises(ValueError, match="f1 is not a monoid map"):
+        DirectSumData(s=3, I1=fset(1), I2=fset(2), I3=fset(3),
+                      B1=basis(1, (2,), (3,)), B2=basis(1, (1,)),
+                      f1=((1,), (1,)), f2=((1,),))
+    # the same shadow table as a map c·g with c = (1, 1) is accepted
+    d = DirectSumData(s=5, I1=fset(4, 5), I2=fset(1, 2), I3=fset(3),
+                      B1=square, B2=square, f1=((2,), (2,), (2,)),
+                      f2=((2,), (3,), (4,)))
+    assert DirectSumData.from_json(d.to_json()) == d
 
 
 def test_powerset_guard():

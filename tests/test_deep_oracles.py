@@ -11,7 +11,7 @@ import itertools
 import random
 
 from oracles import from_lib, o_a_plus_inf_a, o_solutions
-from supportmonoids import (INF, DioSystem, compose_direct_sum,
+from supportmonoids import (INF, DioSystem, DirectSumData, compose_direct_sum,
                             decompose_direct_sum, equals_a_plus_inf_a,
                             extract, find_order_unit, hilbert_basis,
                             in_generated, is_almost_free, scale, vec_add)
@@ -222,4 +222,5 @@ def test_decompose_returns_the_same_monoid():
             continue
         succeeded += 1
         assert compose_direct_sum(d).gens == basis.gens
+        assert DirectSumData.from_json(d.to_json()) == d
     assert succeeded >= 5

@@ -2,8 +2,9 @@
 
 Every module of ``src/supportmonoids`` is parsed with ``ast``.  An
 import is used when the module reads the name it binds, or lists it in
-its ``__all__``.  A module-level function or class is alive when the
-package's ``__all__`` lists it, or when some module of the package
+its ``__all__``.  A module-level function, class or constant (a name
+bound by a plain or annotated assignment, dunders aside) is alive when
+the package's ``__all__`` lists it, or when some module of the package
 reads or imports its name outside the definition itself.
 """
 
@@ -64,6 +65,22 @@ def test_every_import_is_used():
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
+def _defined_names(node):
+    """The names a module-level statement defines: a function or class,
+    or the plain names an assignment binds, dunders such as __all__
+    excluded."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for t in targets
+            if isinstance(t, ast.Name) and not t.id.startswith("__")]
+
+
 def test_every_module_level_definition_is_used():
     modules = _modules()
     public = _exported(modules["__init__.py"])
@@ -73,11 +90,10 @@ def test_every_module_level_definition_is_used():
     dead = []
     for name, tree in modules.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if node.name in public:
-                continue
-            outside = everywhere[node.name] - _references(node)[node.name]
-            if outside <= 0:
-                dead.append(f"{name}:{node.lineno}: {node.name}")
+            for defined in _defined_names(node):
+                if defined in public:
+                    continue
+                outside = everywhere[defined] - _references(node)[defined]
+                if outside <= 0:
+                    dead.append(f"{name}:{node.lineno}: {defined}")
     assert not dead, "definitions nothing uses:\n" + "\n".join(dead)

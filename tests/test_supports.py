@@ -113,6 +113,21 @@ def test_subsystem_for():
         subsystem_for(RANDCLOSURE, {2})  # not an infinite support
 
 
+def test_subsystem_for_tests_only_h():
+    # twenty coordinates, past MAX_POWERSET_DIM: only H is tested
+    x1_is_x2 = DioSystem(s=20, F=((1,) + (0,) * 19,), G=((0, 1) + (0,) * 18,))
+    assert subsystem_for(x1_is_x2, {1, 2}) == DioSystem(s=18)
+    assert subsystem_for(x1_is_x2, {3}) == DioSystem(
+        s=19, F=((1,) + (0,) * 18,), G=((0, 1) + (0,) * 17,))
+    with pytest.raises(ValueError, match="not an infinite support"):
+        subsystem_for(x1_is_x2, {1})
+    # x1 = 0 has no order unit, yet {2} is an infinite support
+    no_unit = DioSystem(s=2, F=((1, 0),), G=((0, 0),))
+    assert subsystem_for(no_unit, {2}) == DioSystem(s=1, F=((1,),), G=((0,),))
+    with pytest.raises(ValueError, match="not an infinite support"):
+        subsystem_for(no_unit, {1})
+
+
 def test_subsystem_keeps_untouched_congruences():
     sys_ = DioSystem(s=3, D=((1, 1, 0), (0, 0, 2)), moduli=(2, 3))
     sub = subsystem_for(sys_, {3})
