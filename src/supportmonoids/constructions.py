@@ -22,13 +22,15 @@ recognition is exact for any finitely generated finite part, full or not.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from operator import or_
 
 from .errors import MissingOrderUnitError, ResourceLimitError
 from .hilbert import HilbertBasis, minimize_generators
-from .semiring import (IndexSet, Record, Vec, _project, canonical_sorted,
-                       check_index_set, check_int, supp)
-from .supports import (MAX_POWERSET_DIM, SystemOfSupports, _capped_supports,
-                       _iset_key, _shared, support_closure)
+from .semiring import (IndexSet, Record, Vec, _supp_mask, canonical_sorted, check_index_set,
+                       check_int)
+from .supports import (MAX_POWERSET_DIM, SystemOfSupports, _capped_supports, _in_order,
+                       _index_set, _masks_in_order, support_closure)
 
 MAX_DECOMPOSE_GENS = 20    # partition search is exponential in the basis size
 
@@ -64,42 +66,41 @@ def a_plus_inf_a(basis: HilbertBasis) -> SystemOfSupports:
     s = basis.dim
     supps = _capped_supports(basis.gens)
 
-    def admit(H):
-        return frozenset().union(*(m for m in supps if m <= H)) == H
+    def admit(h):
+        return reduce(or_, (m for m in supps if not m & ~h), 0) == h
 
-    def build(H, known):
-        k = s - len(H)
-        source = None
-        for i in H:  # on a hit, i and K = H - {i} name the family below
-            K = H - {i}
+    def build(h, known):
+        k = s - h.bit_count()
+        source, rest = None, h
+        while source is None and rest:  # a hit names the family K = h minus one bit
+            bit = rest & -rest
+            K, rest = h ^ bit, rest ^ bit
             source = known.get(K)
-            if source is not None:
-                break
         if source is None:
-            return HilbertBasis._minimal(k, [_project(g, H) for g in basis.gens])
+            keep = [j for j in range(s) if not h >> j & 1]
+            return HilbertBasis._minimal(k, [tuple(g[j] for j in keep) for g in basis.gens])
         if source is HilbertBasis.free(k + 1):
             return HilbertBasis.free(k)
-        # i sits at this position among the coordinates outside K
-        pos = i - 1 - sum(1 for j in K if j < i)
+        # the coordinates outside K below that bit come before it
+        pos = (~K & (bit - 1)).bit_count()
         return HilbertBasis._minimal(k, [g[:pos] + g[pos + 1:] for g in source.gens])
 
     return SystemOfSupports._deferred(
-        s, unit, admit, build,
-        lambda: sorted(support_closure(basis.gens), key=_iset_key))
+        s, unit, admit, build, lambda: _in_order(support_closure(basis.gens)))
 
 
 def b_min(basis: HilbertBasis) -> SystemOfSupports:
     """The least monoid given by an almost-free system of supports with
     finite part A: supports are all supersets of member supports, and
     every nonempty family is free."""
-    min_supports = [_shared(supp(g)) for g in basis.gens]
-    return _almost_free(basis, lambda H: not H or any(H >= m for m in min_supports))
+    min_supports = [_supp_mask(g) for g in basis.gens]
+    return _almost_free(basis, lambda h: not h or any(not m & ~h for m in min_supports))
 
 
 def b_max(basis: HilbertBasis) -> SystemOfSupports:
     """The largest monoid given by a system of supports with finite part A:
     every subset is a support and every nonempty family is free."""
-    return _almost_free(basis, lambda H: True)
+    return _almost_free(basis, lambda _h: True)
 
 
 def _almost_free(basis: HilbertBasis, admit) -> SystemOfSupports:
@@ -112,15 +113,8 @@ def _almost_free(basis: HilbertBasis, admit) -> SystemOfSupports:
         raise ResourceLimitError(f"materializing subsets of {s} coordinates refused")
     return SystemOfSupports._deferred(
         s, unit, admit,
-        lambda H, _known: HilbertBasis.free(s - len(H)) if H else basis,
-        lambda: [H for H in _subsets_in_order(s) if admit(H)])
-
-
-def _subsets_in_order(s: int):
-    """The subsets of 1..s by size and then lexicographically, the order
-    of ``SystemOfSupports.families``."""
-    return (frozenset(c) for r in range(s + 1)
-            for c in itertools.combinations(range(1, s + 1), r))
+        lambda h, _known: HilbertBasis.free(s - h.bit_count()) if h else basis,
+        lambda: [(h, _index_set(h)) for h in _masks_in_order(s) if admit(h)])
 
 
 def monoid_sum(m1, m2) -> tuple:
@@ -177,10 +171,8 @@ class DirectSumData(Record):
     def order_unit_support_ok(self) -> bool:
         """The composed monoid contains an order-unit iff the shadows of the
         two factors jointly cover I3."""
-        pos = sorted(self.I3)
-        covered = {pos[j] for r in self.f1 + self.f2
-                   for j in range(len(pos)) if r[j]}
-        return covered == self.I3
+        rows = self.f1 + self.f2
+        return all(any(r[j] for r in rows) for j in range(len(self.I3)))
 
     def to_json(self) -> dict:
         return {
@@ -244,12 +236,15 @@ def decompose_direct_sum(basis: HilbertBasis) -> DirectSumData | None:
     """Search for a splitting of the generated monoid as a direct sum.
 
     Generators are split into two groups G1 (holding the first) and G2;
-    the blocks are read off the group supports.  A split is accepted
-    when rank G1 + rank G2 = rank G, so ZG1 ∩ ZG2 = 0 and every member
-    has exactly one expression as group1 + group2, and when each G_i
-    keeps its rank projected onto its own block I_i, so the shadow map
-    on I3 is a monoid map.  Both are exact integer ranks, so the answer
-    is exact for any finitely generated finite part, full or not.
+    the blocks are read off the ORs of the generator support masks,
+    each computed once.  A split is accepted when rank G1 + rank G2 =
+    rank G, so ZG1 ∩ ZG2 = 0 and every member has exactly one expression
+    as group1 + group2, and when each G_i keeps its rank projected onto
+    its own block I_i, so the shadow map on I3 is a monoid map.  Both
+    are exact integer ranks, so the answer is exact for any finitely
+    generated finite part, full or not.  The generators are minimized
+    first: the projection onto I_i is then injective on the span of
+    G_i, so each B_i is minimal too, even for a public basis that is not.
     Returns the first witness in canonical order, or None; refuses more
     than MAX_DECOMPOSE_GENS generators, and a basis with no order unit.
     """
@@ -257,32 +252,37 @@ def decompose_direct_sum(basis: HilbertBasis) -> DirectSumData | None:
     if len(gens) > MAX_DECOMPOSE_GENS:
         raise ResourceLimitError(
             f"refusing partition search over {len(gens)} > {MAX_DECOMPOSE_GENS} generators")
+    gens = minimize_generators(gens)
     if len(gens) < 2:
         return None
     _order_unit_of(basis)
     s = basis.dim
-    coords = frozenset(range(1, s + 1))
+    masks = [_supp_mask(g) for g in gens]
     rank = _rank(gens)
     rest = range(1, len(gens))
     for r in range(0, len(gens) - 1):
         for extra in itertools.combinations(rest, r):
-            group1 = (gens[0],) + tuple(gens[i] for i in extra)
-            group2 = tuple(g for g in gens if g not in group1)
-            supp1 = frozenset().union(*(supp(g) for g in group1))
-            supp2 = frozenset().union(*(supp(g) for g in group2))
-            if supp1 | supp2 != coords:
-                continue
-            I1, I2, I3 = supp1 - supp2, supp2 - supp1, supp1 & supp2
+            picked = {0, *extra}
+            supp1 = supp2 = 0
+            for j, m in enumerate(masks):
+                if j in picked:
+                    supp1 |= m
+                else:
+                    supp2 |= m
+            I1, I2, I3 = supp1 & ~supp2, supp2 & ~supp1, supp1 & supp2
             if not I1 or not I2:
                 continue
+            group1 = [gens[0], *(gens[j] for j in extra)]
+            group2 = [g for j, g in enumerate(gens) if j not in picked]
             rank1 = _rank(group1)
             if rank1 + _rank(group2) != rank:
                 continue
+            third = [j for j in range(s) if I3 >> j & 1]
             pieces = []
             for group, block, want in ((group1, I1, rank1), (group2, I2, rank - rank1)):
-                own, third = sorted(block), sorted(I3)
+                own = [j for j in range(s) if block >> j & 1]
                 # equal projections collapse, leaving the rank of the keys
-                shadow = {tuple(g[i - 1] for i in own): tuple(g[i - 1] for i in third)
+                shadow = {tuple(g[j] for j in own): tuple(g[j] for j in third)
                           for g in group}
                 if _rank(shadow) != want:
                     break
@@ -291,6 +291,7 @@ def decompose_direct_sum(basis: HilbertBasis) -> DirectSumData | None:
                                tuple(shadow[p] for p in factor)))
             else:
                 (b1, f1), (b2, f2) = pieces
+                I1, I2, I3 = map(_index_set, (I1, I2, I3))
                 return DirectSumData._trusted(s, I1, I2, I3, b1, b2, f1, f2)
     return None
 
@@ -305,8 +306,6 @@ def decomposed_almost_free(d: DirectSumData) -> bool:
     for basis, rows in ((d.B1, d.f1), (d.B2, d.f2)):
         if basis != HilbertBasis.free(basis.dim):
             return False
-        k = len(d.I3)
-        for r in rows:
-            if frozenset(j for j in range(k) if r[j]) != frozenset(range(k)):
-                return False
+        if not all(all(r) for r in rows):
+            return False
     return True

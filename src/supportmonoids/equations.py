@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import ResourceLimitError
-from .semiring import INF, MAX_DIM, Record, Vec, check_int, dot, sort_key
+from .semiring import INF, MAX_DIM, Record, Vec, check_dim, check_int, dot, sort_key
 
 Matrix = tuple  # tuple of row tuples
 
@@ -47,9 +47,7 @@ class DioSystem(Record):
 
     def __init__(self, s: int, F: Matrix = (), G: Matrix = (), D: Matrix = (),
                  moduli: tuple = ()):
-        check_int(s, "dimension", 1)
-        if s > MAX_DIM:
-            raise ValueError(f"dimension {s} exceeds the supported maximum {MAX_DIM}")
+        check_dim(s)
         F = _check_matrix(F, s, "F")
         G = _check_matrix(G, s, "G")
         D = _check_matrix(D, s, "D")

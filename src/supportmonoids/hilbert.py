@@ -59,8 +59,8 @@ from operator import add, mul
 
 from .equations import ENUMERATION_GUARD, DioSystem, lift_congruences
 from .errors import ResourceLimitError
-from .semiring import (INF, MAX_DIM, Record, Vec, canonical_sorted, check_int,
-                       unit_vec)
+from .semiring import (INF, MAX_DIM, Record, Vec, _supp_mask, canonical_sorted, check_dim,
+                       check_int, unit_vec)
 
 MAX_COMPLETION_STATES = 1_000_000
 
@@ -77,7 +77,7 @@ class HilbertBasis(Record):
     __slots__ = _fields = ("dim", "gens")
 
     def __init__(self, dim: int, gens: tuple):
-        _check_dim(dim)
+        check_dim(dim, 0)
         gens = tuple(tuple(g) for g in gens)
         seen = set()
         for g in gens:
@@ -102,7 +102,7 @@ class HilbertBasis(Record):
         each vector has length dim and entries in N0*.  A generator with
         an inf entry is refused unless it is redundant.
         """
-        _check_dim(dim)
+        check_dim(dim, 0)
         raw = []
         for g in gens:
             g = tuple(g)
@@ -142,7 +142,7 @@ class HilbertBasis(Record):
         dimension is checked first: ``free(True)`` must not find the
         instance cached under the equal key 1.
         """
-        _check_dim(dim)
+        check_dim(dim, 0)
         return _free_basis(dim)
 
     def order_unit(self):
@@ -157,12 +157,6 @@ class HilbertBasis(Record):
 
     def to_json(self) -> list:
         return [list(g) for g in self.gens]
-
-
-def _check_dim(dim) -> None:
-    """Refuse a dimension that is not an int in 0..MAX_DIM."""
-    if check_int(dim, "dimension", 0) > MAX_DIM:
-        raise ValueError(f"dimension {dim} exceeds the supported maximum {MAX_DIM}")
 
 
 @lru_cache(maxsize=MAX_DIM + 1)
@@ -416,14 +410,13 @@ def _in_generated_finite(pool, x) -> bool:
     nonzero coordinate outside that OR is rejected without a search.
     """
     gens = [g for g in pool if all(v is not INF and v <= t for v, t in zip(g, x))]
-    bits = [1 << i for i in range(len(x))]
     reach = [0] * (len(gens) + 1)
     for k in range(len(gens) - 1, -1, -1):
-        reach[k] = reach[k + 1] | sum(b for b, v in zip(bits, gens[k]) if v)
+        reach[k] = reach[k + 1] | _supp_mask(gens[k])
     failed = set()
 
     def search(k, remaining) -> bool:
-        need = sum(b for b, r in zip(bits, remaining) if r)
+        need = _supp_mask(remaining)
         if not need:
             return True
         if need & ~reach[k]:

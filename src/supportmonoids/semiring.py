@@ -128,9 +128,9 @@ class Record:
     field, and the loaders (``from_json``, ``from_generators``) check
     every raw entry they are given.  ``_trusted`` skips the checks; it
     is only for objects the library builds itself from values already
-    in normal form (subsystems, computed bases; extracted and
-    constructed systems of supports use ``SystemOfSupports._deferred``
-    instead), so every such object equals ``type(r)(*r._values())``.
+    in normal form (subsystems, computed bases), so every such object
+    equals ``type(r)(*r._values())``.  A ``SystemOfSupports`` is stored
+    the same way by both kinds of constructor (see its docstring).
     """
 
     __slots__ = ()
@@ -198,6 +198,13 @@ def check_int(v, what: str, least: int | None = None) -> int:
     return v
 
 
+def check_dim(s, least: int = 1) -> int:
+    """Return s after checking that it is an int in least..MAX_DIM."""
+    if check_int(s, "dimension", least) > MAX_DIM:
+        raise ValueError(f"dimension {s} exceeds the supported maximum {MAX_DIM}")
+    return s
+
+
 def _check_extnat(a, what="value") -> ExtNat:
     return a if a is INF else check_int(a, what, 0)
 
@@ -251,6 +258,11 @@ def dot(row: tuple, x: Vec) -> ExtNat:
 def supp(x: Vec) -> IndexSet:
     """Indices (1-based) where x is nonzero."""
     return frozenset(i for i, v in enumerate(x, 1) if v != 0)
+
+
+def _supp_mask(x) -> int:
+    """Where x is nonzero, as an int mask: bit i - 1 for coordinate i."""
+    return sum(1 << j for j, v in enumerate(x) if v)
 
 
 def inf_supp(x: Vec) -> IndexSet:

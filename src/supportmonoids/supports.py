@@ -25,14 +25,15 @@ rows that meet H and then the columns of H.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from .equations import DioSystem
 from .errors import MissingOrderUnitError, ResourceLimitError
 from .hilbert import (HilbertBasis, _in_generated_finite, find_order_unit,
                       generated_upto, hilbert_basis, in_generated)
-from .semiring import (INF, IndexSet, Record, Vec, _inject_all, canonical_sorted,
-                       check_index_set, check_vec, inf_supp, inject, project,
+from .semiring import (INF, IndexSet, Record, Vec, _inject_all, _supp_mask,
+                       canonical_sorted, check_dim, check_index_set, check_vec, inject,
                        supp, vec_from_json, vec_to_json, zero_vec)
 
 MAX_POWERSET_DIM = 16  # enumerating the 2^s subsets past this is refused
@@ -42,11 +43,40 @@ def _iset_key(H: IndexSet):
     return (len(H), tuple(sorted(H)))
 
 
+# Inside this module and ``constructions`` a support set H is an int
+# mask h: bit i - 1 stands for coordinate i.  Frozensets appear only at
+# the public boundary (``families``, ``S``, ``basis_for``, JSON).  Three
+# bytes hold the MAX_DIM = 24 coordinates: ``_BYTE_COORDS[k][b]`` lists
+# the coordinates of the value b of byte k, built by doubling.
+_BYTE_COORDS = [[()], [()], [()]]
+for _k, _table in enumerate(_BYTE_COORDS):
+    for _i in range(8 * _k + 1, 8 * _k + 9):
+        _table += [c + (_i,) for c in _table]
+
+
+def _mask(H) -> int:
+    """The mask of a set of coordinates."""
+    return sum(1 << (i - 1) for i in H)
+
+
 @lru_cache(maxsize=1 << 12)
-def _shared(H: IndexSet) -> IndexSet:
-    """One object for equal support sets: the same few recur in every
-    system of supports over the same coordinates."""
-    return H
+def _index_set(h: int) -> IndexSet:
+    """The set of coordinates of mask h, one object per mask: the same
+    few recur in every system of supports over the same coordinates."""
+    low, middle, high = _BYTE_COORDS
+    return frozenset(low[h & 255] + middle[h >> 8 & 255] + high[h >> 16])
+
+
+def _masks_in_order(s: int):
+    """The masks of the subsets of 1..s by size and then lexicographically,
+    the order of ``SystemOfSupports.families``."""
+    bits = [1 << j for j in range(s)]
+    return (sum(c) for r in range(s + 1) for c in itertools.combinations(bits, r))
+
+
+def _in_order(S) -> list:
+    """(mask, H) for each support set H in S, in the order of ``families``."""
+    return [(_mask(H), H) for H in sorted(S, key=_iset_key)]
 
 
 class SystemOfSupports(Record):
@@ -58,125 +88,96 @@ class SystemOfSupports(Record):
     extracted from a system of equations and congruences, whose A_H are
     full by construction.  ``S`` is the set of the H.
 
-    The systems the library builds (``extract``, ``a_plus_inf_a``,
-    ``b_min``, ``b_max``) hold a test that admits H into S and a builder
-    for A_H instead of the families, and build each A_H on first use.
-    ``member_via_supports`` and ``basis_for`` build only the family they
-    read; ``families`` and ``S`` build them all, in the same order and
-    with the same values as the eager constructor, so equality, hashing,
-    repr, JSON and pickling see the same record.  The memo ``_by_H``
-    only stores what the builder returns, keyed by the ``_shared`` set
-    (``None`` for an H outside S), so concurrent readers can at worst
+    Every instance holds the same three things over support masks: a
+    test ``admit(h)`` that decides whether a mask h below 2^s is in S;
+    a builder ``build(h, known)`` of A_h for an admitted h, as a basis
+    of dimension s - |h|, where ``known`` maps some masks to their
+    families (``None`` outside S) and may be read, not written; and
+    ``listing()``, the masks of S in the order of ``families``, each
+    with its support set, built once by the walk that finds it.  The
+    validating constructor builds the three from its checked input; the
+    systems the library builds (``extract``, ``a_plus_inf_a``,
+    ``b_min``, ``b_max``) pass their own to ``_deferred``.  Each A_h is
+    built on first use and memoized in ``_by_h``: ``member_via_supports``
+    and ``basis_for`` build only the family they read; ``families`` and
+    ``S`` build them all, in order, so equality, hashing, repr, JSON and
+    pickling see one record whichever way it was made.  The memo only
+    stores what the builder returns, so concurrent readers can at worst
     repeat work.
     """
 
     _fields = ("s", "unit", "families", "solution_backed")
-    __slots__ = ("s", "unit", "solution_backed", "_families", "_S", "_by_H", "_lazy")
+    __slots__ = ("s", "unit", "solution_backed", "_admit", "_build", "_listing",
+                 "_by_h", "_families")
 
     def __init__(self, s: int, unit: Vec, families: tuple,
                  solution_backed: bool = False):
+        check_dim(s)
         unit = check_vec(unit, "unit")
         if len(unit) != s:
             raise ValueError(f"unit has length {len(unit)}, expected {s}")
         if any(v is INF or v < 1 for v in unit):
             raise ValueError(f"unit must be strictly positive and finite, got {unit}")
-        fams = []
-        seen = set()
+        by_h = {}
         for H, basis in families:
-            H = _shared(check_index_set(H, s))
-            if H in seen:
+            H = check_index_set(H, s)
+            h = _mask(H)
+            if h in by_h:
                 raise ValueError(f"duplicate support set {sorted(H)}")
-            seen.add(H)
             if not isinstance(basis, HilbertBasis):
                 raise ValueError("family entries must be HilbertBasis instances")
             if basis.dim != s - len(H):
                 raise ValueError(
                     f"basis for H={sorted(H)} has dimension {basis.dim}, "
                     f"expected {s - len(H)}")
-            fams.append((H, basis))
-        fams.sort(key=lambda hb: _iset_key(hb[0]))
-        self._init(s, unit, tuple(fams), solution_backed)
-
-    def _init(self, s, unit, families, solution_backed) -> None:
-        by_H = dict(families)
-        self._set(s=s, unit=unit, solution_backed=solution_backed, _by_H=by_H,
-                  _S=frozenset(by_H), _families=families, _lazy=None)
-
-    def _set(self, **values) -> None:
-        for name, value in values.items():  # in the order given, which readers rely on
-            object.__setattr__(self, name, value)
+            by_h[h] = basis
+        order = _in_order(map(_index_set, by_h))
+        self._hold(s, unit, solution_backed, by_h.__contains__,
+                   lambda h, _known: by_h[h], lambda: order)
 
     @classmethod
-    def _deferred(cls, s: int, unit: Vec, admit, build, supports,
+    def _deferred(cls, s: int, unit: Vec, admit, build, listing,
                   solution_backed: bool = False) -> "SystemOfSupports":
-        """A system the library builds itself, unvalidated, whose families
-        are built on first use.
-
-        ``unit`` is a strictly positive int tuple of length s.
-        ``admit(H)`` decides whether a subset H of 1..s lies in S.
-        ``build(H, known)`` returns A_H for an admitted H, as a basis of
-        dimension s - |H|; ``known`` maps some H to their families
-        (``None`` for an H outside S) and may be read, not written.
-        ``supports()`` lists S in the order of ``families``.
-        """
+        """A system the library builds itself, unvalidated: ``unit`` is a
+        strictly positive int tuple of length s."""
         self = object.__new__(cls)
-        self._set(s=s, unit=unit, solution_backed=solution_backed, _by_H={},
-                  _S=None, _families=None, _lazy=(admit, build, supports))
+        self._hold(s, unit, solution_backed, admit, build, listing)
         return self
+
+    def _hold(self, *values) -> None:
+        """Store the values in slot order, with an empty memo."""
+        for name, value in zip(self.__slots__, values + ({}, None), strict=True):
+            object.__setattr__(self, name, value)
 
     @property
     def families(self) -> tuple:
-        fams = self._families
-        if fams is None:
-            fams = self._build_families()
-        return fams
+        if self._families is None:
+            fams = []
+            for h, H in self._listing():
+                basis = self._by_h.get(h)
+                if basis is None:
+                    basis = self._by_h[h] = self._build(h, self._by_h)
+                fams.append((H, basis))
+            object.__setattr__(self, "_families", tuple(fams))
+        return self._families
 
     @property
     def S(self) -> frozenset:
-        if self._S is None:
-            self._build_families()
-        return self._S
+        return frozenset(H for H, _ in self.families)
 
-    def _build_families(self) -> tuple:
-        lazy = self._lazy
-        if lazy is None:  # built meanwhile, and _families is set before _lazy clears
-            return self._families
-        _, build, supports = lazy
-        known = self._by_H
-        fams = []
-        for H in supports():
-            H = _shared(H)
-            basis = known.get(H)
-            if basis is None:
-                basis = known[H] = build(H, known)
-            fams.append((H, basis))
-        fams = tuple(fams)
-        by_H = dict(fams)
-        # readers check _lazy first, then _by_H, _S or _families
-        self._set(_by_H=by_H, _S=frozenset(by_H), _families=fams, _lazy=None)
-        return fams
-
-    def _family(self, H: IndexSet):
-        """A_H, or None when H is not in S: one dict lookup, and the
-        builder only on a miss.  ``_lazy`` is read first: once it is
-        None, ``_by_H`` holds every family."""
-        lazy = self._lazy
+    def _family(self, h: int):
+        """A_h for a mask h below 2^s, or None when h is not in S: one
+        dict lookup, and the admission test and builder only on a miss."""
         try:
-            return self._by_H[H]
+            return self._by_h[h]
         except KeyError:
-            if lazy is None:
-                return None
-        key = frozenset(i for i in range(1, self.s + 1) if i in H)
-        if len(key) != len(H):  # not a subset of the coordinates
-            return None
-        admit, build, _ = lazy
-        key = _shared(key)
-        basis = self._by_H[key] = build(key, self._by_H) if admit(key) else None
-        return basis
+            basis = self._by_h[h] = self._build(h, self._by_h) if self._admit(h) else None
+            return basis
 
     def basis_for(self, H) -> HilbertBasis:
         H = frozenset(H)
-        basis = self._family(H)
+        h = _mask(i for i in range(1, self.s + 1) if i in H)
+        basis = self._family(h) if h.bit_count() == len(H) else None
         if basis is None:
             raise KeyError(H)
         return basis
@@ -199,7 +200,7 @@ class SystemOfSupports(Record):
     def from_json(cls, obj: dict) -> "SystemOfSupports":
         if not isinstance(obj, dict) or "s" not in obj:
             raise ValueError("system-of-supports JSON needs keys s, unit, supports")
-        s = obj["s"]
+        s = check_dim(obj["s"])
         fams = []
         for entry in obj.get("supports", ()):
             H = frozenset(entry["H"])
@@ -210,12 +211,17 @@ class SystemOfSupports(Record):
 
 # -- extraction from a defining system ---------------------------------------
 
-def _admits(sys: DioSystem, H: IndexSet) -> bool:
-    """Is H an infinite support of sys?  Zero-pattern criterion, row by
-    equation row: the all-inf-on-H vector solves a row iff the row
-    misses H entirely or both sides meet H."""
-    return all(any(f[i - 1] for i in H) == any(g[i - 1] for i in H)
-               for f, g in zip(sys.F, sys.G))
+def _row_masks(sys: DioSystem) -> tuple:
+    """The support masks of the equation rows, as (F, G) pairs, and of the congruences."""
+    return ([(_supp_mask(f), _supp_mask(g)) for f, g in zip(sys.F, sys.G)],
+            [_supp_mask(d) for d in sys.D])
+
+
+def _admits(equations, h: int) -> bool:
+    """Is h an infinite support?  Zero-pattern criterion, row by equation
+    row: the all-inf-on-h vector solves a row iff the row misses h
+    entirely or both sides meet h."""
+    return all((not f & h) == (not g & h) for f, g in equations)
 
 
 def _check_powerset(s: int) -> None:
@@ -233,10 +239,6 @@ def _system_unit(unit: Vec | None) -> Vec:
     return unit
 
 
-def require_order_unit(sys: DioSystem) -> Vec:
-    return _system_unit(find_order_unit(sys))
-
-
 def infinite_supports(sys: DioSystem, unit_checked: bool = False) -> frozenset:
     """The exact set {inf-supp(b) : b solves sys}, decided subset by subset.
 
@@ -246,35 +248,28 @@ def infinite_supports(sys: DioSystem, unit_checked: bool = False) -> frozenset:
     loop is refused before it starts.
     """
     if not unit_checked:
-        require_order_unit(sys)
+        _system_unit(find_order_unit(sys))
     _check_powerset(sys.s)
-    coords = range(1, sys.s + 1)
-    out = []
-    for r in range(len(coords) + 1):
-        for combo in itertools.combinations(coords, r):
-            H = frozenset(combo)
-            if _admits(sys, H):
-                out.append(H)
-    return frozenset(out)
+    equations, _ = _row_masks(sys)
+    return frozenset(_index_set(h) for h in _masks_in_order(sys.s)
+                     if _admits(equations, h))
 
 
-def _subsystem(sys: DioSystem, H: IndexSet) -> DioSystem:
-    keep = [i for i in range(1, sys.s + 1) if i not in H]
+def _subsystem(sys: DioSystem, masks, h: int) -> DioSystem:
+    keep = [j for j in range(sys.s) if not h >> j & 1]
     if not keep:
         raise ValueError("the complement of H is empty; the attached monoid is trivial")
-    drop = lambda row: tuple(row[i - 1] for i in keep)
+    drop = lambda row: tuple(row[j] for j in keep)
     F, G = [], []
-    for f, g in zip(sys.F, sys.G):
-        if any(f[i - 1] for i in H) or any(g[i - 1] for i in H):
-            continue
-        F.append(drop(f))
-        G.append(drop(g))
+    for f, g, (mf, mg) in zip(sys.F, sys.G, masks[0]):
+        if not (mf | mg) & h:
+            F.append(drop(f))
+            G.append(drop(g))
     D, moduli = [], []
-    for d, m in zip(sys.D, sys.moduli):
-        if any(d[i - 1] for i in H):
-            continue
-        D.append(drop(d))
-        moduli.append(m)
+    for d, m, md in zip(sys.D, sys.moduli, masks[1]):
+        if not md & h:
+            D.append(drop(d))
+            moduli.append(m)
     return DioSystem._trusted(len(keep), tuple(F), tuple(G), tuple(D), tuple(moduli))
 
 
@@ -293,9 +288,10 @@ def subsystem_for(sys: DioSystem, H) -> DioSystem:
     coordinates is refused.  A set that is not a support raises ValueError.
     """
     H = check_index_set(H, sys.s)
-    if not _admits(sys, H):
+    h, masks = _mask(H), _row_masks(sys)
+    if not _admits(masks[0], h):
         raise ValueError(f"{sorted(H)} is not an infinite support of the system")
-    return _subsystem(sys, H)
+    return _subsystem(sys, masks, h)
 
 
 def extract(sys: DioSystem) -> SystemOfSupports:
@@ -309,17 +305,18 @@ def extract(sys: DioSystem) -> SystemOfSupports:
     basis0 = hilbert_basis(sys)
     unit = _system_unit(basis0.order_unit())
     _check_powerset(sys.s)
+    masks = _row_masks(sys)
 
-    def build(H, _known):
-        if not H:
+    def build(h, _known):
+        if not h:
             return basis0
-        if len(H) == sys.s:
+        if h.bit_count() == sys.s:
             return HilbertBasis(0, ())
-        return hilbert_basis(_subsystem(sys, H))
+        return hilbert_basis(_subsystem(sys, masks, h))
 
     return SystemOfSupports._deferred(
-        sys.s, unit, lambda H: _admits(sys, H), build,
-        lambda: sorted(infinite_supports(sys, unit_checked=True), key=_iset_key),
+        sys.s, unit, lambda h: _admits(masks[0], h), build,
+        lambda: _in_order(infinite_supports(sys, unit_checked=True)),
         solution_backed=True)
 
 
@@ -330,11 +327,16 @@ def member_via_supports(sos: SystemOfSupports, x: Vec) -> bool:
     admissible H and its finite projection lies in A_H."""
     if len(x) != sos.s:
         raise ValueError(f"vector has length {len(x)}, expected {sos.s}")
-    H = inf_supp(x)
-    basis = sos._family(H)
+    h, finite = 0, []
+    for j, v in enumerate(x):
+        if v is INF:
+            h |= 1 << j
+        else:
+            finite.append(v)
+    basis = sos._family(h)
     if basis is None:
         return False
-    return in_generated(basis.gens, project(x, H))
+    return in_generated(basis.gens, finite)
 
 
 def generators(sos: SystemOfSupports) -> tuple:
@@ -369,14 +371,12 @@ def generators(sos: SystemOfSupports) -> tuple:
       inf.  So it is redundant iff g is in the N0-span of the nonzero
       projections outside H of the other candidates with inf-supp
       inside H.
-
-    Supports are int bitmasks, bit i - 1 for coordinate i.
     """
-    bits = [1 << i for i in range(sos.s)]
     fams = []
     for H, basis in sos.families:
-        outside = [bits[i - 1] for i in range(1, sos.s + 1) if i not in H]
-        fams.append((H, sum(bits[i - 1] for i in H), outside, basis.gens))
+        h = _mask(H)
+        outside = [1 << j for j in range(sos.s) if not h >> j & 1]
+        fams.append((H, h, outside, basis.gens))
     gen_supps = {h | sum(b for b, v in zip(outside, g) if v)
                  for _, h, outside, gens in fams for g in gens}
     supps = gen_supps | {h for _, h, _, _ in fams}
@@ -427,18 +427,17 @@ def support_closure(gens) -> frozenset:
     2^MAX_POWERSET_DIM the loop is refused before it starts, so no
     input with at most MAX_POWERSET_DIM coordinates is refused.
     """
-    supps = _capped_supports(gens)
-    out = {frozenset()}
-    for H in supps:
-        out |= {K | H for K in out}
-    return frozenset(out)
+    out = {0}
+    for m in _capped_supports(gens):
+        out |= {k | m for k in out}
+    return frozenset(map(_index_set, out))
 
 
 def _capped_supports(gens) -> set:
-    """The distinct generator supports, refused as ``support_closure``
-    refuses them: before any union is formed."""
-    supps = {_shared(supp(g)) for g in gens}
-    size = min(len(frozenset().union(*supps)), len(supps))
+    """The distinct generator support masks, refused as
+    ``support_closure`` refuses them: before any union is formed."""
+    supps = {_supp_mask(g) for g in gens}
+    size = min(reduce(or_, supps, 0).bit_count(), len(supps))
     if size > MAX_POWERSET_DIM:
         raise ResourceLimitError(
             f"support_closure: up to 2^{size} unions of generator supports "
@@ -481,17 +480,15 @@ def validate(sos: SystemOfSupports) -> list:
                           f"{sorted(H)} ∪ {sorted(K)} missing")
 
     for H, basis in sos.families:
-        comp = sos.complement(H)
         for g in basis.gens:
-            lifted = H | frozenset(comp[j] for j in range(len(comp)) if g[j])
-            if lifted not in S:
+            if supp(inject(g, H)) not in S:
                 issues.append(f"(3) H ∪ supp(x) escapes S for H={sorted(H)}, x={g}")
 
     for H, basis_H in sos.families:
+        comp_H = sos.complement(H)
         for K, basis_K in sos.families:
             if not H < K:
                 continue
-            comp_H = sos.complement(H)
             positions = [j for j in range(len(comp_H)) if comp_H[j] not in K]
             for g in basis_H.gens:
                 image = tuple(g[j] for j in positions)

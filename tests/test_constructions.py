@@ -13,6 +13,7 @@ from supportmonoids import (INF, DioSystem, DirectSumData, HilbertBasis,
                             monoid_sum, truncated_members, validate)
 from supportmonoids.constructions import _rank
 from supportmonoids.errors import MissingOrderUnitError, ResourceLimitError
+from supportmonoids.semiring import canonical_sorted
 from oracles import o_finite_closure, o_rank
 from test_supports import assert_lazy_matches_eager, seeded_extractable_systems
 
@@ -366,6 +367,35 @@ def test_decomposed_almost_free():
     assert not decomposed_almost_free(partial_shadow)
 
 
+def test_decompose_splits_the_minimal_generators_of_a_public_basis():
+    # (2, 0) = 2·(1, 0) is redundant; the witness holds minimal factors,
+    # so it survives JSON
+    d = decompose_direct_sum(HilbertBasis(2, ((0, 1), (1, 0), (2, 0))))
+    assert (d.B1, d.B2, d.f1, d.f2) == (HilbertBasis.free(1),) * 2 + (((),),) * 2
+    assert DirectSumData.from_json(d.to_json()) == d
+    rng = random.Random(1313)
+    found = 0
+    for b in seeded_bases(rng, 200):
+        sums = sorted({tuple(x + y for x, y in zip(g, h)) for g in b.gens for h in b.gens})
+        padded = b.gens + tuple(rng.sample(sums, rng.randint(1, min(4, len(sums)))))
+        d = decompose_direct_sum(HilbertBasis(b.dim, canonical_sorted(padded)))
+        assert d == decompose_direct_sum(b)
+        if d is not None:
+            found += 1
+            assert DirectSumData.from_json(d.to_json()) == d
+    assert found >= 50
+
+
+def test_decompose_twenty_generators_without_a_split():
+    # every one of the 2^19 splits is tried; each ORs precomputed masks
+    gens = [(1, 0, k) for k in range(1, 11)] + [(0, 1, k) for k in range(1, 11)]
+    b = HilbertBasis.from_generators(3, gens)
+    assert len(b.gens) == 20
+    start = time.perf_counter()
+    assert decompose_direct_sum(b) is None
+    assert time.perf_counter() - start < 5
+
+
 def test_decompose_generator_cap():
     gens = [tuple(1 if j == i else 0 for j in range(21)) for i in range(21)]
     with pytest.raises(ResourceLimitError):
@@ -471,10 +501,11 @@ def test_constructions_build_only_the_family_a_query_reads():
     for construct in (a_plus_inf_a, b_min, b_max):
         sos = construct(A)
         assert member_via_supports(sos, (INF, INF, 3, 1))
-        assert len(sos._by_H) == 1 and sos._families is None
+        assert list(sos._by_h) == [0b0011] and sos._families is None
         # {1} contains no generator support: only b_max admits it
         assert member_via_supports(sos, (INF, 0, 0, 0)) == (construct is b_max)
-        assert len(sos._by_H) == 2 and sos._families is None
+        assert list(sos._by_h) == [0b0011, 0b0001] and sos._families is None
+        assert (sos._by_h[0b0001] is None) == (construct is not b_max)
 
 
 def test_constructions_refuse_seventeen_coordinates_at_the_call():

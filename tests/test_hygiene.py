@@ -1,11 +1,13 @@
-"""Static checks on the package source: no unused import, no dead code.
+"""Static checks on the package source: no unused import, no dead code,
+no unread parameter.
 
 Every module of ``src/supportmonoids`` is parsed with ``ast``.  An
 import is used when the module reads the name it binds, or lists it in
 its ``__all__``.  A module-level function, class or constant (a name
 bound by a plain or annotated assignment, dunders aside) is alive when
 the package's ``__all__`` lists it, or when some module of the package
-reads or imports its name outside the definition itself.
+reads or imports its name outside the definition itself.  A parameter
+of a function or lambda is alive when its body reads it.
 """
 
 import ast
@@ -97,3 +99,32 @@ def test_every_module_level_definition_is_used():
                 if outside <= 0:
                     dead.append(f"{name}:{node.lineno}: {defined}")
     assert not dead, "definitions nothing uses:\n" + "\n".join(dead)
+
+
+def _parameters(node):
+    args = node.args
+    every = (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+    return [a.arg for a in every if a is not None]
+
+
+def test_every_parameter_is_read():
+    """A parameter that its function's body never reads is a knob nobody
+    turns.  Dunder methods, the receivers ``self`` and ``cls``, and
+    parameters whose name starts with an underscore are exempt."""
+    unread = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Lambda):
+                label, body = "lambda", [node.body]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                label, body = node.name, node.body
+            else:
+                continue
+            reads = {sub.id for stmt in body for sub in ast.walk(stmt)
+                     if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            unread += [f"{name}:{node.lineno}: {label}({p})" for p in _parameters(node)
+                       if p not in reads and not p.startswith("_")
+                       and p not in ("self", "cls")]
+    assert not unread, "parameters nothing reads:\n" + "\n".join(unread)

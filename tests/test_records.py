@@ -234,7 +234,7 @@ def test_library_built_records_equal_their_validated_rebuild():
         back = pickle.loads(pickle.dumps(r))
         assert back == r and repr(back) == repr(r)
         if isinstance(r, SystemOfSupports):
-            assert again.S == r.S == back.S and again._by_H == r._by_H == back._by_H
+            assert again.S == r.S == back.S and again._by_h == r._by_h == back._by_h
 
 
 def test_system_of_supports_loader_checks_every_entry():
@@ -246,3 +246,15 @@ def test_system_of_supports_loader_checks_every_entry():
     assert str(err.value) == "generator entry: expected an integer, got True"
     doc["supports"][0]["basis"].pop()
     assert SystemOfSupports.from_json(doc).basis_for(()) == HilbertBasis.free(2)
+
+
+def test_system_of_supports_checks_its_dimension():
+    fams = ((fset(), B1), (fset(1), B0))
+    doc = {"unit": [1], "supports": [{"H": [], "basis": [[1]]}, {"H": [1], "basis": []}]}
+    for s in (True, 1.0, "1", 0, 25):
+        with pytest.raises(ValueError, match="dimension"):
+            SystemOfSupports(s, (1,), fams)
+        with pytest.raises(ValueError, match="dimension"):
+            SystemOfSupports.from_json({"s": s, **doc})
+    assert SystemOfSupports.from_json({"s": 1, **doc}) == SystemOfSupports(1, (1,), fams)
+    assert SystemOfSupports(1, (1,), fams).to_json()["s"] == 1

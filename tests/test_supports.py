@@ -19,6 +19,7 @@ from supportmonoids import (INF, DioSystem, HilbertBasis, SystemOfSupports,
                             truncated_members, validate)
 from supportmonoids.errors import MissingOrderUnitError, ResourceLimitError
 from supportmonoids.semiring import canonical_sorted
+from supportmonoids.supports import _index_set, _mask, _masks_in_order
 
 RANDCLOSURE = DioSystem(s=3, F=((1, 1, 0),), G=((1, 0, 1),))
 PARITY = DioSystem(s=2, D=((1, 1),), moduli=(2,))
@@ -530,14 +531,13 @@ def test_extract_builds_only_the_families_it_reads(monkeypatch):
     sos = extract(DioSystem(s=4, D=((1, 1, 1, 0),), moduli=(2,)))
     assert member_via_supports(sos, (INF, INF, 1, 0))
     assert len(calls) <= 2
-    [key] = sos._by_H
-    assert key == fset(1, 2) and key is supports._shared(fset(1, 2))
-    query = fset(3)
-    assert sos.basis_for(query) == HilbertBasis.free(3)
-    [key] = (K for K in sos._by_H if K == query)
-    assert key is supports._shared(query) and key is not query
-    # building every family reuses the two already built
+    assert list(sos._by_h) == [0b0011] and sos._families is None
+    assert sos.basis_for(fset(3)) == HilbertBasis.free(3)
+    assert list(sos._by_h) == [0b0011, 0b0100]
+    # building every family reuses the two already built, and each
+    # support set is the one shared object of its mask
     assert len(sos.S) == 16 and len(calls) == 1 + 14
+    assert all(H is _index_set(_mask(H)) for H, _ in sos.families)
 
 
 def test_extract_refuses_seventeen_coordinates_at_the_call():
@@ -546,7 +546,24 @@ def test_extract_refuses_seventeen_coordinates_at_the_call():
     # sixteen are accepted, and one query builds one family
     sos = extract(DioSystem(s=16))
     assert member_via_supports(sos, (INF,) * 8 + (1,) * 8)
-    assert len(sos._by_H) == 1 and sos._families is None
+    assert list(sos._by_h) == [0xFF] and sos._families is None
+
+
+def test_masks_walk_the_subsets_by_size_then_lexicographically():
+    for s in range(9):
+        restated = [frozenset(c) for r in range(s + 1)
+                    for c in itertools.combinations(range(1, s + 1), r)]
+        assert [_index_set(h) for h in _masks_in_order(s)] == restated
+
+
+def test_index_sets_round_trip_through_masks():
+    rng = random.Random(109)
+    for _ in range(500):
+        H = frozenset(rng.sample(range(1, 25), rng.randint(0, 24)))
+        h = _mask(H)
+        assert h == sum(2 ** (i - 1) for i in H)
+        assert _index_set(h) == H and _mask(_index_set(h)) == h
+        assert _index_set(h) is _index_set(h)
 
 
 def test_concurrent_readers_of_lazy_systems_agree():
