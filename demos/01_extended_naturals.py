@@ -6,7 +6,7 @@ inf, multiplication by inf keeps everything infinite except 0, and
 nothing.
 """
 
-from supportmonoids import INF, add, divides, mul, parse_vec, scale, supports, vec_add
+from supportmonoids import INF, add, divides, mul, parse_vec, scale, support_pair, vec_add
 
 print("-- scalars ------------------------------------------------")
 print("2 + 3      =", add(2, 3))
@@ -25,7 +25,7 @@ print("inf*x + y     =", vec_add(scale(INF, x), y))
 print()
 print("-- supports -----------------------------------------------")
 z = parse_vec("inf,1,0")
-s, infs = supports(z)
+s, infs = support_pair(z)
 print("vector        =", z)
 print("support       =", sorted(s))
 print("inf-support   =", sorted(infs))

@@ -22,7 +22,8 @@ from .hilbert import (HilbertBasis, find_order_unit, generated_truncated,
 from .ranks import RankMatrix, is_extended, realize_wiegand, vstar_system
 from .semiring import (INF, add, divides, format_extnat, format_vec, inf_supp,
                        inject, mul, parse_extnat, parse_vec, project, scale,
-                       supp, supports, vec_add, vec_from_json, vec_to_json)
+                       supp, vec_add, vec_from_json, vec_to_json)
+from .semiring import supports as support_pair
 from .supports import (SystemOfSupports, extract, generators,
                        infinite_supports, is_almost_free, is_full,
                        member_via_supports, minimal_nonempty, subsystem_for,
@@ -31,7 +32,7 @@ from .supports import (SystemOfSupports, extract, generators,
 __version__ = "0.1.0"
 
 __all__ = [
-    "INF", "add", "mul", "vec_add", "scale", "supports", "supp", "inf_supp",
+    "INF", "add", "mul", "vec_add", "scale", "supp", "inf_supp", "support_pair",
     "divides", "project", "inject", "parse_extnat", "format_extnat",
     "parse_vec", "format_vec", "vec_from_json", "vec_to_json",
     "DioSystem", "is_member", "lift_congruences", "intersect",

@@ -304,7 +304,7 @@ def decomposed_almost_free(d: DirectSumData) -> bool:
     unions over the generators used, so the generator check is exact).
     """
     for basis, rows in ((d.B1, d.f1), (d.B2, d.f2)):
-        if basis != HilbertBasis.free(basis.dim):
+        if not basis.is_free():
             return False
         if not all(all(r) for r in rows):
             return False

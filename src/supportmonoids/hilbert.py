@@ -24,7 +24,11 @@ Lamport, "Multiple byte processing with full-word instructions", CACM
   w = cap.bit_length() + 1, so an entry of at most cap leaves the top
   bit of its field, the guard, clear; ``top`` holds every guard bit;
 * a packed x dominates a packed y (x >= y coordinatewise) iff
-  (x | top) - y still has every guard bit set: no field borrows;
+  (x | top) - y still has every guard bit set: no field borrows; that
+  word with the guard bits cleared is then x - y;
+* with ``ones`` a 1 at the foot of every field, ((x | top) - ones) & top
+  holds the guard bit of exactly the nonzero fields of x: a field keeps
+  its guard bit after losing 1 iff it held at least 1;
 * a biased word adds ``bias``, 2^(w-1) - 1 - cap, to every field.  A
   biased field holding a <= cap plus an entry b <= cap + 1 stays below
   2^w, so no field carries into the next, and its guard bit is set iff
@@ -50,17 +54,25 @@ is decided by finite membership of its projection off lam: generators
 supported inside lam take inf coefficients and cover their supports,
 and the rest of lam is covered by peeling off, one at a time, a copy
 of a generator that is inf there.
+
+The finite search runs on packed words with fields for entries up to
+max(x).  Every remainder lies below x, and every generator it tries
+does too (the others are dropped first), so every entry fits.  Packing
+is a bijection for a fixed layout, and the dominance and nonzero-field
+tests above answer exactly what the tuple tests did, so the search
+visits the same (generator, remainder) states in the same order as a
+search on tuples, and memoizes the same failures.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, mul
+from operator import add, le, mul
 
 from .equations import ENUMERATION_GUARD, DioSystem, lift_congruences
 from .errors import ResourceLimitError
-from .semiring import (INF, MAX_DIM, Record, Vec, _supp_mask, canonical_sorted, check_dim,
-                       check_int, unit_vec)
+from .semiring import (INF, MAX_DIM, Record, Vec, canonical_sorted, check_dim, check_int,
+                       unit_vec)
 
 MAX_COMPLETION_STATES = 1_000_000
 
@@ -68,10 +80,12 @@ MAX_COMPLETION_STATES = 1_000_000
 class HilbertBasis(Record):
     """A canonical finite generating set of a submonoid of N0^dim.
 
-    Generators are all-finite, nonzero, pairwise distinct, sorted
-    canonically, and minimal: none lies in the monoid generated by the
-    others.  Build instances through ``from_generators`` unless the list
-    is already in that shape.
+    The constructor checks that the generators have length dim, entries
+    in N0, none zero, none repeated, and canonical order; it does not
+    check that they are minimal (none in the monoid generated by the
+    others).  ``from_generators`` minimizes, and every basis the library
+    computes is minimal.  Build instances through it unless the list is
+    already in that shape.
     """
 
     __slots__ = _fields = ("dim", "gens")
@@ -145,6 +159,12 @@ class HilbertBasis(Record):
         check_dim(dim, 0)
         return _free_basis(dim)
 
+    def is_free(self) -> bool:
+        """Does the basis generate all of N0^dim?  Its generators are
+        nonzero, so exactly when they hold every unit vector (atoms,
+        module docstring), minimal or not."""
+        return len(_atoms(self.gens)) == self.dim
+
     def order_unit(self):
         """The sum of the generators when it is strictly positive, else None.
 
@@ -183,7 +203,7 @@ class _Fields:
     """The packed-word layout for dim fields holding entries up to cap;
     see "Packed words" in the module docstring."""
 
-    __slots__ = ("dim", "cap", "width", "shifts", "field", "top", "bias")
+    __slots__ = ("dim", "cap", "width", "shifts", "field", "ones", "top", "bias")
 
     def __init__(self, dim: int, cap: int):
         width = cap.bit_length() + 1
@@ -194,6 +214,7 @@ class _Fields:
         self.width = width
         self.shifts = range(0, dim * width, width)
         self.field = field
+        self.ones = ones
         self.top = ones << (width - 1)
         self.bias = ones * ((1 << (width - 1)) - 1 - cap)
 
@@ -405,36 +426,52 @@ def in_generated(gens, x: Vec) -> bool:
 def _in_generated_finite(pool, x) -> bool:
     """in_generated for an all-finite x and nonzero generators of its length.
 
-    Supports are int bitmasks; the coordinates some generator from k on
-    can still reduce are the OR of their masks, and a remainder with a
-    nonzero coordinate outside that OR is rejected without a search.
+    A depth-first search over the generators that fit below x, in pool
+    order: generator k takes each coefficient from the largest that fits
+    down to 1, then 0, and a remainder that failed from k on is
+    memoized as (k, r).  x, the remainders and those generators are
+    packed words with fields for entries up to max(x) ("Packed words"
+    in the module docstring): g fits r iff (r | top) - g keeps every
+    guard bit, and a remainder with a nonzero field that no generator
+    from k on reaches is rejected without a search.  No generator with
+    entries in N0* reaches a negative entry, so such an x is answered
+    before anything is packed.
     """
-    gens = [g for g in pool if all(v is not INF and v <= t for v, t in zip(g, x))]
-    reach = [0] * (len(gens) + 1)
-    for k in range(len(gens) - 1, -1, -1):
-        reach[k] = reach[k + 1] | _supp_mask(gens[k])
+    if min(x, default=0) < 0:
+        return False
+    # INF <= t is False for every finite t
+    gens = [g for g in pool if all(map(le, g, x))]
+    fields = _Fields(len(x), max(x, default=0))
+    top, ones = fields.top, fields.ones
+    start, *words = fields.pack([x, *gens])
+    reach = [0] * (len(words) + 1)
+    for k in range(len(words) - 1, -1, -1):
+        reach[k] = reach[k + 1] | ((words[k] | top) - ones) & top
     failed = set()
 
-    def search(k, remaining) -> bool:
-        need = _supp_mask(remaining)
+    def search(k, r) -> bool:
+        need = ((r | top) - ones) & top
         if not need:
             return True
         if need & ~reach[k]:
             return False
-        state = (k, remaining)
+        state = (k, r)
         if state in failed:
             return False
-        g = gens[k]
-        top = min(r // v for r, v in zip(remaining, g) if v)
-        for c in range(top, 0, -1):
-            if search(k + 1, tuple(r - c * v for r, v in zip(remaining, g))):
+        g = words[k]
+        rest = []
+        t = r | top
+        while (t := t - g) & top == top:
+            rest.append(t ^ top)
+        for r2 in reversed(rest):
+            if search(k + 1, r2):
                 return True
-        if search(k + 1, remaining):
+        if search(k + 1, r):
             return True
         failed.add(state)
         return False
 
-    return search(0, x)
+    return search(0, start)
 
 
 def minimize_generators(gens) -> tuple:
@@ -541,20 +578,31 @@ def generated_truncated(gens, bound: int, dim: int) -> frozenset:
     """All elements of the N0*-generated monoid with every coordinate in
     {0, ..., bound, inf}.
 
-    Closure under adding g and adding inf·g suffices: in any sum the
-    inf-producing summands can be applied first, after which every
-    partial sum stays inside the truncated domain.  Points and moves
-    are truncated packed words (module docstring); a point keeps its
-    fields biased, so adding a move's fields and masking both keep
-    masks gives the biased sum, whose guard bits flag an entry above the
-    bound.
+    Exact by saturation.  Sending each entry to itself up to bound, to
+    ``over`` past it and inf to inf is a monoid map onto {0, ..., bound,
+    over, inf}, where a finite sum past bound is over, over plus a
+    finite entry is over, and anything plus inf is inf.  A member is
+    kept iff its image has no over entry, and then it is its image; the
+    image of the monoid is the closure of 0 under adding the images of
+    every g and inf·g.  That closure is finite and commutative, so the
+    moves are taken one at a time: the points so far are closed under
+    adding the next move, a copy per round.  The points with an over
+    entry are dropped at the end.
+
+    Points and moves are truncated packed words (module docstring).  A
+    point keeps its finite fields biased and an over field as its guard
+    bit alone, outside its keep mask; a move's fields are masked with
+    that keep mask before the addition, so an over field receives
+    nothing and the fields of ``_Fields(dim, bound)`` never carry.  A
+    kept field whose guard bit the addition sets becomes over.
 
     Refused with ResourceLimitError before any point is built when both
-    counts of the points it could build exceed ENUMERATION_GUARD: the
-    domain holds (bound + 2)^dim points, and a member in it takes 0 to
-    bound // m finite copies of each generator g, or inf copies, where m
-    is g's largest finite entry (a generator with no positive finite
-    entry has two choices).
+    counts of the points the closure could build exceed
+    ENUMERATION_GUARD: the quotient holds (bound + 3)^dim points, and
+    the multiples of a generator g have at most bound // m + 3 images,
+    where m is g's least positive finite entry: 0 to bound // m + 1
+    copies (every positive finite entry is over from there on) and inf
+    copies.  A generator with no positive finite entry has two.
     """
     _check_bound(bound)
     moves = []
@@ -565,33 +613,37 @@ def generated_truncated(gens, bound: int, dim: int) -> frozenset:
             raise ValueError(f"generator {g} has length {len(g)}, expected {dim}")
         moves.append(g)
         moves.append(tuple(INF if v != 0 else 0 for v in g))
-        m = max((v for v in g if v is not INF), default=0)
-        choices *= (bound // m + 2) if m > 0 else 2
-    size = min((bound + 2) ** dim, choices)
+        m = min((v for v in g if v is not INF and v), default=0)
+        choices *= (bound // m + 3) if m else 2
+    size = min((bound + 3) ** dim, choices)
     if size > ENUMERATION_GUARD:
         raise ResourceLimitError(
-            f"generated_truncated: up to {size} points with entries in 0..{bound} "
-            f"or inf in dimension {dim} exceed the enumeration guard {ENUMERATION_GUARD}")
+            f"generated_truncated: up to {size} saturated points, for an answer among "
+            f"the {(bound + 2) ** dim} with entries in 0..{bound} or inf in dimension "
+            f"{dim}, exceed the enumeration guard {ENUMERATION_GUARD}")
     fields = _Fields(dim, bound)
-    moves = fields.pack_truncated(moves)
-    top, bias = fields.top, fields.bias
+    top, bias, shift = fields.top, fields.bias, fields.width - 1
     [(_, _, keep0)] = fields.pack_truncated([(0,) * dim])
-    seen = {bias << dim}
-    frontier = [(0, bias, keep0)]
-    while frontier:
-        nxt = []
-        for inf, fin, keep in frontier:
-            for inf_g, fin_g, keep_g in moves:
-                total = (fin + fin_g) & keep & keep_g
-                if total & top:
-                    continue
-                key = total << dim | inf | inf_g
-                if key in seen:
-                    continue
-                seen.add(key)
-                nxt.append((inf | inf_g, total, keep & keep_g))
-        frontier = nxt
-    return frozenset(fields.unpack_truncated(seen))
+    points = {bias << dim: (0, bias, keep0)}
+    for inf_g, fin_g, keep_g in set(fields.pack_truncated(moves)):
+        frontier = list(points.values())
+        while frontier:
+            nxt = []
+            for inf, fin, keep in frontier:
+                total = (fin + (fin_g & keep)) & keep_g
+                keep &= keep_g
+                over = total & keep & top
+                if over:
+                    spread = (over << 1) - (over >> shift)  # the whole of each over field
+                    total = total & ~spread | over
+                    keep &= ~spread
+                inf |= inf_g
+                key = total << dim | inf
+                if key not in points:
+                    points[key] = point = (inf, total, keep)
+                    nxt.append(point)
+            frontier = nxt
+    return frozenset(fields.unpack_truncated([key for key in points if not key >> dim & top]))
 
 
 def find_order_unit(sys: DioSystem):

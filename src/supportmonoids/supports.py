@@ -531,15 +531,15 @@ def is_full(sos: SystemOfSupports, bound: int = DEFAULT_FULLNESS_BOUND) -> bool:
 def is_almost_free(sos: SystemOfSupports, bound: int = DEFAULT_FULLNESS_BOUND) -> bool:
     """Full at the empty set and free at every minimal nonempty H.
 
-    Freeness at the minimal supports propagates to all larger ones by
-    the projection axiom, so only the minimal ones are inspected.
-    Fullness of the finite part is bounded verification unless the
-    instance was extracted from a defining system, where it holds by
-    construction.
+    A family is free when its generators hold every unit vector
+    (``HilbertBasis.is_free``), minimal or not.  Freeness at the
+    minimal supports propagates to all larger ones by the projection
+    axiom, so only the minimal ones are inspected.  Fullness of the
+    finite part is bounded verification unless the instance was
+    extracted from a defining system, where it holds by construction.
     """
     if not sos.solution_backed:
         empty = frozenset()
         if empty not in sos.S or not _full_upto(sos.basis_for(empty), bound):
             return False
-    return all(sos.basis_for(H) == HilbertBasis.free(sos.s - len(H))
-               for H in minimal_nonempty(sos.S))
+    return all(sos.basis_for(H).is_free() for H in minimal_nonempty(sos.S))

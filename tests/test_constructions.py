@@ -513,3 +513,15 @@ def test_constructions_refuse_seventeen_coordinates_at_the_call():
     for construct in (a_plus_inf_a, b_min, b_max):
         with pytest.raises(ResourceLimitError):
             construct(free)
+
+
+def test_decomposed_almost_free_accepts_a_free_factor_that_is_not_minimal():
+    d = DirectSumData(
+        s=3, I1=fset(1), I2=fset(2), I3=fset(3),
+        B1=HilbertBasis(1, ((1,), (2,))), B2=basis(1, (1,)),
+        f1=((1,), (2,)), f2=((2,),))
+    assert decomposed_almost_free(d)
+    assert not decomposed_almost_free(DirectSumData(
+        s=3, I1=fset(1), I2=fset(2), I3=fset(3),
+        B1=HilbertBasis(1, ((2,), (3,))), B2=basis(1, (1,)),
+        f1=((2,), (3,)), f2=((2,),)))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -483,6 +484,9 @@ def test_packed_words_round_trip_flag_overflow_and_compare():
             assert fields.unpack(px) == xs and fields.unpack(py) == ys
             assert fields.unpack([w + bias for w in px], biased=True) == xs
             for x, wx in zip(xs, px):
+                nonzero = ((wx | top) - fields.ones) & top
+                assert [nonzero >> (k + fields.width - 1) & 1 for k in fields.shifts] == \
+                    [int(a > 0) for a in x]
                 for y, wy in zip(ys, py):
                     total = wx + bias + wy
                     flags = [total >> (k + fields.width - 1) & 1 for k in fields.shifts]
@@ -495,3 +499,159 @@ def test_packed_words_round_trip_flag_overflow_and_compare():
             keys = [((fin + bias) & keep) << dim | inf
                     for inf, fin, keep in fields.pack_truncated(zs)]
             assert fields.unpack_truncated(keys) == zs
+
+
+def _tuple_search(pool, x):
+    """Finite membership restated on tuples: the all-finite generators
+    that fit below x, in order, each taking a coefficient from the
+    largest that fits down to 0, with failed (k, remainder) pairs
+    memoized."""
+    gens = [g for g in pool if INF not in g and all(v <= t for v, t in zip(g, x))]
+    failed = set()
+
+    def search(k, rest):
+        if not any(rest):
+            return True
+        if k == len(gens) or (k, rest) in failed:
+            return False
+        g = gens[k]
+        most = min(r // v for r, v in zip(rest, g) if v)
+        for c in range(most, -1, -1):
+            if search(k + 1, tuple(r - c * v for r, v in zip(rest, g))):
+                return True
+        failed.add((k, rest))
+        return False
+
+    return search(0, tuple(x))
+
+
+def test_packed_membership_search_matches_a_tuple_search():
+    from supportmonoids.hilbert import _in_generated_finite
+    rng = random.Random(83)
+    trues = 0
+    for _ in range(600):
+        dim = rng.randint(1, 6)
+        cap = rng.choice((1, 3, 8, 200))
+        gens = [tuple(rng.choice((0, rng.randint(1, cap))) for _ in range(dim))
+                for _ in range(rng.randint(0, 5))]
+        if rng.random() < 0.1:
+            gens.append(tuple(rng.choice((0, INF, cap)) for _ in range(dim)))
+        gens = [g for g in gens if any(g)]
+        if gens and rng.random() < 0.5:  # a member: a small sum of the finite ones
+            x = [0] * dim
+            for g in gens:
+                if INF not in g:
+                    c = rng.randint(0, 2)
+                    x = [a + c * v for a, v in zip(x, g)]
+            x = tuple(x)
+        else:
+            x = tuple(rng.randint(0, cap) for _ in range(dim))
+        want = _tuple_search(gens, x)
+        assert _in_generated_finite(gens, x) == want, (gens, x)
+        assert in_generated(gens, x) == want, (gens, x)
+        trues += want
+    assert 150 < trues < 450
+    # wide fields: entries up to 200 take nine bits per coordinate
+    assert _in_generated_finite([(200, 0, 7), (0, 199, 1)], (200, 199, 8))
+    assert not _in_generated_finite([(200, 0, 7), (0, 199, 1)], (200, 199, 9))
+    assert _in_generated_finite([(3, 0), (0, 1), (2, 1)], (200, 1))
+    assert not _in_generated_finite([(3, 0), (0, 1)], (200, 1))
+    # x = 0, with and without generators; a generator equal to x
+    assert _in_generated_finite([], (0, 0)) and _in_generated_finite([(1, 2)], (0, 0))
+    assert _in_generated_finite([(5, 0, 2)], (5, 0, 2))
+    assert not _in_generated_finite([], (0, 1))
+    # generators above x, in one coordinate or all, are never used
+    assert not _in_generated_finite([(6, 1), (1, 2)], (5, 1))
+    assert not _in_generated_finite([(4, 4)], (3, 3))
+    # MAX_DIM coordinates: 1·(1, ..., 1) plus 2·e_j for every j
+    from supportmonoids.semiring import MAX_DIM
+    units = [tuple(2 * (i == j) for i in range(MAX_DIM)) for j in range(MAX_DIM)]
+    ones = (1,) * MAX_DIM
+    assert _in_generated_finite([ones, *units], (3,) * MAX_DIM)
+    assert not _in_generated_finite([ones, *units], (2,) * (MAX_DIM - 1) + (3,))
+    assert _in_generated_finite([ones, *units], (200,) * MAX_DIM)
+
+
+def _members_by_coefficients(gens, bound, dim):
+    """Every sum of the generators, each with a coefficient in {0, ...,
+    bound + 1, inf}, whose entries all lie in {0, ..., bound, inf}.
+
+    A coefficient past bound leaves every finite positive entry of its
+    generator past bound, so in a kept sum those coordinates are inf,
+    and coefficient 1 gives the same sum."""
+    out = set()
+    for coeffs in itertools.product((*range(bound + 2), INF), repeat=len(gens)):
+        x = [0] * dim
+        for c, g in zip(coeffs, gens):
+            for j, v in enumerate(g):
+                if c and v:
+                    x[j] = INF if INF in (c, v, x[j]) else x[j] + c * v
+        if all(v is INF or v <= bound for v in x):
+            out.add(tuple(x))
+    return frozenset(out)
+
+
+def test_generated_truncated_saturates_instead_of_pruning():
+    # g1 overflows coordinate 1 and g2 coordinate 2 until the other
+    # makes that coordinate inf: g1 + g2 and 2·g1 + g2 are members
+    gens = [(5, INF, 1), (INF, 5, 1)]
+    members = generated_truncated(gens, 3, 3)
+    assert members == {(0, 0, 0), (INF, INF, 2), (INF, INF, 3), (INF, INF, INF)}
+    assert all(in_generated(gens, x) for x in members)
+    assert members == _members_by_coefficients(gens, 3, 3)
+
+
+def _crossed_pair(rng, dim, bound):
+    """Two generators, each past the bound where the other is inf, both
+    small and positive on a third coordinate: their sums with finite
+    coefficients leave the box until the other one is added."""
+    i, j, k = rng.sample(range(dim), 3)
+    pair = []
+    for over, inf in ((i, j), (j, i)):
+        g = [rng.choice((0, 1, INF)) for _ in range(dim)]
+        g[over], g[inf], g[k] = rng.randint(bound + 1, bound + 4), INF, rng.randint(1, bound // 2)
+        pair.append(tuple(g))
+    return pair
+
+
+def test_generated_truncated_matches_a_coefficient_brute_force():
+    rng = random.Random(89)
+    values = (0, 0, 1, 2, 3, 5, 7, INF)
+    pruned = 0
+    for n in range(400):
+        if n % 2:
+            dim, bound = rng.randint(1, 4), rng.randint(0, 4)
+            gens = []
+        else:
+            dim, bound = rng.randint(3, 4), rng.randint(2, 5)
+            gens = _crossed_pair(rng, dim, bound)
+        gens += [tuple(rng.choice(values) for _ in range(dim))
+                 for _ in range(rng.randint(0, 3 - len(gens) // 2))]
+        rng.shuffle(gens)
+        want = _members_by_coefficients(gens, bound, dim)
+        assert generated_truncated(gens, bound, dim) == want, (gens, bound)
+        # o_closure drops every partial sum that leaves the box, so it
+        # misses the members that only a later inf entry brings back
+        pruned += {from_lib(x, INF) for x in want} != \
+            o_closure([from_lib(g, INF) for g in gens], bound, dim)
+    assert pruned > 100
+
+
+def test_in_generated_with_inf_targets_matches_a_coefficient_brute_force():
+    rng = random.Random(97)
+    values = (0, 0, 1, 2, 3, INF)
+    cases = 0
+    for _ in range(120):
+        dim = rng.randint(2, 4)
+        bound = rng.randint(1, 4)
+        gens = [tuple(rng.choice(values) for _ in range(dim))
+                for _ in range(rng.randint(1, 3))]
+        members = _members_by_coefficients(gens, bound, dim)
+        targets = [x for x in members if INF in x]
+        targets += [tuple(rng.choice((*range(bound + 1), INF, INF)) for _ in range(dim))
+                    for _ in range(6)]
+        for x in targets:
+            if INF in x:
+                assert in_generated(gens, x) == (x in members), (gens, x)
+                cases += 1
+    assert cases > 500

@@ -6,10 +6,10 @@ import pytest
 
 from supportmonoids import (INF, add, divides, format_extnat, format_vec,
                             inf_supp, inject, mul, parse_extnat, parse_vec,
-                            project, scale, supp, supports, vec_add,
-                            vec_from_json, vec_to_json)
+                            project, scale, supp, vec_add, vec_from_json,
+                            vec_to_json)
 from supportmonoids import semiring
-from supportmonoids.semiring import check_vec, sort_key
+from supportmonoids.semiring import check_vec, sort_key, supports
 
 VALUES = (0, 1, 2, 3, 4, 5, 6, INF)
 
@@ -226,3 +226,13 @@ def test_vec_from_json_keeps_every_answer_and_message():
 
     kept = semiring.vec_from_json([Count(3), "inf"])
     assert kept == (3, INF) and type(kept[0]) is Count
+
+
+def test_the_package_attribute_supports_is_the_submodule():
+    import sys
+
+    import supportmonoids
+    from supportmonoids import supports as module
+    assert module is sys.modules["supportmonoids.supports"]
+    assert "supports" not in supportmonoids.__all__
+    assert supportmonoids.support_pair is supports

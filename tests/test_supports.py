@@ -1,5 +1,4 @@
 import copy
-import importlib
 import itertools
 import pickle
 import random
@@ -522,7 +521,7 @@ def test_extracted_systems_answer_alike_before_and_after_building():
 
 
 def test_extract_builds_only_the_families_it_reads(monkeypatch):
-    supports = importlib.import_module("supportmonoids.supports")
+    from supportmonoids import supports
     calls = []
     real = supports.hilbert_basis
     monkeypatch.setattr(supports, "hilbert_basis",
@@ -602,3 +601,22 @@ def test_concurrent_readers_of_lazy_systems_agree():
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
     assert lazy == eager
+
+
+def test_almost_free_reads_freeness_from_the_unit_vectors():
+    # the validating constructor keeps a list that is not minimal; (1,)
+    # and (2,) still generate all of N0
+    redundant = HilbertBasis(1, ((1,), (2,)))
+    assert redundant.is_free() and redundant != HilbertBasis.free(1)
+    assert not HilbertBasis(1, ((2,), (3,))).is_free()
+    assert HilbertBasis(0, ()).is_free()
+    for fam in (redundant, HilbertBasis.free(1)):
+        fams = (
+            (fset(), HilbertBasis.free(2)),
+            (fset(1), fam),
+            (fset(2), HilbertBasis.free(1)),
+            (fset(1, 2), HilbertBasis(0, ())),
+        )
+        sos = SystemOfSupports(s=2, unit=(1, 1), families=fams)
+        assert validate(sos) == []
+        assert is_almost_free(sos)
