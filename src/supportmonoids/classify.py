@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 
 from .equations import DioSystem, is_member
-from .hilbert import find_order_unit, in_generated
+from .hilbert import _in_generated_finite, find_order_unit
 from .semiring import (Record, _project, canonical_sorted, check_int, inject,
                        supp, unit_vec, vec_to_json, zero_vec)
 from .supports import (SystemOfSupports, extract, is_almost_free, is_full,
@@ -118,7 +118,7 @@ def equals_a_plus_inf_a(sys: DioSystem, sos: SystemOfSupports | None = None):
                 continue
             shadow = projected(H)
             for g in basis.gens:
-                if not in_generated(shadow, g):
+                if not _in_generated_finite(shadow, g):
                     witnesses.add(inject(g, H))
     return flag, canonical_sorted(witnesses)
 

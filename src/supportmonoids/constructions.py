@@ -29,7 +29,7 @@ from .errors import MissingOrderUnitError, ResourceLimitError
 from .hilbert import HilbertBasis, minimize_generators
 from .semiring import (IndexSet, Record, Vec, _supp_mask, canonical_sorted, check_index_set,
                        check_int)
-from .supports import (MAX_POWERSET_DIM, SystemOfSupports, _capped_supports, _in_order,
+from .supports import (SystemOfSupports, _capped_supports, _check_powerset, _in_order,
                        _index_set, _masks_in_order, support_closure)
 
 MAX_DECOMPOSE_GENS = 20    # partition search is exponential in the basis size
@@ -94,23 +94,23 @@ def b_min(basis: HilbertBasis) -> SystemOfSupports:
     finite part A: supports are all supersets of member supports, and
     every nonempty family is free."""
     min_supports = [_supp_mask(g) for g in basis.gens]
-    return _almost_free(basis, lambda h: not h or any(not m & ~h for m in min_supports))
+    return _almost_free(basis, lambda h: not h or any(not m & ~h for m in min_supports),
+                        "b_min")
 
 
 def b_max(basis: HilbertBasis) -> SystemOfSupports:
     """The largest monoid given by a system of supports with finite part A:
     every subset is a support and every nonempty family is free."""
-    return _almost_free(basis, lambda _h: True)
+    return _almost_free(basis, lambda _h: True, "b_max")
 
 
-def _almost_free(basis: HilbertBasis, admit) -> SystemOfSupports:
+def _almost_free(basis: HilbertBasis, admit, stage: str) -> SystemOfSupports:
     """The system whose supports are the subsets of 1..s that ``admit``
     accepts, with A at the empty set and the free family elsewhere;
-    the families are built on first use."""
+    the families are built on first use.  The refusal names ``stage``."""
     unit = _order_unit_of(basis)
     s = basis.dim
-    if s > MAX_POWERSET_DIM:
-        raise ResourceLimitError(f"materializing subsets of {s} coordinates refused")
+    _check_powerset(s, stage)
     return SystemOfSupports._deferred(
         s, unit, admit,
         lambda h, _known: HilbertBasis.free(s - h.bit_count()) if h else basis,
@@ -119,12 +119,8 @@ def _almost_free(basis: HilbertBasis, admit) -> SystemOfSupports:
 
 def monoid_sum(m1, m2) -> tuple:
     """Generators of the sum of two generated submonoids of (N0*)^s:
-    concatenate and sweep out redundancies."""
-    m1, m2 = tuple(tuple(g) for g in m1), tuple(tuple(g) for g in m2)
-    dims = {len(g) for g in m1 + m2}
-    if len(dims) > 1:
-        raise ValueError(f"mixed generator dimensions: {sorted(dims)}")
-    return minimize_generators(m1 + m2)
+    concatenate and sweep out redundancies, which checks them all."""
+    return minimize_generators([*m1, *m2])
 
 
 # -- direct sums of finite parts ---------------------------------------------
@@ -251,7 +247,8 @@ def decompose_direct_sum(basis: HilbertBasis) -> DirectSumData | None:
     gens = basis.gens
     if len(gens) > MAX_DECOMPOSE_GENS:
         raise ResourceLimitError(
-            f"refusing partition search over {len(gens)} > {MAX_DECOMPOSE_GENS} generators")
+            f"decompose_direct_sum: a partition search over {len(gens)} generators "
+            f"exceeds the cap MAX_DECOMPOSE_GENS = {MAX_DECOMPOSE_GENS}")
     gens = minimize_generators(gens)
     if len(gens) < 2:
         return None

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import ResourceLimitError
-from .semiring import INF, MAX_DIM, Record, Vec, check_dim, check_int, dot, sort_key
+from .semiring import INF, Record, Vec, check_dim, check_int, check_vec, dot, sort_key
 
 Matrix = tuple  # tuple of row tuples
 
@@ -99,10 +99,11 @@ def is_member(sys: DioSystem, x: Vec) -> bool:
     Each side of an equation is evaluated independently in N0* and then
     compared; no cancellation is ever attempted (N0* has none).  A
     congruence row holds when its value is inf or a finite multiple of
-    the modulus.
+    the modulus.  x must be a vector over N0* of length s.
     """
     if len(x) != sys.s:
         raise ValueError(f"vector has length {len(x)}, system has s={sys.s}")
+    x = check_vec(x)
     for f, g in zip(sys.F, sys.G):
         if dot(f, x) != dot(g, x):
             return False
@@ -130,10 +131,8 @@ def lift_congruences(sys: DioSystem) -> DioSystem:
     for i, (d, m) in enumerate(zip(sys.D, sys.moduli)):
         F.append(d + pad)
         G.append((0,) * sys.s + tuple(m if j == i else 0 for j in range(n)))
-    lifted = (sys.s + n, tuple(F), tuple(G), (), ())
-    # the rows come from a valid system; only the dimension cap can fail,
-    # and the validating constructor reports it
-    return DioSystem(*lifted) if sys.s + n > MAX_DIM else DioSystem._trusted(*lifted)
+    # the rows come from a valid system; only the dimension cap can fail
+    return DioSystem._trusted(check_dim(sys.s + n), tuple(F), tuple(G), (), ())
 
 
 def intersect(sys1: DioSystem, sys2: DioSystem) -> DioSystem:
@@ -185,7 +184,8 @@ def truncated_domain(s: int, bound: int):
     size = (bound + 2) ** s
     if size > ENUMERATION_GUARD:
         raise ResourceLimitError(
-            f"(bound+2)^s = {size} exceeds the enumeration guard {ENUMERATION_GUARD}")
+            f"truncated_domain: (bound+2)^s = {bound + 2}^{s} = {size} points exceed the "
+            f"enumeration guard ENUMERATION_GUARD = {ENUMERATION_GUARD}")
     values = tuple(range(bound + 1)) + (INF,)
     return itertools.product(values, repeat=s)
 

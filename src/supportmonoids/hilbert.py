@@ -71,10 +71,16 @@ from operator import add, le, mul
 
 from .equations import ENUMERATION_GUARD, DioSystem, lift_congruences
 from .errors import ResourceLimitError
-from .semiring import (INF, MAX_DIM, Record, Vec, canonical_sorted, check_dim, check_int,
+from .semiring import (INF, MAX_DIM, Record, Vec, canonical_sorted, check_dim, check_vecs,
                        unit_vec)
 
 MAX_COMPLETION_STATES = 1_000_000
+
+
+def _refuse_inf(gens) -> None:
+    """A generator of a basis is over N0: refuse one with an inf entry."""
+    if any(INF in g for g in gens):
+        raise ValueError(f"generator entry: expected an integer, got {INF!r}")
 
 
 class HilbertBasis(Record):
@@ -91,14 +97,10 @@ class HilbertBasis(Record):
     __slots__ = _fields = ("dim", "gens")
 
     def __init__(self, dim: int, gens: tuple):
-        check_dim(dim, 0)
-        gens = tuple(tuple(g) for g in gens)
+        gens = tuple(check_vecs(gens, dim))
+        _refuse_inf(gens)
         seen = set()
         for g in gens:
-            if len(g) != dim:
-                raise ValueError(f"generator {g} has length {len(g)}, expected {dim}")
-            for v in g:
-                check_int(v, "generator entry", 0)
             if not any(g):
                 raise ValueError("zero vector is not a generator")
             if g in seen:
@@ -116,19 +118,8 @@ class HilbertBasis(Record):
         each vector has length dim and entries in N0*.  A generator with
         an inf entry is refused unless it is redundant.
         """
-        check_dim(dim, 0)
-        raw = []
-        for g in gens:
-            g = tuple(g)
-            if len(g) != dim:
-                raise ValueError(f"generator {g} has length {len(g)}, expected {dim}")
-            for v in g:
-                if v is not INF:
-                    check_int(v, "generator entry", 0)
-            raw.append(g)
-        basis = cls._minimal(dim, raw)
-        if any(INF in g for g in basis.gens):
-            raise ValueError(f"generator entry: expected an integer, got {INF!r}")
+        basis = cls._minimal(dim, check_vecs(gens, dim))
+        _refuse_inf(basis.gens)
         return basis
 
     @classmethod
@@ -185,15 +176,9 @@ def _free_basis(dim: int) -> HilbertBasis:
 
 
 def _atoms(vecs) -> frozenset:
-    """The unit vectors among vecs, which no other vectors generate.
-
-    Empty unless all of vecs have one length and entries in N0*: other
-    entries (negative ones, say) could add up to a unit vector.
-    """
+    """The unit vectors among vecs, vectors over N0* of one length, which
+    no other such vectors generate."""
     n = len(vecs[0]) if vecs else 0
-    for g in vecs:
-        if len(g) != n or not all(v is INF or (type(v) is int and v >= 0) for v in g):
-            return frozenset()
     return frozenset(g for g in vecs if g.count(1) == 1 and g.count(0) == n - 1)
 
 
@@ -365,6 +350,10 @@ def hilbert_basis(sys: DioSystem, max_states: int = MAX_COMPLETION_STATES) -> Hi
 def in_generated(gens, x: Vec) -> bool:
     """Is x a sum of N0*-multiples of the given generators?
 
+    x and the generators, vectors over N0* of x's length, are checked
+    first; the package's own calls on a ``HilbertBasis`` and an all-finite
+    x of its dimension go to ``_in_generated_finite`` instead.
+
     An all-finite target goes to the finite search: any coefficient on a
     generator with an inf entry, and an inf coefficient on any nonzero
     generator, put inf into the sum.
@@ -382,13 +371,8 @@ def in_generated(gens, x: Vec) -> bool:
     """
     x = tuple(x)
     dim = len(x)
-    pool = []
-    for g in gens:
-        g = tuple(g)
-        if len(g) != dim:
-            raise ValueError(f"generator {g} has length {len(g)}, expected {dim}")
-        if any(g):
-            pool.append(g)
+    (x,) = check_vecs([x], dim, "vector")
+    pool = [g for g in check_vecs(gens, dim) if any(g)]
     if not any(v is INF for v in x):
         return _in_generated_finite(pool, x)
     fin = [i for i in range(dim) if x[i] is not INF]
@@ -424,7 +408,8 @@ def in_generated(gens, x: Vec) -> bool:
 
 
 def _in_generated_finite(pool, x) -> bool:
-    """in_generated for an all-finite x and nonzero generators of its length.
+    """in_generated for an all-finite x and nonzero generators of its
+    length, all over N0*, trusted as they are: nothing is checked.
 
     A depth-first search over the generators that fit below x, in pool
     order: generator k takes each coefficient from the largest that fits
@@ -433,12 +418,8 @@ def _in_generated_finite(pool, x) -> bool:
     packed words with fields for entries up to max(x) ("Packed words"
     in the module docstring): g fits r iff (r | top) - g keeps every
     guard bit, and a remainder with a nonzero field that no generator
-    from k on reaches is rejected without a search.  No generator with
-    entries in N0* reaches a negative entry, so such an x is answered
-    before anything is packed.
+    from k on reaches is rejected without a search.
     """
-    if min(x, default=0) < 0:
-        return False
     # INF <= t is False for every finite t
     gens = [g for g in pool if all(map(le, g, x))]
     fields = _Fields(len(x), max(x, default=0))
@@ -477,8 +458,10 @@ def _in_generated_finite(pool, x) -> bool:
 def minimize_generators(gens) -> tuple:
     """Remove every generator expressible from the others; deterministic
     (canonical sweep order), and the result still generates the same
-    monoid."""
-    remaining = list(canonical_sorted(gens))
+    monoid.  The generators, vectors over N0* of one length, are checked
+    first."""
+    gens = list(gens)
+    remaining = list(canonical_sorted(check_vecs(gens, len(gens[0]) if gens else 0)))
     atoms = _atoms(remaining)
     # One pass suffices: a vector kept against a set is kept against any
     # subset of it, and the set only shrinks, so a second pass would
@@ -493,8 +476,8 @@ def minimize_generators(gens) -> tuple:
 
 
 def _is_antichain(vecs) -> bool:
-    """Do the canonically sorted, distinct vecs have one length and
-    entries in N0, with none dominating another?
+    """Are the canonically sorted, distinct vecs, vectors over N0* of one
+    length, all finite, with none dominating another?
 
     A vector dominating another follows it in canonical order, so each
     is compared with the ones before it, by the packed domination test
@@ -503,10 +486,8 @@ def _is_antichain(vecs) -> bool:
     n = len(vecs[0]) if vecs else 0
     top = 0
     for g in vecs:
-        if len(g) != n:
-            return False
         for v in g:
-            if v.__class__ is not int or v < 0:
+            if v is INF:
                 return False
             if v > top:
                 top = v
@@ -576,7 +557,8 @@ def generated_upto(gens, bound: int, dim: int) -> frozenset:
 
 def generated_truncated(gens, bound: int, dim: int) -> frozenset:
     """All elements of the N0*-generated monoid with every coordinate in
-    {0, ..., bound, inf}.
+    {0, ..., bound, inf}, for generators over N0* of length dim, which
+    are checked first.
 
     Exact by saturation.  Sending each entry to itself up to bound, to
     ``over`` past it and inf to inf is a monoid map onto {0, ..., bound,
@@ -607,10 +589,7 @@ def generated_truncated(gens, bound: int, dim: int) -> frozenset:
     _check_bound(bound)
     moves = []
     choices = 1
-    for g in gens:
-        g = tuple(g)
-        if len(g) != dim:
-            raise ValueError(f"generator {g} has length {len(g)}, expected {dim}")
+    for g in check_vecs(gens, dim):
         moves.append(g)
         moves.append(tuple(INF if v != 0 else 0 for v in g))
         m = min((v for v in g if v is not INF and v), default=0)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from .equations import DioSystem, from_integer_matrix
 from .errors import MissingOrderUnitError
 from .hilbert import find_order_unit
-from .semiring import Record, Vec, check_int, dot
+from .semiring import Record, Vec, check_int, check_vec, dot
 
 ASSUMPTIONS = ("reduced completion", "finitely generated torsion-free module")
 
@@ -98,9 +98,11 @@ def vstar_system(rm: RankMatrix) -> DioSystem:
 
 
 def is_extended(rm: RankMatrix, x: Vec) -> bool:
-    """Do the weighted ranks of x agree at every minimal prime?"""
+    """Do the weighted ranks of x, a vector over N0* of length s, agree
+    at every minimal prime?"""
     if len(x) != rm.s:
         raise ValueError(f"vector has length {len(x)}, expected {rm.s}")
+    x = check_vec(x)
     values = [dot(row, x) for row in rm.a]
     return all(v == values[0] for v in values[1:])
 

@@ -39,6 +39,11 @@ The text encoding uses the token "inf" (case-insensitive) and commas:
 
 Everything in this module is immutable and pure; values can be shared
 freely between threads.
+
+``check_vec`` and its list form ``check_vecs`` hold the one entry test
+that every public query of the other modules applies to outside input.
+The arithmetic and format helpers (``vec_add``, ``scale``, ``divides``,
+``supp``, ``project``, ``inject``, ...) are unchecked primitives.
 """
 
 from __future__ import annotations
@@ -205,21 +210,35 @@ def check_dim(s, least: int = 1) -> int:
     return s
 
 
-def _check_extnat(a, what="value") -> ExtNat:
-    return a if a is INF else check_int(a, what, 0)
+def _check_entries(t: tuple, what: str) -> tuple:
+    """t, after checking that every entry is inf or an int >= 0 (no bool)."""
+    for v in t:
+        if v is not INF and (type(v) is not int or v < 0):
+            check_int(v, what, 0)  # raises, or accepts an int subclass
+    return t
 
 
 def check_vec(x: Iterable, what="vector") -> Vec:
     """Validate and normalize a vector over N0* to a tuple."""
-    t = tuple(x)
-    for v in t:
-        if v is not INF and (type(v) is not int or v < 0):
-            _check_extnat(v, what)  # raises, or accepts an int subclass
+    t = _check_entries(tuple(x), what)
     if not t:
         raise ValueError(f"{what} must have length >= 1")
     if len(t) > MAX_DIM:
         raise ValueError(f"{what} longer than the supported maximum of {MAX_DIM}")
     return t
+
+
+def check_vecs(vecs: Iterable, n: int, what="generator") -> list:
+    """The list form of ``check_vec``: vectors over N0*, each of length n
+    in 0..MAX_DIM, as tuples; a vector of another length is named."""
+    check_dim(n, 0)
+    out = []
+    for x in vecs:
+        t = tuple(x)
+        if len(t) != n:
+            raise ValueError(f"{what} {t} has length {len(t)}, expected {n}")
+        out.append(_check_entries(t, f"{what} entry"))
+    return out
 
 
 def check_index_set(H: Iterable[int], s: int) -> IndexSet:

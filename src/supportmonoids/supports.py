@@ -30,11 +30,10 @@ from operator import or_
 
 from .equations import DioSystem
 from .errors import MissingOrderUnitError, ResourceLimitError
-from .hilbert import (HilbertBasis, _in_generated_finite, find_order_unit,
-                      generated_upto, hilbert_basis, in_generated)
+from .hilbert import HilbertBasis, _in_generated_finite, generated_upto, hilbert_basis
 from .semiring import (INF, IndexSet, Record, Vec, _inject_all, _supp_mask,
-                       canonical_sorted, check_dim, check_index_set, check_vec, inject,
-                       supp, vec_from_json, vec_to_json, zero_vec)
+                       canonical_sorted, check_dim, check_index_set, check_int, check_vec,
+                       inject, supp, vec_from_json, vec_to_json, zero_vec)
 
 MAX_POWERSET_DIM = 16  # enumerating the 2^s subsets past this is refused
 
@@ -224,32 +223,29 @@ def _admits(equations, h: int) -> bool:
     return all((not f & h) == (not g & h) for f, g in equations)
 
 
-def _check_powerset(s: int) -> None:
-    """Refuse enumerating the subsets of s > MAX_POWERSET_DIM coordinates."""
+def _check_powerset(s: int, stage: str) -> None:
+    """Refuse enumerating the subsets of s > MAX_POWERSET_DIM coordinates,
+    naming the stage that would enumerate them."""
     if s > MAX_POWERSET_DIM:
         raise ResourceLimitError(
-            f"infinite_supports: enumerating the 2^{s} subsets of {s} "
+            f"{stage}: enumerating the 2^{s} subsets of {s} "
             f"coordinates exceeds the cap MAX_POWERSET_DIM = {MAX_POWERSET_DIM}")
 
 
-def _system_unit(unit: Vec | None) -> Vec:
-    if unit is None:
-        raise MissingOrderUnitError(
-            "the system has no strictly positive finite solution")
-    return unit
-
-
-def infinite_supports(sys: DioSystem, unit_checked: bool = False) -> frozenset:
+def infinite_supports(sys: DioSystem) -> frozenset:
     """The exact set {inf-supp(b) : b solves sys}, decided subset by subset.
 
     Congruence rows never restrict infinite supports (inf is a multiple
     of everything); equation rows admit H exactly when the row misses H
-    or both sides meet it.  Past MAX_POWERSET_DIM coordinates the subset
-    loop is refused before it starts.
+    or both sides meet it.  The criterion is exact for every system, with
+    or without an order unit: at a vector with infinite support H a side
+    of a row is infinite iff it meets H, so a solution with infinite
+    support H forces every row to miss H or meet it on both sides, and
+    then z_H, inf on H and 0 elsewhere, solves the system.  Past
+    MAX_POWERSET_DIM coordinates the subset loop is refused before it
+    starts.
     """
-    if not unit_checked:
-        _system_unit(find_order_unit(sys))
-    _check_powerset(sys.s)
+    _check_powerset(sys.s, "infinite_supports")
     equations, _ = _row_masks(sys)
     return frozenset(_index_set(h) for h in _masks_in_order(sys.s)
                      if _admits(equations, h))
@@ -303,8 +299,10 @@ def extract(sys: DioSystem) -> SystemOfSupports:
     coordinates.
     """
     basis0 = hilbert_basis(sys)
-    unit = _system_unit(basis0.order_unit())
-    _check_powerset(sys.s)
+    unit = basis0.order_unit()
+    if unit is None:
+        raise MissingOrderUnitError("the system has no strictly positive finite solution")
+    _check_powerset(sys.s, "infinite_supports")
     masks = _row_masks(sys)
 
     def build(h, _known):
@@ -316,7 +314,7 @@ def extract(sys: DioSystem) -> SystemOfSupports:
 
     return SystemOfSupports._deferred(
         sys.s, unit, lambda h: _admits(masks[0], h), build,
-        lambda: _in_order(infinite_supports(sys, unit_checked=True)),
+        lambda: _in_order(infinite_supports(sys)),
         solution_backed=True)
 
 
@@ -324,7 +322,9 @@ def extract(sys: DioSystem) -> SystemOfSupports:
 
 def member_via_supports(sos: SystemOfSupports, x: Vec) -> bool:
     """x belongs to the glued monoid iff its infinite support is an
-    admissible H and its finite projection lies in A_H."""
+    admissible H and its finite projection lies in A_H.  x is checked in
+    the pass that splits it; the basis of A_H goes to the search as it is.
+    """
     if len(x) != sos.s:
         raise ValueError(f"vector has length {len(x)}, expected {sos.s}")
     h, finite = 0, []
@@ -332,11 +332,11 @@ def member_via_supports(sos: SystemOfSupports, x: Vec) -> bool:
         if v is INF:
             h |= 1 << j
         else:
-            finite.append(v)
+            finite.append(check_int(v, "vector", 0))
     basis = sos._family(h)
     if basis is None:
         return False
-    return in_generated(basis.gens, finite)
+    return _in_generated_finite(basis.gens, finite)
 
 
 def generators(sos: SystemOfSupports) -> tuple:
@@ -466,7 +466,7 @@ def validate(sos: SystemOfSupports) -> list:
     if frozenset() not in S:
         issues.append("(1) the empty set is missing from S")
     else:
-        if not in_generated(sos.basis_for(frozenset()).gens, sos.unit):
+        if not _in_generated_finite(sos.basis_for(frozenset()).gens, sos.unit):
             issues.append(f"(1) the unit {sos.unit} is not generated by the empty-set family")
 
     if full not in S:
@@ -492,7 +492,7 @@ def validate(sos: SystemOfSupports) -> list:
             positions = [j for j in range(len(comp_H)) if comp_H[j] not in K]
             for g in basis_H.gens:
                 image = tuple(g[j] for j in positions)
-                if any(image) and not in_generated(basis_K.gens, image):
+                if any(image) and not _in_generated_finite(basis_K.gens, image):
                     issues.append(
                         f"(4) projection of {g} from H={sorted(H)} "
                         f"is not in the family at K={sorted(K)}")

@@ -398,7 +398,8 @@ def test_decompose_twenty_generators_without_a_split():
 
 def test_decompose_generator_cap():
     gens = [tuple(1 if j == i else 0 for j in range(21)) for i in range(21)]
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError,
+                       match="^decompose_direct_sum: .* 21 generators .*MAX_DECOMPOSE_GENS = 20$"):
         decompose_direct_sum(HilbertBasis.from_generators(21, gens))
 
 
@@ -431,7 +432,7 @@ def test_direct_sum_data_validation():
 def test_powerset_guard():
     big = basis(17, *(tuple(1 if j == i else 0 for j in range(17))
                       for i in range(17)))
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="^b_max: .* 17 coordinates .*MAX_POWERSET_DIM"):
         b_max(big)
 
 
@@ -511,7 +512,9 @@ def test_constructions_build_only_the_family_a_query_reads():
 def test_constructions_refuse_seventeen_coordinates_at_the_call():
     free = HilbertBasis.free(17)
     for construct in (a_plus_inf_a, b_min, b_max):
-        with pytest.raises(ResourceLimitError):
+        # a_plus_inf_a refuses in support_closure, the others in their own name
+        stage = "support_closure" if construct is a_plus_inf_a else construct.__name__
+        with pytest.raises(ResourceLimitError, match=f"^{stage}: .*MAX_POWERSET_DIM"):
             construct(free)
 
 

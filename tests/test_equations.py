@@ -135,7 +135,8 @@ def test_enumerate_truncated_congruence_hand_count():
 
 
 def test_enumerate_guard():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError,
+                       match=r"^truncated_domain: .* 12\^10 = .*ENUMERATION_GUARD = 10000000$"):
         enumerate_truncated(DioSystem(s=10), 10)
 
 

@@ -128,3 +128,24 @@ def test_every_parameter_is_read():
                        if p not in reads and not p.startswith("_")
                        and p not in ("self", "cls")]
     assert not unread, "parameters nothing reads:\n" + "\n".join(unread)
+
+
+# Parameters that take vectors from a caller; ``semiring`` is exempt, as
+# its arithmetic and format helpers are unchecked primitives.
+VECTOR_PARAMETERS = {"x", "gens", "m1", "m2", "a", "b"}
+
+
+def test_every_public_query_is_in_the_boundary_table():
+    """A public function outside ``semiring`` that takes a vector from its
+    caller is listed in ``test_boundary.BOUNDARY``, so a new public query
+    cannot skip the entry test."""
+    from test_boundary import BOUNDARY
+    listed = {name for name, *_ in BOUNDARY}
+    modules = _modules()
+    public = _exported(modules["__init__.py"])
+    missing = [f"{name}:{node.lineno}: {node.name}"
+               for name, tree in modules.items() if name != "semiring.py"
+               for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name in public
+               and VECTOR_PARAMETERS & set(_parameters(node)) and node.name not in listed]
+    assert not missing, "public queries missing from the boundary table:\n" + "\n".join(missing)
