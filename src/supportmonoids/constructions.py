@@ -28,9 +28,9 @@ from operator import or_
 from .errors import MissingOrderUnitError, ResourceLimitError
 from .hilbert import HilbertBasis, minimize_generators
 from .semiring import (IndexSet, Record, Vec, _supp_mask, canonical_sorted, check_index_set,
-                       check_int)
-from .supports import (SystemOfSupports, _capped_supports, _check_powerset, _in_order,
-                       _index_set, _masks_in_order, support_closure)
+                       check_matrix)
+from .supports import (SystemOfSupports, _closed_masks, _in_order, _index_set,
+                       support_closure)
 
 MAX_DECOMPOSE_GENS = 20    # partition search is exponential in the basis size
 
@@ -51,8 +51,8 @@ def a_plus_inf_a(basis: HilbertBasis) -> SystemOfSupports:
 
     Its supports are the supports of members of A and each family is the
     projection of A; it is the unique minimal monoid given by a system
-    of supports whose finite part is A.  H is a support when the
-    generator supports inside H cover it.
+    of supports whose finite part is A.  The largest support inside H
+    is the union of the generator supports inside H.
 
     Families are built on first use, all of them in order of increasing
     |H|.  The family at H is projected from one already built at some H
@@ -60,14 +60,14 @@ def a_plus_inf_a(basis: HilbertBasis) -> SystemOfSupports:
     proj_H(proj_K(A)) for K inside H, and a projection maps a generating
     set onto a generating set of the image, which ``minimize_generators``
     reduces to the unique minimal one.  The projection of a free family
-    is free.  The cap of ``support_closure`` is checked here.
+    is free.  The supports are listed by ``support_closure``.
     """
     unit = _order_unit_of(basis)
     s = basis.dim
-    supps = _capped_supports(basis.gens)
+    supps = {_supp_mask(g) for g in basis.gens}
 
-    def admit(h):
-        return reduce(or_, (m for m in supps if not m & ~h), 0) == h
+    def interior(h):
+        return reduce(or_, (m for m in supps if not m & ~h), 0)
 
     def build(h, known):
         k = s - h.bit_count()
@@ -86,35 +86,35 @@ def a_plus_inf_a(basis: HilbertBasis) -> SystemOfSupports:
         return HilbertBasis._minimal(k, [g[:pos] + g[pos + 1:] for g in source.gens])
 
     return SystemOfSupports._deferred(
-        s, unit, admit, build, lambda: _in_order(support_closure(basis.gens)))
+        s, unit, interior, build, lambda: _in_order(support_closure(basis.gens)))
 
 
 def b_min(basis: HilbertBasis) -> SystemOfSupports:
     """The least monoid given by an almost-free system of supports with
     finite part A: supports are all supersets of member supports, and
-    every nonempty family is free."""
-    min_supports = [_supp_mask(g) for g in basis.gens]
-    return _almost_free(basis, lambda h: not h or any(not m & ~h for m in min_supports),
+    every nonempty family is free.  So H is the largest support inside
+    H when it holds a generator support, and the empty set otherwise."""
+    supps = [_supp_mask(g) for g in basis.gens]
+    return _almost_free(basis, lambda h: h if any(not m & ~h for m in supps) else 0,
                         "b_min")
 
 
 def b_max(basis: HilbertBasis) -> SystemOfSupports:
     """The largest monoid given by a system of supports with finite part A:
     every subset is a support and every nonempty family is free."""
-    return _almost_free(basis, lambda _h: True, "b_max")
+    return _almost_free(basis, lambda h: h, "b_max")
 
 
-def _almost_free(basis: HilbertBasis, admit, stage: str) -> SystemOfSupports:
-    """The system whose supports are the subsets of 1..s that ``admit``
-    accepts, with A at the empty set and the free family elsewhere;
-    the families are built on first use.  The refusal names ``stage``."""
+def _almost_free(basis: HilbertBasis, interior, stage: str) -> SystemOfSupports:
+    """The system whose supports are the fixed masks of ``interior``,
+    with A at the empty set and the free family elsewhere; the families
+    are built on first use.  The refusal names ``stage``."""
     unit = _order_unit_of(basis)
     s = basis.dim
-    _check_powerset(s, stage)
     return SystemOfSupports._deferred(
-        s, unit, admit,
+        s, unit, interior,
         lambda h, _known: HilbertBasis.free(s - h.bit_count()) if h else basis,
-        lambda: [(h, _index_set(h)) for h in _masks_in_order(s) if admit(h)])
+        lambda: [(h, _index_set(h)) for h in _closed_masks(s, interior, stage)])
 
 
 def monoid_sum(m1, m2) -> tuple:
@@ -150,15 +150,10 @@ class DirectSumData(Record):
         for name, basis, rows, block in (("f1", B1, f1, I1), ("f2", B2, f2, I2)):
             if basis.dim != len(block):
                 raise ValueError(f"B over {sorted(block)} must have dimension {len(block)}")
-            rows = tuple(tuple(r) for r in rows)
+            rows = check_matrix(rows, len(I3), name)
             shadows.append(rows)
             if len(rows) != len(basis.gens):
                 raise ValueError(f"{name} must have one row per generator")
-            for r in rows:
-                if len(r) != len(I3):
-                    raise ValueError(f"{name} rows must have length |I3| = {len(I3)}")
-                for v in r:
-                    check_int(v, f"{name} entry", 0)
             if _rank([g + r for g, r in zip(basis.gens, rows)]) != _rank(basis.gens):
                 raise ValueError(f"{name} is not a monoid map on its factor: a relation "
                                  f"among the generators of B fails on the shadows")

@@ -16,24 +16,12 @@ from __future__ import annotations
 import itertools
 
 from .errors import ResourceLimitError
-from .semiring import INF, Record, Vec, check_dim, check_int, check_vec, dot, sort_key
+from .semiring import (INF, Record, Vec, check_bound, check_dim, check_int, check_matrix,
+                       check_vec, dot, sort_key)
 
 Matrix = tuple  # tuple of row tuples
 
 ENUMERATION_GUARD = 10_000_000  # refuse truncated enumerations beyond this
-
-
-def _check_matrix(rows, s, what, allow_negative=False) -> Matrix:
-    entry, least = f"{what} entry", None if allow_negative else 0
-    out = []
-    for r, row in enumerate(rows):
-        row = tuple(row)
-        if len(row) != s:
-            raise ValueError(f"{what} row {r} has length {len(row)}, expected {s}")
-        for v in row:
-            check_int(v, entry, least)
-        out.append(row)
-    return tuple(out)
 
 
 class DioSystem(Record):
@@ -48,9 +36,9 @@ class DioSystem(Record):
     def __init__(self, s: int, F: Matrix = (), G: Matrix = (), D: Matrix = (),
                  moduli: tuple = ()):
         check_dim(s)
-        F = _check_matrix(F, s, "F")
-        G = _check_matrix(G, s, "G")
-        D = _check_matrix(D, s, "D")
+        F = check_matrix(F, s, "F")
+        G = check_matrix(G, s, "G")
+        D = check_matrix(D, s, "D")
         moduli = tuple(moduli)
         if len(F) != len(G):
             raise ValueError("F and G must have the same number of rows")
@@ -164,7 +152,7 @@ def from_integer_matrix(E, mode: str = "shift-uniform") -> DioSystem:
     if not rows:
         raise ValueError("E must have at least one row")
     s = len(rows[0])
-    rows = _check_matrix(rows, s, "E", allow_negative=True)
+    rows = check_matrix(rows, s, "E", None)
     if mode == "shift-uniform":
         h = 1 + max(0, -min(v for row in rows for v in row))
         F = tuple(tuple(v + h for v in row) for row in rows)
@@ -179,8 +167,7 @@ def from_integer_matrix(E, mode: str = "shift-uniform") -> DioSystem:
 
 def truncated_domain(s: int, bound: int):
     """All vectors with every coordinate in {0, ..., bound, inf}."""
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
+    check_bound(bound)
     size = (bound + 2) ** s
     if size > ENUMERATION_GUARD:
         raise ResourceLimitError(

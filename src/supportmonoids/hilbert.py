@@ -71,8 +71,8 @@ from operator import add, le, mul
 
 from .equations import ENUMERATION_GUARD, DioSystem, lift_congruences
 from .errors import ResourceLimitError
-from .semiring import (INF, MAX_DIM, Record, Vec, canonical_sorted, check_dim, check_vecs,
-                       unit_vec)
+from .semiring import (INF, MAX_DIM, Record, Vec, canonical_sorted, check_bound, check_dim,
+                       check_vecs, unit_vec)
 
 MAX_COMPLETION_STATES = 1_000_000
 
@@ -503,14 +503,6 @@ def _is_antichain(vecs) -> bool:
     return True
 
 
-def _check_bound(bound) -> None:
-    """Refuse a bound that is not an int (a bool included) or is negative."""
-    if bound.__class__ is not int:
-        raise ValueError(f"bound must be an int, got {bound!r}")
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-
-
 def generated_upto(gens, bound: int, dim: int) -> frozenset:
     """All elements of the generated monoid (generators in N0^dim) with
     every coordinate <= bound.  Exact: partial sums never exceed totals,
@@ -527,7 +519,8 @@ def generated_upto(gens, bound: int, dim: int) -> frozenset:
     closing the points found so far under adding the next one, a copy
     per round, gives the closure under all generators taken so far.
     """
-    _check_bound(bound)
+    check_dim(dim, 0)
+    check_bound(bound)
     copies = 1
     fit = []
     for g in gens:
@@ -586,7 +579,7 @@ def generated_truncated(gens, bound: int, dim: int) -> frozenset:
     copies (every positive finite entry is over from there on) and inf
     copies.  A generator with no positive finite entry has two.
     """
-    _check_bound(bound)
+    check_bound(bound)
     moves = []
     choices = 1
     for g in check_vecs(gens, dim):

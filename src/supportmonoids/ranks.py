@@ -22,7 +22,7 @@ from __future__ import annotations
 from .equations import DioSystem, from_integer_matrix
 from .errors import MissingOrderUnitError
 from .hilbert import find_order_unit
-from .semiring import Record, Vec, check_int, check_vec, dot
+from .semiring import Record, Vec, check_matrix, check_vec, dot
 
 ASSUMPTIONS = ("reduced completion", "finitely generated torsion-free module")
 
@@ -42,11 +42,7 @@ class RankMatrix(Record):
         width = len(rows[0])
         if width < 1:
             raise ValueError("a rank matrix needs at least one indecomposable")
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("rank matrix rows must have equal length")
-            for v in row:
-                check_int(v, "rank", 0)
+        rows = check_matrix(rows, width, "rank")
         for i in range(width):
             if all(row[i] == 0 for row in rows):
                 raise ValueError(f"column {i + 1} is zero: every summand must be nonzero")

@@ -41,7 +41,9 @@ Everything in this module is immutable and pure; values can be shared
 freely between threads.
 
 ``check_vec`` and its list form ``check_vecs`` hold the one entry test
-that every public query of the other modules applies to outside input.
+that every public query of the other modules applies to outside input;
+``check_matrix`` is the one test of integer rows (equations, shadow
+maps, rank data), and ``check_bound`` of a truncation bound.
 The arithmetic and format helpers (``vec_add``, ``scale``, ``divides``,
 ``supp``, ``project``, ``inject``, ...) are unchecked primitives.
 """
@@ -239,6 +241,29 @@ def check_vecs(vecs: Iterable, n: int, what="generator") -> list:
             raise ValueError(f"{what} {t} has length {len(t)}, expected {n}")
         out.append(_check_entries(t, f"{what} entry"))
     return out
+
+
+def check_matrix(rows: Iterable, s: int, what: str, least: int | None = 0) -> tuple:
+    """Integer rows of length s, as a tuple of tuples, each entry at
+    least ``least`` (any int when it is None); the row and the entry
+    that fail are named."""
+    entry, out = f"{what} entry", []
+    for r, row in enumerate(rows):
+        row = tuple(row)
+        if len(row) != s:
+            raise ValueError(f"{what} row {r} has length {len(row)}, expected {s}")
+        for v in row:
+            check_int(v, entry, least)
+        out.append(row)
+    return tuple(out)
+
+
+def check_bound(bound) -> None:
+    """Refuse a bound that is not an int (a bool included) or is negative."""
+    if bound.__class__ is not int:
+        raise ValueError(f"bound must be an int, got {bound!r}")
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
 
 
 def check_index_set(H: Iterable[int], s: int) -> IndexSet:

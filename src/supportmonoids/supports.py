@@ -25,7 +25,7 @@ rows that meet H and then the columns of H.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from operator import or_
 
 from .equations import DioSystem
@@ -35,7 +35,7 @@ from .semiring import (INF, IndexSet, Record, Vec, _inject_all, _supp_mask,
                        canonical_sorted, check_dim, check_index_set, check_int, check_vec,
                        inject, supp, vec_from_json, vec_to_json, zero_vec)
 
-MAX_POWERSET_DIM = 16  # enumerating the 2^s subsets past this is refused
+MAX_POWERSET_DIM = 16  # listing more than 2^16 support sets is refused
 
 
 def _iset_key(H: IndexSet):
@@ -66,16 +66,50 @@ def _index_set(h: int) -> IndexSet:
     return frozenset(low[h & 255] + middle[h >> 8 & 255] + high[h >> 16])
 
 
-def _masks_in_order(s: int):
-    """The masks of the subsets of 1..s by size and then lexicographically,
-    the order of ``SystemOfSupports.families``."""
-    bits = [1 << j for j in range(s)]
-    return (sum(c) for r in range(s + 1) for c in itertools.combinations(bits, r))
-
-
 def _in_order(S) -> list:
     """(mask, H) for each support set H in S, in the order of ``families``."""
     return [(_mask(H), H) for H in sorted(S, key=_iset_key)]
+
+
+def _too_many(stage: str, s: int) -> ResourceLimitError:
+    """The one refusal of a lister that passes 2^MAX_POWERSET_DIM sets."""
+    return ResourceLimitError(
+        f"{stage}: listing more than 2^{MAX_POWERSET_DIM} support sets out of the 2^{s} "
+        f"subsets of {s} coordinates exceeds the cap MAX_POWERSET_DIM = {MAX_POWERSET_DIM}")
+
+
+def _closed_masks(s: int, interior, stage: str) -> list:
+    """The masks h below 2^s with interior(h) == h, in the order of
+    ``families``, for an interior operator: interior(h) is the largest
+    member inside h of a family closed under unions.  Refused once it
+    passes 2^MAX_POWERSET_DIM.
+
+    A depth-first walk over (top, must), where top is a member and must
+    is inside it, holds the members between the two.  The lowest bit
+    of top outside must splits them: those with it lie between top and
+    must plus that bit, those without it inside interior(top minus the
+    bit), which is pruned when it loses part of must.  No branch is
+    empty, so each leaf, top == must, is a member, and a listing costs
+    at most s interior calls per member (Ganter's NextClosure, 1984,
+    lists the same closed sets with polynomial delay).  Taking the
+    branch with the bit first meets the members with coordinate 1 before
+    those without it, and so on down, which among sets of one size is
+    the lexicographic order of their sorted coordinates; a stable sort
+    by size finishes the order.
+    """
+    out, stack = [], [(interior((1 << s) - 1), 0)]
+    while stack:
+        top, must = stack.pop()
+        while top != must:
+            bit = (free := top & ~must) & -free
+            rest = interior(top ^ bit)
+            if not must & ~rest:
+                stack.append((rest, must))
+            must |= bit
+        out.append(top)
+        if len(out) > 1 << MAX_POWERSET_DIM:
+            raise _too_many(stage, s)
+    return sorted(out, key=int.bit_count)
 
 
 class SystemOfSupports(Record):
@@ -93,10 +127,15 @@ class SystemOfSupports(Record):
     of dimension s - |h|, where ``known`` maps some masks to their
     families (``None`` outside S) and may be read, not written; and
     ``listing()``, the masks of S in the order of ``families``, each
-    with its support set, built once by the walk that finds it.  The
-    validating constructor builds the three from its checked input; the
-    systems the library builds (``extract``, ``a_plus_inf_a``,
-    ``b_min``, ``b_max``) pass their own to ``_deferred``.  Each A_h is
+    with its support set.  The validating constructor builds the three
+    from its checked input, whose S need not be closed under unions.
+    The systems the library builds (``extract``, ``a_plus_inf_a``,
+    ``b_min``, ``b_max``) have union-closed S and pass ``_deferred``
+    its interior operator, interior(h) = the largest member of S inside
+    h, from which admission is interior(h) == h, with their builder and
+    lister.  A lister refuses once it passes 2^MAX_POWERSET_DIM sets;
+    that many fit only past MAX_POWERSET_DIM coordinates, and there S
+    is listed at the call, so the refusal comes there.  Each A_h is
     built on first use and memoized in ``_by_h``: ``member_via_supports``
     and ``basis_for`` build only the family they read; ``families`` and
     ``S`` build them all, in order, so equality, hashing, repr, JSON and
@@ -135,12 +174,16 @@ class SystemOfSupports(Record):
                    lambda h, _known: by_h[h], lambda: order)
 
     @classmethod
-    def _deferred(cls, s: int, unit: Vec, admit, build, listing,
+    def _deferred(cls, s: int, unit: Vec, interior, build, listing,
                   solution_backed: bool = False) -> "SystemOfSupports":
         """A system the library builds itself, unvalidated: ``unit`` is a
-        strictly positive int tuple of length s."""
+        strictly positive int tuple of length s, and S is closed under
+        unions with interior operator ``interior``."""
+        if s > MAX_POWERSET_DIM:
+            order = listing()
+            listing = lambda: order
         self = object.__new__(cls)
-        self._hold(s, unit, solution_backed, admit, build, listing)
+        self._hold(s, unit, solution_backed, lambda h: interior(h) == h, build, listing)
         return self
 
     def _hold(self, *values) -> None:
@@ -216,24 +259,23 @@ def _row_masks(sys: DioSystem) -> tuple:
             [_supp_mask(d) for d in sys.D])
 
 
-def _admits(equations, h: int) -> bool:
-    """Is h an infinite support?  Zero-pattern criterion, row by equation
-    row: the all-inf-on-h vector solves a row iff the row misses h
-    entirely or both sides meet h."""
-    return all((not f & h) == (not g & h) for f, g in equations)
-
-
-def _check_powerset(s: int, stage: str) -> None:
-    """Refuse enumerating the subsets of s > MAX_POWERSET_DIM coordinates,
-    naming the stage that would enumerate them."""
-    if s > MAX_POWERSET_DIM:
-        raise ResourceLimitError(
-            f"{stage}: enumerating the 2^{s} subsets of {s} "
-            f"coordinates exceeds the cap MAX_POWERSET_DIM = {MAX_POWERSET_DIM}")
+def _interior(equations, h: int) -> int:
+    """The largest infinite support inside h, for the (F, G) support
+    masks of the equation rows: a row that meets h on one side only
+    forces that side out of every support inside h, so its coordinates
+    are dropped until no such row is left.  A support takes one pass."""
+    cut = True
+    while cut:
+        cut = False
+        for f, g in equations:
+            if (not f & h) != (not g & h):
+                h &= ~(f | g)
+                cut = True
+    return h
 
 
 def infinite_supports(sys: DioSystem) -> frozenset:
-    """The exact set {inf-supp(b) : b solves sys}, decided subset by subset.
+    """The exact set {inf-supp(b) : b solves sys}.
 
     Congruence rows never restrict infinite supports (inf is a multiple
     of everything); equation rows admit H exactly when the row misses H
@@ -241,14 +283,14 @@ def infinite_supports(sys: DioSystem) -> frozenset:
     or without an order unit: at a vector with infinite support H a side
     of a row is infinite iff it meets H, so a solution with infinite
     support H forces every row to miss H or meet it on both sides, and
-    then z_H, inf on H and 0 elsewhere, solves the system.  Past
-    MAX_POWERSET_DIM coordinates the subset loop is refused before it
-    starts.
+    then z_H, inf on H and 0 elsewhere, solves the system.  The supports
+    are closed under unions, and a walk over their interior operator
+    lists them with at most s tests per support; it is refused once it
+    passes 2^MAX_POWERSET_DIM of them, which needs more than
+    MAX_POWERSET_DIM coordinates.
     """
-    _check_powerset(sys.s, "infinite_supports")
-    equations, _ = _row_masks(sys)
-    return frozenset(_index_set(h) for h in _masks_in_order(sys.s)
-                     if _admits(equations, h))
+    interior = partial(_interior, _row_masks(sys)[0])
+    return frozenset(map(_index_set, _closed_masks(sys.s, interior, "infinite_supports")))
 
 
 def _subsystem(sys: DioSystem, masks, h: int) -> DioSystem:
@@ -280,12 +322,12 @@ def subsystem_for(sys: DioSystem, H) -> DioSystem:
     columns are removed.
 
     H alone is tested, by the zero-pattern criterion, so neither a system
-    without an order unit nor one of more than MAX_POWERSET_DIM
-    coordinates is refused.  A set that is not a support raises ValueError.
+    without an order unit nor one with many supports is refused.  A set
+    that is not a support raises ValueError.
     """
     H = check_index_set(H, sys.s)
     h, masks = _mask(H), _row_masks(sys)
-    if not _admits(masks[0], h):
+    if _interior(masks[0], h) != h:
         raise ValueError(f"{sorted(H)} is not an infinite support of the system")
     return _subsystem(sys, masks, h)
 
@@ -295,14 +337,13 @@ def extract(sys: DioSystem) -> SystemOfSupports:
 
     The families are built on first use.  The refusals come here, as
     when they were all built up front: the completion search of the
-    finite part, a missing order unit, then more than MAX_POWERSET_DIM
-    coordinates.
+    finite part, a missing order unit, then ``infinite_supports`` past
+    2^MAX_POWERSET_DIM supports.
     """
     basis0 = hilbert_basis(sys)
     unit = basis0.order_unit()
     if unit is None:
         raise MissingOrderUnitError("the system has no strictly positive finite solution")
-    _check_powerset(sys.s, "infinite_supports")
     masks = _row_masks(sys)
 
     def build(h, _known):
@@ -313,9 +354,8 @@ def extract(sys: DioSystem) -> SystemOfSupports:
         return hilbert_basis(_subsystem(sys, masks, h))
 
     return SystemOfSupports._deferred(
-        sys.s, unit, lambda h: _admits(masks[0], h), build,
-        lambda: _in_order(infinite_supports(sys)),
-        solution_backed=True)
+        sys.s, unit, partial(_interior, masks[0]), build,
+        lambda: _in_order(infinite_supports(sys)), solution_backed=True)
 
 
 # -- membership, generators, validation --------------------------------------
@@ -422,27 +462,16 @@ def support_closure(gens) -> frozenset:
     """All unions of generator supports, the empty set included: the
     supports of the members of the generated monoid.
 
-    There are at most 2^min(u, d) of them, for u coordinates in the
-    union of the supports and d distinct supports.  Past
-    2^MAX_POWERSET_DIM the loop is refused before it starts, so no
-    input with at most MAX_POWERSET_DIM coordinates is refused.
+    Each distinct support doubles the unions found so far at most, and
+    the loop is refused once they pass 2^MAX_POWERSET_DIM, so no input
+    with at most MAX_POWERSET_DIM coordinates is refused.
     """
-    out = {0}
-    for m in _capped_supports(gens):
+    out, supps = {0}, {_supp_mask(g) for g in gens}
+    for m in supps:
         out |= {k | m for k in out}
+        if len(out) > 1 << MAX_POWERSET_DIM:
+            raise _too_many("support_closure", reduce(or_, supps).bit_count())
     return frozenset(map(_index_set, out))
-
-
-def _capped_supports(gens) -> set:
-    """The distinct generator support masks, refused as
-    ``support_closure`` refuses them: before any union is formed."""
-    supps = {_supp_mask(g) for g in gens}
-    size = min(reduce(or_, supps, 0).bit_count(), len(supps))
-    if size > MAX_POWERSET_DIM:
-        raise ResourceLimitError(
-            f"support_closure: up to 2^{size} unions of generator supports "
-            f"exceed the cap 2^MAX_POWERSET_DIM = 2^{MAX_POWERSET_DIM}")
-    return supps
 
 
 def minimal_nonempty(S) -> list:

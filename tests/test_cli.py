@@ -247,6 +247,20 @@ def test_subset_enumeration_past_the_cap_is_refused(tmp_path, command):
     assert "infinite_supports" in proc.stderr and "16" in proc.stderr
 
 
+def test_supports_of_a_long_chain_are_listed(tmp_path):
+    # x1 = x2 = ... = x20: past 16 coordinates, but S = {∅, {1..20}}
+    s = 20
+    unit = lambda i: [int(j == i) for j in range(s)]
+    f = tmp_path / "chain.json"
+    f.write_text(json.dumps({"s": s, "equations": {"F": [unit(i) for i in range(s - 1)],
+                                                   "G": [unit(i + 1) for i in range(s - 1)]}}))
+    rc, out, _ = run_cli("supports", "--system", str(f))
+    assert rc == 0
+    doc = json.loads(out)
+    assert [fam["H"] for fam in doc["supports"]] == [[], list(range(1, s + 1))]
+    assert doc["supports"][0]["basis"] == [[1] * s]
+
+
 @pytest.mark.parametrize("dim", [17, 24])
 def test_support_closure_past_the_cap_is_refused(tmp_path, dim):
     # the free basis of N0^dim has 2^dim supports of members

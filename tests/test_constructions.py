@@ -509,6 +509,17 @@ def test_constructions_build_only_the_family_a_query_reads():
         assert (sos._by_h[0b0001] is None) == (construct is not b_max)
 
 
+def test_a_plus_inf_a_on_seventeen_nested_generators():
+    # e1, e1 + e2, ..., e1 + ... + e17: a chain of 18 supports, listed at the call
+    s = 17
+    nested = HilbertBasis.from_generators(s, [tuple(int(j <= i) for j in range(s))
+                                              for i in range(s)])
+    sos = a_plus_inf_a(nested)
+    assert [H for H, _ in sos.families] == [frozenset(range(1, k + 1)) for k in range(s + 1)]
+    assert sos.basis_for(frozenset()) == nested
+    assert sos.basis_for(frozenset(range(1, s + 1))) == HilbertBasis(0, ())
+
+
 def test_constructions_refuse_seventeen_coordinates_at_the_call():
     free = HilbertBasis.free(17)
     for construct in (a_plus_inf_a, b_min, b_max):

@@ -140,6 +140,15 @@ def test_enumerate_guard():
         enumerate_truncated(DioSystem(s=10), 10)
 
 
+def test_enumerate_truncated_validates_the_bound():
+    # the check of the bounded closures: a bool, a float or a str is no bound
+    for bad in (True, 1.5, "2"):
+        with pytest.raises(ValueError, match="^bound must be an int, got "):
+            enumerate_truncated(RANDCLOSURE, bad)
+    with pytest.raises(ValueError, match="^bound must be >= 0$"):
+        enumerate_truncated(RANDCLOSURE, -1)
+
+
 def test_enumeration_is_canonically_ordered_and_deterministic():
     a = enumerate_truncated(RANDCLOSURE, 2)
     b = enumerate_truncated(RANDCLOSURE, 2)

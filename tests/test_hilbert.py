@@ -458,6 +458,14 @@ def test_closures_validate_the_bound():
                 closure(gens, bad, 2)
         with pytest.raises(ValueError, match="^bound must be >= 0$"):
             closure(gens, -1, 2)
+    # the dimension is checked first, against the 24-coordinate cap
+    with pytest.raises(ValueError, match="^dimension 30 exceeds the supported maximum 24$"):
+        generated_upto([], 0, 30)
+    with pytest.raises(ValueError, match="^dimension: expected at least 0, got -2$"):
+        generated_upto([], 1, -2)
+    with pytest.raises(ValueError, match="^dimension: expected an integer, got 1.5$"):
+        generated_upto([], -1, 1.5)
+    assert generated_upto([], 3, 0) == frozenset({()})
     for bad in (((1, -1),), ((1, True),), ((1, 0, 0),)):
         with pytest.raises(ValueError, match="generated_upto needs generators"):
             generated_upto(bad, 3, 2)

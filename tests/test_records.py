@@ -190,6 +190,24 @@ def test_invalid_input_raises_value_error(build, match):
         build()
 
 
+def test_integer_rows_share_one_entry_test():
+    # DioSystem rows, DirectSumData shadow rows and RankMatrix rows name
+    # the failing row or entry alike
+    with pytest.raises(ValueError, match=r"^F row 0 has length 1, expected 2$"):
+        DioSystem(s=2, F=((1,),), G=((1, 0),))
+    for f1, match in ((((1, 0),), r"^f1 row 0 has length 2, expected 1$"),
+                      (((-1,),), r"^f1 entry: expected at least 0, got -1$"),
+                      (((True,),), r"^f1 entry: expected an integer, got True$")):
+        with pytest.raises(ValueError, match=match):
+            DirectSumData(s=3, I1=fset(1), I2=fset(2), I3=fset(3), B1=B1, B2=B1,
+                          f1=f1, f2=((1,),))
+    for a, match in ((((1, 1), (1,)), r"^rank row 1 has length 1, expected 2$"),
+                     (((1, -1), (1, 1)), r"^rank entry: expected at least 0, got -1$"),
+                     (((1, 1.5), (1, 1)), r"^rank entry: expected an integer, got 1.5$")):
+        with pytest.raises(ValueError, match=match):
+            RankMatrix(a=a)
+
+
 @pytest.mark.parametrize("cls", [ClassReport, SingleEquationReport])
 def test_reports_need_every_field(cls):
     # the reports validate nothing, but their fields have no defaults

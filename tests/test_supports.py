@@ -1,5 +1,7 @@
 import copy
+import functools
 import itertools
+import operator
 import pickle
 import random
 import sys
@@ -18,7 +20,7 @@ from supportmonoids import (INF, DioSystem, HilbertBasis, SystemOfSupports,
                             truncated_members, validate)
 from supportmonoids.errors import MissingOrderUnitError, ResourceLimitError
 from supportmonoids.semiring import canonical_sorted
-from supportmonoids.supports import _index_set, _mask, _masks_in_order
+from supportmonoids.supports import _closed_masks, _index_set, _mask
 
 RANDCLOSURE = DioSystem(s=3, F=((1, 1, 0),), G=((1, 0, 1),))
 PARITY = DioSystem(s=2, D=((1, 1),), moduli=(2,))
@@ -545,11 +547,107 @@ def test_extract_refuses_seventeen_coordinates_at_the_call():
     assert list(sos._by_h) == [0xFF] and sos._families is None
 
 
-def test_masks_walk_the_subsets_by_size_then_lexicographically():
-    for s in range(9):
+def test_listings_walk_the_supports_by_size_then_lexicographically():
+    for s in range(1, 9):
         restated = [frozenset(c) for r in range(s + 1)
                     for c in itertools.combinations(range(1, s + 1), r)]
-        assert [_index_set(h) for h in _masks_in_order(s)] == restated
+        for sos in (b_max(HilbertBasis.free(s)), extract(DioSystem(s=s))):
+            assert [H for _, H in sos._listing()] == restated
+            assert [h for h, _ in sos._listing()] == [_mask(H) for H in restated]
+        # b_min of <e1 + ... + es> holds the empty set and the full set only
+        assert [H for H, _ in b_min(HilbertBasis(s, ((1,) * s,))).families] == \
+            [restated[0], restated[-1]]
+
+
+def _spy_interior(monkeypatch, make):
+    """The interior operator a library constructor passes to
+    ``SystemOfSupports._deferred``, and the system it returns."""
+    seen = []
+    deferred = SystemOfSupports._deferred.__func__
+
+    def spy(cls, s, unit, interior, *rest, **kwargs):
+        seen.append(interior)
+        return deferred(cls, s, unit, interior, *rest, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SystemOfSupports, "_deferred", classmethod(spy))
+        sos = make()
+    return seen[0], sos
+
+
+def _row_criterion(sys_, h):
+    """The zero-pattern criterion, restated on index lists."""
+    meets = lambda row: any(row[j] for j in range(sys_.s) if h >> j & 1)
+    return all(meets(f) == meets(g) for f, g in zip(sys_.F, sys_.G))
+
+
+def _seeded_sparse_systems(rng, count):
+    """Systems with s 2-10 and 1-3 equation rows, each side touching one
+    to three coordinates, each system with an order unit."""
+    out = []
+    while len(out) < count:
+        s = rng.randint(2, 10)
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            sides = []
+            for _ in range(2):
+                row = [0] * s
+                for j in rng.sample(range(s), rng.randint(1, min(3, s))):
+                    row[j] = rng.randint(1, 2)
+                sides.append(tuple(row))
+            rows.append(sides)
+        sys_ = DioSystem(s=s, F=tuple(f for f, _ in rows), G=tuple(g for _, g in rows))
+        try:
+            extract(sys_)
+        except MissingOrderUnitError:
+            continue
+        out.append(sys_)
+    return out
+
+
+def _seeded_bases(rng, count):
+    """Bases over s 1-10 coordinates whose generators cover every coordinate."""
+    out = []
+    while len(out) < count:
+        s = rng.randint(1, 10)
+        gens = [tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(s))
+                for _ in range(rng.randint(1, 6))]
+        gens += [tuple(int(j == i) for j in range(s)) for i in rng.sample(range(s), s // 2)]
+        b = HilbertBasis.from_generators(s, gens)
+        if b.order_unit() is not None:
+            out.append(b)
+    return out
+
+
+def test_interior_and_listing_agree_with_brute_force(monkeypatch):
+    rng = random.Random(151)
+    cases = [(lambda sys_=sys_: extract(sys_), sys_.s, lambda h, sys_=sys_: _row_criterion(sys_, h))
+             for sys_ in _seeded_sparse_systems(rng, 40)]
+    for b in _seeded_bases(rng, 40):
+        supps = [sum(1 << j for j, v in enumerate(g) if v) for g in b.gens]
+        inside = lambda h, supps=supps: [m for m in supps if not m & ~h]
+        cases += [
+            (lambda b=b: a_plus_inf_a(b), b.dim,
+             lambda h, inside=inside: functools.reduce(operator.or_, inside(h), 0) == h),
+            (lambda b=b: b_min(b), b.dim, lambda h, inside=inside: not h or bool(inside(h))),
+            (lambda b=b: b_max(b), b.dim, lambda h: True)]
+    assert max(s for _, s, _ in cases) == 10
+    for make, s, member in cases:
+        interior, sos = _spy_interior(monkeypatch, make)
+        S = {h for h in range(1 << s) if member(h)}
+        for h in range(1 << s):
+            largest, sub = 0, h
+            while True:  # the union of the members inside h
+                if sub in S:
+                    largest |= sub
+                if not sub:
+                    break
+                sub = (sub - 1) & h
+            assert interior(h) == largest
+        restated = sorted(map(_index_set, S), key=lambda H: (len(H), sorted(H)))
+        assert [H for _, H in sos._listing()] == restated
+        # the walk lists in that order for every operator, whichever lister the system uses
+        assert _closed_masks(s, interior, "walk") == [_mask(H) for H in restated]
 
 
 def test_index_sets_round_trip_through_masks():
