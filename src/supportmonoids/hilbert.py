@@ -72,9 +72,16 @@ from operator import add, le, mul
 from .equations import ENUMERATION_GUARD, DioSystem, lift_congruences
 from .errors import ResourceLimitError
 from .semiring import (INF, MAX_DIM, Record, Vec, canonical_sorted, check_bound, check_dim,
-                       check_vecs, unit_vec)
+                       check_int, check_vecs, unit_vec)
 
 MAX_COMPLETION_STATES = 1_000_000
+
+
+def _too_many_states(count: int) -> ResourceLimitError:
+    """The refusal of a membership search past MAX_COMPLETION_STATES states."""
+    return ResourceLimitError(
+        f"in_generated: the membership search expanded {count} states, past the cap "
+        f"MAX_COMPLETION_STATES = {MAX_COMPLETION_STATES}")
 
 
 def _refuse_inf(gens) -> None:
@@ -331,8 +338,10 @@ def hilbert_basis(sys: DioSystem, max_states: int = MAX_COMPLETION_STATES) -> Hi
     sweep of ``minimize_generators`` removes none of them.  It still
     runs here: it makes the only ``in_generated`` calls on the
     ``classify-1eq`` workload of ``perfbench``, whose traced run
-    requires some.
+    requires some.  A ``max_states`` that is not an int at least 0 is
+    refused first.
     """
+    check_int(max_states, "max_states", 0)
     if not sys.F and not sys.D and sys.s <= max_states:
         return HilbertBasis.free(sys.s)
     lifted = lift_congruences(sys)
@@ -368,6 +377,10 @@ def in_generated(gens, x: Vec) -> bool:
     remainder over all the projections.  Exact both ways: a sum covering
     that coordinate uses such a generator, so one copy of it can be the
     one peeled off.
+
+    Both searches are refused past MAX_COMPLETION_STATES states, each
+    counted by its failure memo: a state that fails is memoized, and one
+    that succeeds ends the search.
     """
     x = tuple(x)
     dim = len(x)
@@ -402,6 +415,8 @@ def in_generated(gens, x: Vec) -> bool:
                 if min(rest2, default=0) >= 0 and cover(rest2, todo - inf_at):
                     return True
         failed.add(state)
+        if len(failed) > MAX_COMPLETION_STATES:
+            raise _too_many_states(len(failed))
         return False
 
     return cover(tuple(x[i] for i in fin), frozenset(uncovered))
@@ -418,7 +433,9 @@ def _in_generated_finite(pool, x) -> bool:
     packed words with fields for entries up to max(x) ("Packed words"
     in the module docstring): g fits r iff (r | top) - g keeps every
     guard bit, and a remainder with a nonzero field that no generator
-    from k on reaches is rejected without a search.
+    from k on reaches is rejected without a search.  The memo counts the
+    states the search expands, but for those on the path that succeeds,
+    and the search is refused once it passes MAX_COMPLETION_STATES.
     """
     # INF <= t is False for every finite t
     gens = [g for g in pool if all(map(le, g, x))]
@@ -450,6 +467,8 @@ def _in_generated_finite(pool, x) -> bool:
         if search(k + 1, r):
             return True
         failed.add(state)
+        if len(failed) > MAX_COMPLETION_STATES:
+            raise _too_many_states(len(failed))
         return False
 
     return search(0, start)

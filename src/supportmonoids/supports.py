@@ -117,39 +117,39 @@ class SystemOfSupports(Record):
 
     ``families`` maps each H in S (sorted by size then lexicographically)
     to the Hilbert basis of A_H over the complement coordinates in
-    ascending order.  ``solution_backed`` records that the instance was
-    extracted from a system of equations and congruences, whose A_H are
-    full by construction.  ``S`` is the set of the H.
+    ascending order, and ``S`` is the set of the H.  The record is its
+    data: equality, hashing, repr, JSON and pickling see s, ``unit`` and
+    ``families``, and nothing else.
 
-    Every instance holds the same three things over support masks: a
-    test ``admit(h)`` that decides whether a mask h below 2^s is in S;
-    a builder ``build(h, known)`` of A_h for an admitted h, as a basis
-    of dimension s - |h|, where ``known`` maps some masks to their
-    families (``None`` outside S) and may be read, not written; and
-    ``listing()``, the masks of S in the order of ``families``, each
-    with its support set.  The validating constructor builds the three
-    from its checked input, whose S need not be closed under unions.
-    The systems the library builds (``extract``, ``a_plus_inf_a``,
-    ``b_min``, ``b_max``) have union-closed S and pass ``_deferred``
-    its interior operator, interior(h) = the largest member of S inside
-    h, from which admission is interior(h) == h, with their builder and
-    lister.  A lister refuses once it passes 2^MAX_POWERSET_DIM sets;
-    that many fit only past MAX_POWERSET_DIM coordinates, and there S
-    is listed at the call, so the refusal comes there.  Each A_h is
-    built on first use and memoized in ``_by_h``: ``member_via_supports``
-    and ``basis_for`` build only the family they read; ``families`` and
-    ``S`` build them all, in order, so equality, hashing, repr, JSON and
-    pickling see one record whichever way it was made.  The memo only
-    stores what the builder returns, so concurrent readers can at worst
-    repeat work.
+    Every instance holds two functions over support masks: a lookup
+    ``lookup(h, known)`` that returns A_h, as a basis of dimension
+    s - |h|, for a mask h below 2^s in S and None for any other, where
+    ``known`` maps some masks to their lookups and may be read, not
+    written; and ``listing()``, the masks of S in the order of
+    ``families``, each with its support set.  The validating
+    constructor reads both off its checked input, whose S need not be
+    closed under unions.  The systems the library builds (``extract``,
+    ``a_plus_inf_a``, ``b_min``, ``b_max``) have union-closed S and pass
+    ``_deferred`` its interior operator, interior(h) = the largest
+    member of S inside h, so that h is in S iff interior(h) == h, with a
+    builder of A_h for h in S and a lister.
+
+    One listing rule holds at every size: S is listed on the first read
+    of ``families`` or ``S``, which equality, hashing, repr, JSON and
+    pickling make too, and a lister refuses there once it passes
+    2^MAX_POWERSET_DIM sets, which needs more than MAX_POWERSET_DIM
+    coordinates.  Each A_h is looked up on first use and memoized in
+    ``_by_h``: ``member_via_supports`` and ``basis_for`` list nothing
+    and look up only the family they read, so they answer however many
+    coordinates there are.  The memo only stores what the lookup
+    returns, so concurrent readers can at worst repeat work.
     """
 
-    _fields = ("s", "unit", "families", "solution_backed")
-    __slots__ = ("s", "unit", "solution_backed", "_admit", "_build", "_listing",
-                 "_by_h", "_families")
+    _fields = ("s", "unit", "families")
+    __slots__ = ("s", "unit", "_lookup", "_listing", "_solution_backed", "_by_h",
+                 "_families")
 
-    def __init__(self, s: int, unit: Vec, families: tuple,
-                 solution_backed: bool = False):
+    def __init__(self, s: int, unit: Vec, families: tuple):
         check_dim(s)
         unit = check_vec(unit, "unit")
         if len(unit) != s:
@@ -170,20 +170,24 @@ class SystemOfSupports(Record):
                     f"expected {s - len(H)}")
             by_h[h] = basis
         order = _in_order(map(_index_set, by_h))
-        self._hold(s, unit, solution_backed, by_h.__contains__,
-                   lambda h, _known: by_h[h], lambda: order)
+        self._hold(s, unit, lambda h, _known: by_h.get(h), lambda: order, False)
 
     @classmethod
     def _deferred(cls, s: int, unit: Vec, interior, build, listing,
                   solution_backed: bool = False) -> "SystemOfSupports":
         """A system the library builds itself, unvalidated: ``unit`` is a
         strictly positive int tuple of length s, and S is closed under
-        unions with interior operator ``interior``."""
-        if s > MAX_POWERSET_DIM:
-            order = listing()
-            listing = lambda: order
+        unions with interior operator ``interior``.  Nothing is listed
+        here, whatever s is.
+
+        ``solution_backed`` marks a system extracted from equations and
+        congruences, whose A_H are full by construction.  Only
+        ``is_almost_free`` reads it, and it is no part of the value: a
+        rebuilt, loaded or unpickled copy has it unset and checks
+        fullness again."""
         self = object.__new__(cls)
-        self._hold(s, unit, solution_backed, lambda h: interior(h) == h, build, listing)
+        self._hold(s, unit, lambda h, known: build(h, known) if interior(h) == h else None,
+                   listing, solution_backed)
         return self
 
     def _hold(self, *values) -> None:
@@ -194,13 +198,8 @@ class SystemOfSupports(Record):
     @property
     def families(self) -> tuple:
         if self._families is None:
-            fams = []
-            for h, H in self._listing():
-                basis = self._by_h.get(h)
-                if basis is None:
-                    basis = self._by_h[h] = self._build(h, self._by_h)
-                fams.append((H, basis))
-            object.__setattr__(self, "_families", tuple(fams))
+            fams = tuple((H, self._family(h)) for h, H in self._listing())
+            object.__setattr__(self, "_families", fams)
         return self._families
 
     @property
@@ -209,11 +208,11 @@ class SystemOfSupports(Record):
 
     def _family(self, h: int):
         """A_h for a mask h below 2^s, or None when h is not in S: one
-        dict lookup, and the admission test and builder only on a miss."""
+        dict lookup, and the lookup function only on a miss."""
         try:
             return self._by_h[h]
         except KeyError:
-            basis = self._by_h[h] = self._build(h, self._by_h) if self._admit(h) else None
+            basis = self._by_h[h] = self._lookup(h, self._by_h)
             return basis
 
     def basis_for(self, H) -> HilbertBasis:
@@ -287,7 +286,9 @@ def infinite_supports(sys: DioSystem) -> frozenset:
     are closed under unions, and a walk over their interior operator
     lists them with at most s tests per support; it is refused once it
     passes 2^MAX_POWERSET_DIM of them, which needs more than
-    MAX_POWERSET_DIM coordinates.
+    MAX_POWERSET_DIM coordinates.  It is the lister of ``extract``, so
+    a system of supports makes that refusal on the first read of its
+    families, not when it is built.
     """
     interior = partial(_interior, _row_masks(sys)[0])
     return frozenset(map(_index_set, _closed_masks(sys.s, interior, "infinite_supports")))
@@ -335,10 +336,12 @@ def subsystem_for(sys: DioSystem, H) -> DioSystem:
 def extract(sys: DioSystem) -> SystemOfSupports:
     """Recover the full gluing data of the solution monoid of sys.
 
-    The families are built on first use.  The refusals come here, as
-    when they were all built up front: the completion search of the
-    finite part, a missing order unit, then ``infinite_supports`` past
-    2^MAX_POWERSET_DIM supports.
+    The completion search of the finite part and a missing order unit
+    are refused here.  The rest follows the one listing rule of
+    ``SystemOfSupports``: each family is built on first use, and S is
+    listed, by ``infinite_supports``, on the first read of the families,
+    which refuses past 2^MAX_POWERSET_DIM supports; a query that reads
+    one family lists nothing.
     """
     basis0 = hilbert_basis(sys)
     unit = basis0.order_unit()
@@ -554,6 +557,7 @@ def _full_upto(basis: HilbertBasis, bound: int) -> bool:
 
 def is_full(sos: SystemOfSupports, bound: int = DEFAULT_FULLNESS_BOUND) -> bool:
     """Do all families embed divisor-homomorphically, verified up to bound?"""
+    check_int(bound, "verification bound", 0)
     return all(_full_upto(basis, bound) for _, basis in sos.families)
 
 
@@ -564,10 +568,12 @@ def is_almost_free(sos: SystemOfSupports, bound: int = DEFAULT_FULLNESS_BOUND) -
     (``HilbertBasis.is_free``), minimal or not.  Freeness at the
     minimal supports propagates to all larger ones by the projection
     axiom, so only the minimal ones are inspected.  Fullness of the
-    finite part is bounded verification unless the instance was
-    extracted from a defining system, where it holds by construction.
+    finite part is bounded verification unless the instance is one that
+    ``extract`` returned, where it holds by construction; a copy rebuilt
+    from its data is verified like any other.
     """
-    if not sos.solution_backed:
+    check_int(bound, "verification bound", 0)
+    if not sos._solution_backed:
         empty = frozenset()
         if empty not in sos.S or not _full_upto(sos.basis_for(empty), bound):
             return False

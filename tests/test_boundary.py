@@ -3,9 +3,11 @@ through the one entry test in ``semiring``.
 
 A bad entry (negative, float, bool or str, and inf where only N0 is
 allowed) or a vector of the wrong length raises ValueError naming it;
-valid input gets the answers of the independent oracles.
-``test_hygiene.py`` fails when a public query that takes vectors is
-missing from ``BOUNDARY``.
+valid input gets the answers of the independent oracles.  A count
+parameter (a ``bound`` or ``max_states``) that is not an int at least 0
+raises ValueError too.  ``test_hygiene.py`` fails when a public query
+that takes vectors is missing from ``BOUNDARY``, or one that takes a
+count from ``COUNTS``.
 """
 
 import random
@@ -15,9 +17,11 @@ import pytest
 
 from oracles import from_lib, o_closure, o_is_member
 from supportmonoids import (INF, DioSystem, HilbertBasis, RankMatrix,
-                            analyze_single_equation, extract, generated_truncated,
-                            generated_upto, in_generated, is_extended, is_member,
-                            member_via_supports, minimize_generators, monoid_sum)
+                            analyze_single_equation, enumerate_truncated, extract,
+                            generated_truncated, generated_upto, hilbert_basis,
+                            in_generated, is_almost_free, is_extended, is_full, is_member,
+                            member_via_supports, minimize_generators, monoid_sum,
+                            truncated_members, verdict)
 from supportmonoids.errors import MissingOrderUnitError
 
 # x0 + y1 = x0 + y2, the randclosure-s2 fixture
@@ -68,6 +72,29 @@ def test_entry_refuses_bad_entries_and_lengths(name, call, n0_only, message):
     for wrong in ((1, 1), (1, 1, 1, 1)):
         with pytest.raises(ValueError, match="length"):
             call(wrong)
+
+
+# (public name, call with one count c, a valid count)
+COUNTS = (
+    ("verdict", lambda c: verdict(SYS, bound=c), 2),
+    ("is_full", lambda c: is_full(SOS, c), 2),
+    ("is_almost_free", lambda c: is_almost_free(SOS, c), 2),
+    ("truncated_members", lambda c: truncated_members(SOS, c), 2),
+    ("generated_upto", lambda c: generated_upto([(1, 0, 0)], c, 3), 2),
+    ("generated_truncated", lambda c: generated_truncated([(1, 0, 0)], c, 3), 2),
+    ("enumerate_truncated", lambda c: enumerate_truncated(SYS, c), 2),
+    ("hilbert_basis", lambda c: hilbert_basis(SYS, max_states=c), 100),
+)
+
+BAD_COUNTS = (True, 1.5, "2", -1)
+
+
+@pytest.mark.parametrize("name,call,good", COUNTS, ids=_ids(COUNTS))
+def test_entry_refuses_bad_counts(name, call, good):
+    call(good)
+    for c in BAD_COUNTS:
+        with pytest.raises(ValueError):
+            call(c)
 
 
 def test_motivating_probes_are_refused():

@@ -432,8 +432,9 @@ def test_direct_sum_data_validation():
 def test_powerset_guard():
     big = basis(17, *(tuple(1 if j == i else 0 for j in range(17))
                       for i in range(17)))
+    sos = b_max(big)  # the supports are listed on the first read, which refuses
     with pytest.raises(ResourceLimitError, match="^b_max: .* 17 coordinates .*MAX_POWERSET_DIM"):
-        b_max(big)
+        sos.families
 
 
 def _restated_a_plus_inf_a(basis):
@@ -510,7 +511,7 @@ def test_constructions_build_only_the_family_a_query_reads():
 
 
 def test_a_plus_inf_a_on_seventeen_nested_generators():
-    # e1, e1 + e2, ..., e1 + ... + e17: a chain of 18 supports, listed at the call
+    # e1, e1 + e2, ..., e1 + ... + e17: a chain of 18 supports, listed on the first read
     s = 17
     nested = HilbertBasis.from_generators(s, [tuple(int(j <= i) for j in range(s))
                                               for i in range(s)])
@@ -520,13 +521,15 @@ def test_a_plus_inf_a_on_seventeen_nested_generators():
     assert sos.basis_for(frozenset(range(1, s + 1))) == HilbertBasis(0, ())
 
 
-def test_constructions_refuse_seventeen_coordinates_at_the_call():
+def test_constructions_refuse_seventeen_coordinates_at_the_first_listing():
     free = HilbertBasis.free(17)
     for construct in (a_plus_inf_a, b_min, b_max):
         # a_plus_inf_a refuses in support_closure, the others in their own name
         stage = "support_closure" if construct is a_plus_inf_a else construct.__name__
-        with pytest.raises(ResourceLimitError, match=f"^{stage}: .*MAX_POWERSET_DIM"):
-            construct(free)
+        sos = construct(free)
+        for read in (lambda: sos.families, lambda: sos.S, sos.to_json):
+            with pytest.raises(ResourceLimitError, match=f"^{stage}: .*MAX_POWERSET_DIM"):
+                read()
 
 
 def test_decomposed_almost_free_accepts_a_free_factor_that_is_not_minimal():

@@ -663,3 +663,39 @@ def test_in_generated_with_inf_targets_matches_a_coefficient_brute_force():
                 assert in_generated(gens, x) == (x in members), (gens, x)
                 cases += 1
     assert cases > 500
+
+
+def _nested_chain(n):
+    """e1, e1 + e2, ..., e1 + ... + en: the membership search of its unit
+    (n, n - 1, ..., 1) grows exponentially with n."""
+    return HilbertBasis.from_generators(n, [tuple(int(j <= i) for j in range(n))
+                                            for i in range(n)])
+
+
+def test_membership_search_is_capped(monkeypatch):
+    from supportmonoids import hilbert
+    chain = _nested_chain(9)
+    unit = chain.order_unit()
+    assert in_generated(chain.gens, unit)  # about 15k failed states
+    monkeypatch.setattr(hilbert, "MAX_COMPLETION_STATES", 1000)
+    with pytest.raises(ResourceLimitError) as err:
+        in_generated(chain.gens, unit)
+    assert str(err.value) == ("in_generated: the membership search expanded 1001 states, "
+                              "past the cap MAX_COMPLETION_STATES = 1000")
+    assert err.traceback[-1].name == "search"
+
+
+def test_cover_search_is_capped(monkeypatch):
+    # inf on all of T costs |T| + 1 in the finite coordinate, so covering
+    # the five inf coordinates never fits below 5: every cover state fails
+    # before a finite search starts
+    from supportmonoids import hilbert
+    gens = [tuple(INF if j in T else 0 for j in range(5)) + (len(T) + 1,)
+            for r in range(1, 6) for T in itertools.combinations(range(5), r)]
+    x = (INF,) * 5 + (5,)
+    assert not in_generated(gens, x)
+    monkeypatch.setattr(hilbert, "MAX_COMPLETION_STATES", 10)
+    with pytest.raises(ResourceLimitError, match="^in_generated: .* 11 states, .* = 10$") as err:
+        in_generated(gens, x)
+    assert err.traceback[-1].name == "cover"
+

@@ -149,3 +149,22 @@ def test_every_public_query_is_in_the_boundary_table():
                if isinstance(node, ast.FunctionDef) and node.name in public
                and VECTOR_PARAMETERS & set(_parameters(node)) and node.name not in listed]
     assert not missing, "public queries missing from the boundary table:\n" + "\n".join(missing)
+
+
+# Parameters that take a count from a caller: a bound or a state cap.
+COUNT_PARAMETERS = {"bound", "max_states"}
+
+
+def test_every_public_count_is_in_the_boundary_table():
+    """A public function that takes a count is listed in
+    ``test_boundary.COUNTS``, so a new one cannot skip its entry check."""
+    from test_boundary import COUNTS
+    listed = {name for name, *_ in COUNTS}
+    modules = _modules()
+    public = _exported(modules["__init__.py"])
+    missing = [f"{name}:{node.lineno}: {node.name}"
+               for name, tree in modules.items()
+               for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name in public
+               and COUNT_PARAMETERS & set(_parameters(node)) and node.name not in listed]
+    assert not missing, "public counts missing from the boundary table:\n" + "\n".join(missing)

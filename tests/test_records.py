@@ -32,9 +32,8 @@ SAMPLES = {
     ),
     "SystemOfSupports": (
         SystemOfSupports(s=1, unit=(1,), families=((fset(), B1), (fset(1), B0))),
-        SystemOfSupports(1, [1], [({1}, B0), (set(), B1)], False),
-        SystemOfSupports(s=1, unit=(1,), families=((fset(), B1), (fset(1), B0)),
-                         solution_backed=True),
+        SystemOfSupports(1, [1], [({1}, B0), (set(), B1)]),
+        SystemOfSupports(s=1, unit=(2,), families=((fset(), B1), (fset(1), B0))),
     ),
     "ClassReport": (
         ClassReport(has_order_unit=True, full=True, almost_free=False,
@@ -69,7 +68,7 @@ REPRS = {
     "SystemOfSupports": (
         "SystemOfSupports(s=1, unit=(1,), families=("
         "(frozenset(), HilbertBasis(dim=1, gens=((1,),))), "
-        "(frozenset({1}), HilbertBasis(dim=0, gens=()))), solution_backed=False)"),
+        "(frozenset({1}), HilbertBasis(dim=0, gens=()))))"),
     "ClassReport": (
         "ClassReport(has_order_unit=True, full=True, almost_free=False, "
         "equals_a_plus_inf_a=False, all_fg_sums=False, witnesses=((1, 0),), "
@@ -164,8 +163,14 @@ def test_keyword_defaults():
     sys_ = DioSystem(s=2)
     assert (sys_.F, sys_.G, sys_.D, sys_.moduli) == ((), (), (), ())
     assert RankMatrix(((1, 1), (1, 2))).labels is None
-    sos = SystemOfSupports(1, (1,), ((fset(), B1), (fset(1), B0)))
-    assert sos.solution_backed is False
+
+
+def test_a_system_of_supports_is_its_data():
+    # three fields and no flag, so a caller cannot mark a hand-built
+    # system as full without a check
+    assert SystemOfSupports._fields == ("s", "unit", "families")
+    with pytest.raises(TypeError):
+        SystemOfSupports(1, (1,), ((fset(), B1), (fset(1), B0)), solution_backed=True)
 
 
 def test_fields_are_normalized():

@@ -6,9 +6,11 @@ import pickle
 import random
 import sys
 import threading
+import time
 
 import pytest
 
+from conftest import FIXTURE_NAMES, load_fixture
 from oracles import from_lib, o_closure, o_solutions
 from supportmonoids import (INF, DioSystem, HilbertBasis, SystemOfSupports,
                             a_plus_inf_a, b_max, b_min,
@@ -481,7 +483,7 @@ def assert_lazy_matches_eager(make):
     record too.
     """
     built = make()
-    eager = SystemOfSupports(built.s, built.unit, built.families, built.solution_backed)
+    eager = SystemOfSupports(built.s, built.unit, built.families)
     s = eager.s
     box = list(itertools.product((0, 1, 2, INF), repeat=s))
     want = [member_via_supports(eager, x) for x in box]
@@ -538,13 +540,69 @@ def test_extract_builds_only_the_families_it_reads(monkeypatch):
     assert all(H is _index_set(_mask(H)) for H, _ in sos.families)
 
 
-def test_extract_refuses_seventeen_coordinates_at_the_call():
-    with pytest.raises(ResourceLimitError, match="MAX_POWERSET_DIM"):
-        extract(DioSystem(s=17))
+def test_extract_refuses_seventeen_coordinates_at_the_first_listing():
+    # the call lists nothing; each read that lists S refuses
+    sos = extract(DioSystem(s=17))
+    for read in (lambda: sos.families, lambda: sos.S, sos.to_json):
+        with pytest.raises(ResourceLimitError, match="MAX_POWERSET_DIM"):
+            read()
     # sixteen are accepted, and one query builds one family
     sos = extract(DioSystem(s=16))
     assert member_via_supports(sos, (INF,) * 8 + (1,) * 8)
     assert list(sos._by_h) == [0xFF] and sos._families is None
+
+
+def test_one_family_queries_answer_past_sixteen_coordinates():
+    # the systems list nothing when built or queried one family at a time,
+    # and the first read that lists S refuses with the lister's name
+    x1_is_x2 = DioSystem(s=24, F=((1,) + (0,) * 23,), G=((0, 1) + (0,) * 22,))
+    # (make, the lister's name, is every vector a member?)
+    cases = ((lambda: extract(DioSystem(s=24)), "infinite_supports", True),
+             (lambda: extract(x1_is_x2), "infinite_supports", False),
+             (lambda: b_min(HilbertBasis.free(24)), "b_min", True),
+             (lambda: b_max(HilbertBasis.free(24)), "b_max", True),
+             (lambda: a_plus_inf_a(HilbertBasis.free(17)), "support_closure", True))
+    for make, stage, everything in cases:
+        start = time.perf_counter()
+        sos = make()
+        s = sos.s
+        assert member_via_supports(sos, (INF,) * 5 + (1,) * (s - 5))
+        assert member_via_supports(sos, (3, 2) + (0,) * (s - 2)) == everything
+        assert member_via_supports(sos, (INF,) + (0,) * (s - 1)) == everything
+        assert sos.basis_for(range(1, 6)) == HilbertBasis.free(s - 5)
+        assert time.perf_counter() - start < 0.5
+        assert sos._families is None
+        for read in (lambda: sos.families, lambda: sos.S, sos.to_json):
+            with pytest.raises(ResourceLimitError, match=f"^{stage}: .*MAX_POWERSET_DIM"):
+                read()
+    assert subsystem_for(x1_is_x2, {1, 2}) == DioSystem(s=22)
+
+
+def test_library_built_systems_round_trip_through_json_and_pickle():
+    # equal after each round trip, and is_almost_free answers alike,
+    # although only the instance extract returned skips the fullness check
+    systems = [DioSystem.from_json(load_fixture(name)) for name in FIXTURE_NAMES]
+    systems += seeded_extractable_systems(random.Random(113), 100)
+    for sys_ in systems:
+        sos = extract(sys_)
+        A = sos.basis_for(fset())
+        for built in (sos, a_plus_inf_a(A), b_min(A), b_max(A)):
+            for again in (SystemOfSupports.from_json(built.to_json()),
+                          pickle.loads(pickle.dumps(built))):
+                assert again == built and hash(again) == hash(built), sys_
+                assert is_almost_free(again) == is_almost_free(built), sys_
+
+
+def test_validate_refuses_the_nested_chain_in_time():
+    # the axiom (1) check searches for the unit (17, 16, ..., 1) among
+    # e1, e1 + e2, ..., e1 + ... + e17; uncapped, it grew past 3 GB
+    s = 17
+    nested = HilbertBasis.from_generators(s, [tuple(int(j <= i) for j in range(s))
+                                              for i in range(s)])
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="^in_generated: .*MAX_COMPLETION_STATES"):
+        validate(a_plus_inf_a(nested))
+    assert time.perf_counter() - start < 10
 
 
 def test_listings_walk_the_supports_by_size_then_lexicographically():
@@ -667,7 +725,7 @@ def test_concurrent_readers_of_lazy_systems_agree():
     eager = []
     for sys_ in systems:
         sos = extract(sys_)
-        eager.append(SystemOfSupports(sos.s, sos.unit, sos.families, True))
+        eager.append(SystemOfSupports(sos.s, sos.unit, sos.families))
     lazy = [extract(sys_) for sys_ in systems]
     boxes = [list(itertools.product((0, 1, INF), repeat=sys_.s)) for sys_ in systems]
     wrong = []
