@@ -4,6 +4,12 @@ Exit status: 0 on success, 1 when the oracle finds a mismatch, 2 on
 validation or parse errors, 3 when a resource cap refuses the
 computation.  stdout carries exactly one JSON document; diagnostics go
 to stderr.
+
+A command loads only what it runs: ``main`` registers the subparser of
+the command named first on the command line (every subparser for
+``--help``, a missing command or an unknown one), and each handler
+imports the library functions it calls when it runs.  Usage and error
+lines name every command either way.
 """
 
 from __future__ import annotations
@@ -12,14 +18,8 @@ import argparse
 import json
 import sys as _sys
 
-from .classify import verdict
-from .constructions import a_plus_inf_a, b_max, b_min
-from .equations import DioSystem, enumerate_truncated, is_member
 from .errors import MissingOrderUnitError, ResourceLimitError
-from .hilbert import HilbertBasis, _Fields, generated_truncated
-from .ranks import ASSUMPTIONS, RankMatrix, is_extended, realize_wiegand, vstar_system
 from .semiring import INF, parse_vec, scale, vec_to_json
-from .supports import extract, generators, truncated_members
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -32,11 +32,13 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _load_system(path: str) -> DioSystem:
+def _load_system(path: str):
+    from .equations import DioSystem
     return DioSystem.from_json(_load_json(path))
 
 
-def _load_basis(path: str) -> HilbertBasis:
+def _load_basis(path: str):
+    from .hilbert import HilbertBasis
     obj = _load_json(path)
     if isinstance(obj, dict):
         gens = obj.get("gens", ())
@@ -56,49 +58,58 @@ def _emit(obj) -> None:
 
 
 def _cmd_member(args) -> int:
+    from .equations import is_member
     sys_ = _load_system(args.system)
     _emit({"member": is_member(sys_, parse_vec(args.vector))})
     return EXIT_OK
 
 
 def _cmd_supports(args) -> int:
+    from .supports import extract
     _emit(extract(_load_system(args.system)).to_json())
     return EXIT_OK
 
 
 def _cmd_generators(args) -> int:
+    from .supports import extract, generators
     gens = generators(extract(_load_system(args.system)))
     _emit({"generators": [vec_to_json(g) for g in gens]})
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
+    from .classify import verdict
     _emit(verdict(_load_system(args.system), bound=args.bound).to_json())
     return EXIT_OK
 
 
 def _cmd_aplusinfa(args) -> int:
+    from .constructions import a_plus_inf_a
     _emit(a_plus_inf_a(_load_basis(args.basis)).to_json())
     return EXIT_OK
 
 
 def _cmd_bmin(args) -> int:
+    from .constructions import b_min
     _emit(b_min(_load_basis(args.basis)).to_json())
     return EXIT_OK
 
 
 def _cmd_bmax(args) -> int:
+    from .constructions import b_max
     _emit(b_max(_load_basis(args.basis)).to_json())
     return EXIT_OK
 
 
 def _cmd_lo_system(args) -> int:
+    from .ranks import ASSUMPTIONS, RankMatrix, vstar_system
     rm = RankMatrix.from_json(_load_json(args.ranks))
     _emit({"system": vstar_system(rm).to_json(), "assumptions": list(ASSUMPTIONS)})
     return EXIT_OK
 
 
 def _cmd_lo_extended(args) -> int:
+    from .ranks import ASSUMPTIONS, RankMatrix, is_extended
     rm = RankMatrix.from_json(_load_json(args.ranks))
     x = parse_vec(args.vector)
     _emit({"extended": is_extended(rm, x), "assumptions": list(ASSUMPTIONS)})
@@ -106,6 +117,7 @@ def _cmd_lo_extended(args) -> int:
 
 
 def _cmd_wiegand(args) -> int:
+    from .ranks import ASSUMPTIONS, realize_wiegand
     E = _load_json(args.matrix)
     rm, sys_ = realize_wiegand(tuple(tuple(r) for r in E))
     _emit({"ranks": rm.to_json(), "system": sys_.to_json(),
@@ -129,6 +141,7 @@ def _closed_under_addition(enum, members, bound: int) -> bool:
     ways: every pair of vectors of enum is represented, and every sum
     formed is the sum of such a pair.
     """
+    from .hilbert import _Fields
     s = len(enum[0]) if enum else 0
     fields = _Fields(s, bound)
     top, bias = fields.top, fields.bias
@@ -159,6 +172,11 @@ def _closed_under_addition(enum, members, bound: int) -> bool:
 
 def _cmd_oracle(args) -> int:
     """Re-verify the structural machinery against truncated brute force."""
+    from .classify import verdict
+    from .constructions import a_plus_inf_a
+    from .equations import enumerate_truncated
+    from .hilbert import generated_truncated
+    from .supports import extract, generators, truncated_members
     sys_ = _load_system(args.system)
     bound = args.bound
     enum = enumerate_truncated(sys_, bound)
@@ -198,53 +216,66 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK if all(checks.values()) else EXIT_MISMATCH
 
 
-def build_parser() -> argparse.ArgumentParser:
+_SYSTEM = {"required": True, "help": "path to a system JSON file"}
+_BASIS = {"required": True, "help": "path to a basis JSON file (array of vectors)"}
+_RANKS = {"required": True, "help": "path to a rank-matrix JSON file"}
+_VECTOR = {"required": True, "help": "comma-separated vector, e.g. '1,inf,0'"}
+
+# name -> (handler, help, {flag: add_argument keywords}), in help order
+COMMANDS = {
+    "member": (_cmd_member, "test membership of a vector",
+               {"system": _SYSTEM, "vector": _VECTOR}),
+    "supports": (_cmd_supports, "extract the system of supports", {"system": _SYSTEM}),
+    "generators": (_cmd_generators, "minimal generating set of the monoid",
+                   {"system": _SYSTEM}),
+    "classify": (_cmd_classify, "full classification report",
+                 {"system": _SYSTEM,
+                  "bound": {"type": int, "default": 5,
+                            "help": "verification bound (default 5)"}}),
+    "aplusinfa": (_cmd_aplusinfa, "A + inf·A of a finite part", {"basis": _BASIS}),
+    "bmin": (_cmd_bmin, "least almost-free monoid over a finite part", {"basis": _BASIS}),
+    "bmax": (_cmd_bmax, "largest monoid over a finite part", {"basis": _BASIS}),
+    "lo-system": (_cmd_lo_system, "descent equations of a rank matrix", {"ranks": _RANKS}),
+    "lo-extended": (_cmd_lo_extended, "descent test for one multiplicity vector",
+                    {"ranks": _RANKS, "vector": _VECTOR}),
+    "wiegand": (_cmd_wiegand, "rank data realizing the largest monoid over E·x = 0",
+                {"matrix": {"required": True,
+                            "help": "path to an integer matrix JSON file"}}),
+    "oracle": (_cmd_oracle, "re-verify structure against truncated brute force",
+               {"system": _SYSTEM,
+                "bound": {"type": int, "default": 3,
+                          "help": "truncation bound (default 3)"}}),
+}
+
+
+def build_parser(names=tuple(COMMANDS)) -> argparse.ArgumentParser:
+    """The parser with a subparser for each command in names, all of them
+    by default.  With fewer, the usage line still lists every command,
+    so its output matches the full parser's on any command line that
+    starts with one of names."""
     parser = argparse.ArgumentParser(
         prog="supportmonoids",
         description="Monoids of solutions of linear equations and congruences "
                     "over the extended naturals, their systems of supports, and "
                     "decomposition verdicts.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_, **flags):
+    # argparse names the subparsers action by its metavar, when one is
+    # set, in the errors for a missing or unknown command, which only a
+    # full parser reports; so the full parser keeps the default
+    every = None if len(names) == len(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in names:
+        fn, help_, flags = COMMANDS[name]
         p = sub.add_parser(name, help=help_)
         for flag, kw in flags.items():
             p.add_argument(f"--{flag}", **kw)
         p.set_defaults(fn=fn)
-        return p
-
-    system = {"required": True, "help": "path to a system JSON file"}
-    basis = {"required": True, "help": "path to a basis JSON file (array of vectors)"}
-    ranks = {"required": True, "help": "path to a rank-matrix JSON file"}
-    vector = {"required": True, "help": "comma-separated vector, e.g. '1,inf,0'"}
-
-    add("member", _cmd_member, "test membership of a vector",
-        system=system, vector=vector)
-    add("supports", _cmd_supports, "extract the system of supports",
-        system=system)
-    add("generators", _cmd_generators, "minimal generating set of the monoid",
-        system=system)
-    add("classify", _cmd_classify, "full classification report",
-        system=system, bound={"type": int, "default": 5,
-                              "help": "verification bound (default 5)"})
-    add("aplusinfa", _cmd_aplusinfa, "A + inf·A of a finite part", basis=basis)
-    add("bmin", _cmd_bmin, "least almost-free monoid over a finite part", basis=basis)
-    add("bmax", _cmd_bmax, "largest monoid over a finite part", basis=basis)
-    add("lo-system", _cmd_lo_system, "descent equations of a rank matrix",
-        ranks=ranks)
-    add("lo-extended", _cmd_lo_extended, "descent test for one multiplicity vector",
-        ranks=ranks, vector=vector)
-    add("wiegand", _cmd_wiegand, "rank data realizing the largest monoid over E·x = 0",
-        matrix={"required": True, "help": "path to an integer matrix JSON file"})
-    add("oracle", _cmd_oracle, "re-verify structure against truncated brute force",
-        system=system, bound={"type": int, "default": 3,
-                              "help": "truncation bound (default 3)"})
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = _sys.argv[1:] if argv is None else list(argv)
+    named = argv[:1] if argv[:1] and argv[0] in COMMANDS else tuple(COMMANDS)
+    args = build_parser(named).parse_args(argv)
     try:
         return args.fn(args)
     except ResourceLimitError as exc:

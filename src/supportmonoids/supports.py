@@ -138,10 +138,11 @@ class SystemOfSupports(Record):
     of ``families`` or ``S``, which equality, hashing, repr, JSON and
     pickling make too, and a lister refuses there once it passes
     2^MAX_POWERSET_DIM sets, which needs more than MAX_POWERSET_DIM
-    coordinates.  Each A_h is looked up on first use and memoized in
-    ``_by_h``: ``member_via_supports`` and ``basis_for`` list nothing
-    and look up only the family they read, so they answer however many
-    coordinates there are.  The memo only stores what the lookup
+    coordinates.  A refusal is remembered: every later read raises it
+    again, with the same message, and lists nothing.  Each A_h is looked
+    up on first use and memoized in ``_by_h``: ``member_via_supports``
+    and ``basis_for`` list nothing and look up only the family they
+    read, so they answer however many coordinates there are.  The memo only stores what the lookup
     returns, so concurrent readers can at worst repeat work.
     """
 
@@ -197,10 +198,17 @@ class SystemOfSupports(Record):
 
     @property
     def families(self) -> tuple:
-        if self._families is None:
-            fams = tuple((H, self._family(h)) for h, H in self._listing())
+        fams = self._families
+        if fams is None:
+            try:
+                fams = tuple((H, self._family(h)) for h, H in self._listing())
+            except ResourceLimitError as refusal:
+                object.__setattr__(self, "_families", refusal)
+                raise
             object.__setattr__(self, "_families", fams)
-        return self._families
+        elif isinstance(fams, ResourceLimitError):
+            raise ResourceLimitError(*fams.args)
+        return fams
 
     @property
     def S(self) -> frozenset:

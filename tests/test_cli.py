@@ -14,7 +14,7 @@ import pytest
 import supportmonoids
 from conftest import FIXTURE_NAMES, FIXTURES
 from supportmonoids import INF, generated_truncated
-from supportmonoids.cli import _closed_under_addition, main
+from supportmonoids.cli import COMMANDS, _closed_under_addition, build_parser, main
 from supportmonoids.supports import support_closure
 
 
@@ -292,6 +292,115 @@ def test_cli_import_skips_dataclasses_and_inspect():
                     timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def exit_output(call):
+    """(exit code, stdout, stderr) of a call that argparse ends with SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as stop:
+        call()
+    return stop.value.code, out.getvalue(), err.getvalue()
+
+
+def parse_exits():
+    """Command lines that argparse answers itself, with help or a usage error."""
+    yield ["--help"]
+    yield []
+    yield ["nope", "--system", "x"]
+    for name, (_, _, flags) in COMMANDS.items():
+        required = [arg for flag, kw in flags.items() if kw.get("required")
+                    for arg in (f"--{flag}", "x")]
+        yield [name, "--help"]
+        yield [name]  # every command has a required flag
+        yield [name, "--bound", "x"]
+        yield [name, *required, "extra"]
+
+
+@pytest.mark.parametrize("argv", list(parse_exits()), ids=lambda a: " ".join(a) or "-")
+def test_main_parses_as_the_parser_of_every_command(argv):
+    # main registers one subparser when argv names a command; what it
+    # prints, and its exit code, must match the parser of all eleven
+    assert len(COMMANDS) == 11
+    want = exit_output(lambda: build_parser(tuple(COMMANDS)).parse_args(argv))
+    assert exit_output(lambda: main(argv)) == want
+    code, out, err = want
+    assert (code, bool(out), bool(err)) == ((0, True, False) if "--help" in argv
+                                            else (2, False, True))
+    # the full parser names the subparsers action "command" in its errors
+    if not argv:
+        assert err.endswith("error: the following arguments are required: command\n")
+    if argv[:1] == ["nope"]:
+        assert "error: argument command: invalid choice: 'nope' (choose from 'member'," in err
+    if argv[-1:] == ["extra"]:
+        usage = " ".join(err.split())  # argparse wraps the usage line
+        assert usage.startswith("usage: supportmonoids [-h] {" + ",".join(COMMANDS) + "} ...")
+        assert err.endswith("error: unrecognized arguments: extra\n")
+
+
+def test_cold_runs_load_only_what_the_command_runs(tmp_path):
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps([[1, 0], [0, 1]]))
+    ranks = tmp_path / "ranks.json"
+    ranks.write_text(json.dumps({"a": [[1, 1, 0], [1, 0, 1]]}))
+    matrix = tmp_path / "E.json"
+    matrix.write_text(json.dumps([[1, -1]]))
+    system = fixture_path("cusp")
+    # (command line, the module it runs, modules it must not load)
+    cases = [
+        (["member", "--system", system, "--vector", "1,1,1"], "equations",
+         {"hilbert", "supports", "classify", "constructions", "ranks"}),
+        (["lo-system", "--ranks", str(ranks)], "ranks",
+         {"supports", "classify", "constructions"}),
+        (["lo-extended", "--ranks", str(ranks), "--vector", "inf,1,0"], "ranks",
+         {"supports", "classify", "constructions"}),
+        (["wiegand", "--matrix", str(matrix)], "ranks",
+         {"supports", "classify", "constructions"}),
+        (["supports", "--system", system], "supports",
+         {"classify", "constructions", "ranks"}),
+        (["generators", "--system", system], "supports",
+         {"classify", "constructions", "ranks"}),
+        *((([cmd, "--basis", str(basis)], "constructions", {"classify", "ranks"})
+           for cmd in ("aplusinfa", "bmin", "bmax"))),
+    ]
+    for argv, runs, skipped in cases:
+        proc = run_cold("-X", "importtime", "-m", "supportmonoids.cli", *argv, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+        package = {name.split(".", 1)[1] for name in loaded
+                   if name.startswith("supportmonoids.")}
+        assert runs in package and {"semiring", "errors"} <= package, (argv, package)
+        assert not package & skipped, (argv, package & skipped)
+
+
+def test_package_exports_resolve_on_first_access():
+    script = """
+import sys
+import supportmonoids as pkg
+loaded = sorted(m for m in sys.modules if m.startswith("supportmonoids."))
+assert loaded == ["supportmonoids.errors", "supportmonoids.semiring"], loaded
+for name in pkg.__all__:
+    value = getattr(pkg, name)
+    if callable(value):  # every function and class: its defining module's object
+        module = sys.modules[value.__module__]
+        assert module.__name__.startswith("supportmonoids."), name
+        assert getattr(module, value.__name__) is value, name
+names = {}
+exec("from supportmonoids import *", names)
+assert set(pkg.__all__) <= set(names), set(pkg.__all__) - set(names)
+assert all(names[name] is getattr(pkg, name) for name in pkg.__all__)
+try:
+    pkg.no_such_export
+except AttributeError as exc:
+    assert "no_such_export" in str(exc)
+else:
+    raise AssertionError("an unknown name resolved")
+print(len(pkg.__all__))
+"""
+    proc = run_cold("-c", script, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(len(supportmonoids.__all__))
 
 
 def closed_by_ordered_pairs(enum, members, bound):

@@ -69,10 +69,10 @@ def test_every_import_is_used():
 
 def _defined_names(node):
     """The names a module-level statement defines: a function or class,
-    or the plain names an assignment binds, dunders such as __all__
-    excluded."""
+    or the plain names an assignment binds, dunders such as __all__ or a
+    module's __getattr__, which the interpreter reads, excluded."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-        return [node.name]
+        return [] if node.name.startswith("__") else [node.name]
     if isinstance(node, ast.Assign):
         targets = node.targets
     elif isinstance(node, ast.AnnAssign):

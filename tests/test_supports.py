@@ -552,6 +552,27 @@ def test_extract_refuses_seventeen_coordinates_at_the_first_listing():
     assert list(sos._by_h) == [0xFF] and sos._families is None
 
 
+def test_a_refused_listing_is_remembered(monkeypatch):
+    from supportmonoids import supports
+    calls = []
+    real = supports._closed_masks
+    monkeypatch.setattr(supports, "_closed_masks",
+                        lambda *args: calls.append(args) or real(*args))
+    sos = extract(DioSystem(s=24))
+    messages = set()
+    for read in (lambda: sos.families, lambda: sos.S, sos.to_json,
+                 lambda: hash(sos), lambda: pickle.dumps(sos)):
+        with pytest.raises(ResourceLimitError, match="MAX_POWERSET_DIM") as refusal:
+            read()
+        messages.add(str(refusal.value))
+    assert len(calls) == 1 and len(messages) == 1
+    assert messages == {"infinite_supports: listing more than 2^16 support sets out of "
+                        "the 2^24 subsets of 24 coordinates exceeds the cap "
+                        "MAX_POWERSET_DIM = 16"}
+    # one-family queries still answer
+    assert member_via_supports(sos, (INF,) + (1,) * 23)
+
+
 def test_one_family_queries_answer_past_sixteen_coordinates():
     # the systems list nothing when built or queried one family at a time,
     # and the first read that lists S refuses with the lister's name
