@@ -49,6 +49,10 @@ def __getattr__(name):
     return value
 
 
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
+
 __version__ = "0.1.0"
 
 __all__ = [

@@ -142,8 +142,9 @@ class SystemOfSupports(Record):
     again, with the same message, and lists nothing.  Each A_h is looked
     up on first use and memoized in ``_by_h``: ``member_via_supports``
     and ``basis_for`` list nothing and look up only the family they
-    read, so they answer however many coordinates there are.  The memo only stores what the lookup
-    returns, so concurrent readers can at worst repeat work.
+    read, so they answer however many coordinates there are.  The memo
+    only stores what the lookup returns, so concurrent readers can at
+    worst repeat work.
     """
 
     _fields = ("s", "unit", "families")

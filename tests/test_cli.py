@@ -360,8 +360,8 @@ def test_cold_runs_load_only_what_the_command_runs(tmp_path):
          {"classify", "constructions", "ranks"}),
         (["generators", "--system", system], "supports",
          {"classify", "constructions", "ranks"}),
-        *((([cmd, "--basis", str(basis)], "constructions", {"classify", "ranks"})
-           for cmd in ("aplusinfa", "bmin", "bmax"))),
+        *(([cmd, "--basis", str(basis)], "constructions", {"classify", "ranks"})
+          for cmd in ("aplusinfa", "bmin", "bmax")),
     ]
     for argv, runs, skipped in cases:
         proc = run_cold("-X", "importtime", "-m", "supportmonoids.cli", *argv, timeout=60)
@@ -380,6 +380,7 @@ import sys
 import supportmonoids as pkg
 loaded = sorted(m for m in sys.modules if m.startswith("supportmonoids."))
 assert loaded == ["supportmonoids.errors", "supportmonoids.semiring"], loaded
+assert set(pkg.__all__) <= set(dir(pkg))
 for name in pkg.__all__:
     value = getattr(pkg, name)
     if callable(value):  # every function and class: its defining module's object
