@@ -245,9 +245,9 @@ def decompose_direct_sum(basis: HilbertBasis) -> DirectSumData | None:
             f"decompose_direct_sum: a partition search over {len(gens)} generators "
             f"exceeds the cap MAX_DECOMPOSE_GENS = {MAX_DECOMPOSE_GENS}")
     gens = minimize_generators(gens)
+    _order_unit_of(basis)
     if len(gens) < 2:
         return None
-    _order_unit_of(basis)
     s = basis.dim
     masks = [_supp_mask(g) for g in gens]
     rank = _rank(gens)

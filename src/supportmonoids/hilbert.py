@@ -53,7 +53,11 @@ membership test in A_H reduces to.  A target that is inf on a set lam
 is decided by finite membership of its projection off lam: generators
 supported inside lam take inf coefficients and cover their supports,
 and the rest of lam is covered by peeling off, one at a time, a copy
-of a generator that is inf there.
+of a generator that is inf there.  That cover runs inside the finite
+search, on the same packed words, and records its failed states in
+the same memo, so a query has one state space and one cap, and a
+remainder that one cover leaves fails once however many covers reach
+it.
 
 The finite search runs on packed words with fields for entries up to
 max(x).  Every remainder lies below x, and every generator it tries
@@ -71,8 +75,8 @@ from operator import add, le, mul
 
 from .equations import ENUMERATION_GUARD, DioSystem, lift_congruences
 from .errors import ResourceLimitError
-from .semiring import (INF, MAX_DIM, Record, Vec, canonical_sorted, check_bound, check_dim,
-                       check_int, check_vecs, unit_vec)
+from .semiring import (INF, MAX_DIM, Record, Vec, _supp_mask, canonical_sorted, check_bound,
+                       check_dim, check_int, check_vecs, unit_vec)
 
 MAX_COMPLETION_STATES = 1_000_000
 
@@ -370,59 +374,35 @@ def in_generated(gens, x: Vec) -> bool:
     A target with inf on lam is reduced to that search.  Generators
     supported inside lam take inf coefficients and cover their supports;
     those with an inf entry outside lam cannot occur; the rest take
-    finite coefficients and add their projections off lam.  The lowest
-    coordinate of lam still uncovered is covered by peeling off one copy
-    of a generator that is inf there, and the rest is decided
-    recursively; once lam is covered, the finite search decides the
-    remainder over all the projections.  Exact both ways: a sum covering
-    that coordinate uses such a generator, so one copy of it can be the
-    one peeled off.
+    finite coefficients and add their projections off lam, and only
+    those that fit below x off lam are kept, each with its carrier, the
+    mask of its inf coordinates.  ``_in_generated_finite`` covers the
+    rest of lam by peeling off carriers before its finite search.
 
-    Both searches are refused past MAX_COMPLETION_STATES states, each
-    counted by its failure memo: a state that fails is memoized, and one
-    that succeeds ends the search.
+    One state space, one memo and one MAX_COMPLETION_STATES cap serve
+    the whole query (``_in_generated_finite``).
     """
     x = tuple(x)
     dim = len(x)
     (x,) = check_vecs([x], dim, "vector")
     pool = [g for g in check_vecs(gens, dim) if any(g)]
-    if not any(v is INF for v in x):
+    todo = sum(1 << i for i in range(dim) if x[i] is INF)
+    if not todo:
         return _in_generated_finite(pool, x)
     fin = [i for i in range(dim) if x[i] is not INF]
-    uncovered = {i for i in range(dim) if x[i] is INF}
+    x_fin = tuple(x[i] for i in fin)
     projections, carriers = [], []
     for g in pool:
         p = tuple(g[i] for i in fin)
-        if INF in p:
-            continue
-        if any(p):
+        if not any(p):
+            todo &= ~_supp_mask(g)
+        elif all(map(le, p, x_fin)):  # INF <= t is False for every finite t
             projections.append(p)
-            carriers.append(frozenset(i for i in range(dim) if g[i] is INF))
-        else:
-            uncovered.difference_update(i for i in range(dim) if g[i])
-    failed = set()
-
-    def cover(rest, todo) -> bool:
-        if not todo:
-            return _in_generated_finite(projections, rest)
-        state = (rest, todo)
-        if state in failed:
-            return False
-        low = min(todo)
-        for p, inf_at in zip(projections, carriers):
-            if low in inf_at:
-                rest2 = tuple(r - v for r, v in zip(rest, p))
-                if min(rest2, default=0) >= 0 and cover(rest2, todo - inf_at):
-                    return True
-        failed.add(state)
-        if len(failed) > MAX_COMPLETION_STATES:
-            raise _too_many_states(len(failed))
-        return False
-
-    return cover(tuple(x[i] for i in fin), frozenset(uncovered))
+            carriers.append(sum(1 << i for i in range(dim) if g[i] is INF))
+    return _in_generated_finite(projections, x_fin, carriers, todo)
 
 
-def _in_generated_finite(pool, x) -> bool:
+def _in_generated_finite(pool, x, carriers=(), todo=0) -> bool:
     """in_generated for an all-finite x and nonzero generators of its
     length, all over N0*, trusted as they are: nothing is checked.
 
@@ -433,9 +413,21 @@ def _in_generated_finite(pool, x) -> bool:
     packed words with fields for entries up to max(x) ("Packed words"
     in the module docstring): g fits r iff (r | top) - g keeps every
     guard bit, and a remainder with a nonzero field that no generator
-    from k on reaches is rejected without a search.  The memo counts the
-    states the search expands, but for those on the path that succeeds,
-    and the search is refused once it passes MAX_COMPLETION_STATES.
+    from k on reaches is rejected without a search.
+
+    A nonzero ``todo`` is the int mask of inf coordinates of a target
+    (outside x) still to cover, and ``carriers`` holds, for every
+    generator, the mask of its inf coordinates; then every generator
+    must fit below x, so that carriers align with the packed words.  The
+    cover peels one copy of a carrier of the lowest coordinate of todo
+    that fits the remainder, until todo is empty and the finite search
+    decides the rest: a sum covering that coordinate uses such a
+    generator, so one copy of it can be the one peeled off.  A cover
+    state that fails is memoized as (-todo, r) in the same memo.
+
+    The memo counts the states the cover and the search expand, but for
+    those on the path that succeeds, and the query is refused once it
+    passes MAX_COMPLETION_STATES.
     """
     # INF <= t is False for every finite t
     gens = [g for g in pool if all(map(le, g, x))]
@@ -471,7 +463,26 @@ def _in_generated_finite(pool, x) -> bool:
             raise _too_many_states(len(failed))
         return False
 
-    return search(0, start)
+    if not todo:
+        return search(0, start)
+
+    def cover(r, todo) -> bool:
+        if not todo:
+            return search(0, r)
+        state = (-todo, r)
+        if state in failed:
+            return False
+        low = todo & -todo
+        for g, inf_at in zip(words, carriers):
+            if (inf_at & low and (t := (r | top) - g) & top == top
+                    and cover(t ^ top, todo & ~inf_at)):
+                return True
+        failed.add(state)
+        if len(failed) > MAX_COMPLETION_STATES:
+            raise _too_many_states(len(failed))
+        return False
+
+    return cover(start, todo)
 
 
 def minimize_generators(gens) -> tuple:

@@ -207,6 +207,16 @@ def test_decompose_refuses_entangled_basis():
     assert decompose_direct_sum(basis(2, (1, 1), (2, 0))) is None
 
 
+def test_decompose_refuses_a_missing_order_unit_at_every_size():
+    # with fewer than two generators left there is nothing to split, but
+    # the missing unit is still refused, as it is for two or more
+    for b in (HilbertBasis(3, ((0, 1, 0), (1, 0, 0))), HilbertBasis(2, ((1, 0),)),
+              HilbertBasis(1, ())):
+        with pytest.raises(MissingOrderUnitError):
+            decompose_direct_sum(b)
+    assert decompose_direct_sum(HilbertBasis(1, ((1,),))) is None
+
+
 def test_decompose_uniqueness_filter():
     # (1,1) = (1,0) + (0,1) has two expressions in any split, so the free
     # plane decomposes, but a diagonal third generator must not pretend to
@@ -486,8 +496,9 @@ def test_a_plus_inf_a_on_twelve_coordinates():
     b = HilbertBasis.from_generators(s, gens)
     start = time.perf_counter()
     got = a_plus_inf_a(b)
+    families = got.families  # the construction lists nothing until asked
     assert time.perf_counter() - start < 30
-    assert len(got.families) == 4096 and _non_free(got) == 4096 - 1201
+    assert len(families) == 4096 and _non_free(got) == 4096 - 1201
     assert got == _restated_a_plus_inf_a(b)
 
 

@@ -1,5 +1,7 @@
+import collections
 import itertools
 import random
+import time
 
 import pytest
 
@@ -699,3 +701,116 @@ def test_cover_search_is_capped(monkeypatch):
         in_generated(gens, x)
     assert err.traceback[-1].name == "cover"
 
+
+def _carried_chain(n, m, v):
+    """The nested chain of length n padded with m zero coordinates, plus
+    m·v carriers, each inf at one padded coordinate and 1, ..., v on the
+    first; and a target inf on the padding whose chain part ends (..., 2, 3),
+    so no cover of the padding leaves a member and every leaf fails."""
+    chain = [g + (0,) * m for g in _nested_chain(n).gens]
+    carriers = [tuple(val if j == 0 else INF if j == n + c else 0 for j in range(n + m))
+                for c in range(m) for val in range(1, v + 1)]
+    x = (m * v + n, *range(n - 1, 1, -1), 3) + (INF,) * m
+    return chain + carriers, x
+
+
+def test_cover_leaves_share_one_memo():
+    # the covers end in 94 leaves on 30 distinct remainders; one memo
+    # searches each remainder once, where a fresh search per leaf took
+    # about 50 s on a 2-core Xeon host
+    gens, x = _carried_chain(10, 5, 5)
+    assert len(x) == 15
+    start = time.perf_counter()
+    assert not in_generated(gens, x)
+    assert time.perf_counter() - start < 10
+
+
+def test_cover_and_search_share_one_cap():
+    gens, x = _carried_chain(11, 5, 6)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError,
+                       match="^in_generated: .* past the cap MAX_COMPLETION_STATES = 1000000$"):
+        in_generated(gens, x)
+    assert time.perf_counter() - start < 10
+
+
+def test_cover_heavy_family_is_decided_quickly():
+    # the family of test_cover_search_is_capped on eight inf coordinates
+    gens = [tuple(INF if j in T else 0 for j in range(8)) + (len(T) + 1,)
+            for r in range(1, 9) for T in itertools.combinations(range(8), r)]
+    start = time.perf_counter()
+    assert not in_generated(gens, (INF,) * 8 + (8,))
+    assert time.perf_counter() - start < 1
+
+
+def _tuple_cover(gens, x):
+    """in_generated for a target with an inf entry, as a recursion on
+    tuples and frozensets with its own memo, that runs a fresh finite
+    search (the library's) at every leaf; uncapped."""
+    from supportmonoids.hilbert import _in_generated_finite
+    dim = len(x)
+    fin = [i for i in range(dim) if x[i] is not INF]
+    uncovered = {i for i in range(dim) if x[i] is INF}
+    projections, carriers = [], []
+    for g in gens:
+        p = tuple(g[i] for i in fin)
+        if INF in p or not any(g):
+            continue
+        if any(p):
+            projections.append(p)
+            carriers.append(frozenset(i for i in range(dim) if g[i] is INF))
+        else:
+            uncovered.difference_update(i for i in range(dim) if g[i])
+    failed = set()
+
+    def cover(rest, todo):
+        if not todo:
+            return _in_generated_finite(projections, rest)
+        if (rest, todo) in failed:
+            return False
+        low = min(todo)
+        for p, inf_at in zip(projections, carriers):
+            if low in inf_at:
+                rest2 = tuple(r - v for r, v in zip(rest, p))
+                if min(rest2, default=0) >= 0 and cover(rest2, todo - inf_at):
+                    return True
+        failed.add((rest, todo))
+        return False
+
+    return cover(tuple(x[i] for i in fin), frozenset(uncovered))
+
+
+def test_cover_matches_a_tuple_cover_over_the_finite_search():
+    rng = random.Random(101)
+    values = (0, 0, 0, 1, 2, 3, INF)
+    counts = collections.Counter()
+    for _ in range(10_000):
+        dim = rng.randint(1, 7)
+        lam = set(rng.sample(range(dim), rng.randint(1, dim)))
+        gens = [tuple(rng.choice(values) for _ in range(dim)) for _ in range(rng.randint(0, 6))]
+        for _ in range(rng.randint(0, 2)):  # supported inside lam
+            gens.append(tuple(rng.choice(values) if i in lam else 0 for i in range(dim)))
+        rng.shuffle(gens)
+        if rng.random() < 0.5:  # a member: a small sum of the generators
+            x = [0] * dim
+            for g in gens:
+                c = rng.choice((0, 0, 1, 2, INF))
+                for j, v in enumerate(g):
+                    if c and v:
+                        x[j] = INF if INF in (c, v, x[j]) else x[j] + c * v
+            x = [INF if i in lam else a for i, a in enumerate(x)]
+        else:
+            x = [INF if i in lam else rng.randint(0, 6) for i in range(dim)]
+        x = tuple(x)
+        want = _tuple_cover(gens, x)
+        assert in_generated(gens, x) == want, (gens, x)
+        counts["true"] += want
+        if all(v is INF for v in x):
+            counts["all inf"] += 1
+            continue
+        counts["zero projection"] += any(
+            any(g) and not any(g[i] for i in range(dim) if x[i] is not INF) for g in gens)
+        counts["inf outside"] += any(
+            any(g[i] is INF for i in range(dim) if x[i] is not INF) for g in gens)
+    assert 3_000 < counts["true"] < 7_000, counts
+    assert min(counts["all inf"], counts["zero projection"], counts["inf outside"]) > 1_500, counts
