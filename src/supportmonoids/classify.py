@@ -26,8 +26,8 @@ from .equations import DioSystem, is_member
 from .hilbert import _in_generated_finite, find_order_unit
 from .semiring import (Record, _project, canonical_sorted, check_int, inject,
                        supp, unit_vec, vec_to_json, zero_vec)
-from .supports import (SystemOfSupports, extract, is_almost_free, is_full,
-                       minimal_nonempty, support_closure)
+from .supports import (SystemOfSupports, _closed_masks, _index_set, _union_interior,
+                       extract, is_almost_free, is_full, minimal_nonempty)
 
 
 class ClassReport(Record):
@@ -84,7 +84,8 @@ def equals_a_plus_inf_a(sys: DioSystem, sos: SystemOfSupports | None = None):
         sos = extract(sys)
     s = sos.s
     gens0 = sos.basis_for(frozenset()).gens
-    suppset = support_closure(gens0)
+    suppset = frozenset(map(_index_set, _closed_masks(
+        s, _union_interior(gens0), "equals_a_plus_inf_a")))
 
     def projected(H):
         return [p for p in (_project(g, H) for g in gens0) if any(p)]

@@ -22,15 +22,12 @@ recognition is exact for any finitely generated finite part, full or not.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
-from operator import or_
 
 from .errors import MissingOrderUnitError, ResourceLimitError
 from .hilbert import HilbertBasis, minimize_generators
 from .semiring import (IndexSet, Record, Vec, _supp_mask, canonical_sorted, check_index_set,
                        check_matrix)
-from .supports import (SystemOfSupports, _closed_masks, _in_order, _index_set,
-                       support_closure)
+from .supports import SystemOfSupports, _closed_masks, _index_set, _union_interior
 
 MAX_DECOMPOSE_GENS = 20    # partition search is exponential in the basis size
 
@@ -52,7 +49,8 @@ def a_plus_inf_a(basis: HilbertBasis) -> SystemOfSupports:
     Its supports are the supports of members of A and each family is the
     projection of A; it is the unique minimal monoid given by a system
     of supports whose finite part is A.  The largest support inside H
-    is the union of the generator supports inside H.
+    is the union of the generator supports inside H, and the walk of
+    ``_closed_masks`` over that operator lists the supports.
 
     Families are built on first use, all of them in order of increasing
     |H|.  The family at H is projected from one already built at some H
@@ -60,14 +58,9 @@ def a_plus_inf_a(basis: HilbertBasis) -> SystemOfSupports:
     proj_H(proj_K(A)) for K inside H, and a projection maps a generating
     set onto a generating set of the image, which ``minimize_generators``
     reduces to the unique minimal one.  The projection of a free family
-    is free.  The supports are listed by ``support_closure``.
+    is free.
     """
-    unit = _order_unit_of(basis)
     s = basis.dim
-    supps = {_supp_mask(g) for g in basis.gens}
-
-    def interior(h):
-        return reduce(or_, (m for m in supps if not m & ~h), 0)
 
     def build(h, known):
         k = s - h.bit_count()
@@ -85,8 +78,7 @@ def a_plus_inf_a(basis: HilbertBasis) -> SystemOfSupports:
         pos = (~K & (bit - 1)).bit_count()
         return HilbertBasis._minimal(k, [g[:pos] + g[pos + 1:] for g in source.gens])
 
-    return SystemOfSupports._deferred(
-        s, unit, interior, build, lambda: _in_order(support_closure(basis.gens)))
+    return _glued(basis, _union_interior(basis.gens), build, "a_plus_inf_a")
 
 
 def b_min(basis: HilbertBasis) -> SystemOfSupports:
@@ -94,26 +86,31 @@ def b_min(basis: HilbertBasis) -> SystemOfSupports:
     finite part A: supports are all supersets of member supports, and
     every nonempty family is free.  So H is the largest support inside
     H when it holds a generator support, and the empty set otherwise."""
-    supps = [_supp_mask(g) for g in basis.gens]
-    return _almost_free(basis, lambda h: h if any(not m & ~h for m in supps) else 0,
-                        "b_min")
+    inside = _union_interior(basis.gens)
+    return _glued(basis, lambda h: h if inside(h) else 0, _free_beyond(basis), "b_min")
 
 
 def b_max(basis: HilbertBasis) -> SystemOfSupports:
     """The largest monoid given by a system of supports with finite part A:
     every subset is a support and every nonempty family is free."""
-    return _almost_free(basis, lambda h: h, "b_max")
+    return _glued(basis, lambda h: h, _free_beyond(basis), "b_max")
 
 
-def _almost_free(basis: HilbertBasis, interior, stage: str) -> SystemOfSupports:
-    """The system whose supports are the fixed masks of ``interior``,
-    with A at the empty set and the free family elsewhere; the families
-    are built on first use.  The refusal names ``stage``."""
+def _free_beyond(basis: HilbertBasis):
+    """The families of ``b_min`` and ``b_max``: A at the empty set, free elsewhere."""
+    return lambda h, _known: HilbertBasis.free(basis.dim - h.bit_count()) if h else basis
+
+
+def _glued(basis: HilbertBasis, interior, build, stage: str) -> SystemOfSupports:
+    """The system with finite part A whose supports are the fixed masks
+    of ``interior`` and whose family at a support h is build(h, known);
+    the families are built on first use, and the supports are listed by
+    ``_closed_masks`` on the first read of all of them, refused there in
+    the name of ``stage``."""
     unit = _order_unit_of(basis)
     s = basis.dim
     return SystemOfSupports._deferred(
-        s, unit, interior,
-        lambda h, _known: HilbertBasis.free(s - h.bit_count()) if h else basis,
+        s, unit, interior, build,
         lambda: [(h, _index_set(h)) for h in _closed_masks(s, interior, stage)])
 
 

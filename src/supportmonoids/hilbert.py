@@ -300,7 +300,8 @@ def minimal_solutions(rows, dim: int, max_states: int = MAX_COMPLETION_STATES):
             states += 1
             if states > max_states:
                 raise ResourceLimitError(
-                    f"completion search exceeded {max_states} states")
+                    f"minimal_solutions: the completion search expanded {states} states, "
+                    f"past the cap max_states = {max_states}")
             tg = t | guard
             if not n2:
                 if not any((tg - m) & guard == guard for m in minimals):

@@ -112,6 +112,14 @@ def _closed_masks(s: int, interior, stage: str) -> list:
     return sorted(out, key=int.bit_count)
 
 
+def _union_interior(gens):
+    """The interior operator of the unions of the supports of ``gens``,
+    the supports of the members they generate: h goes to the union of
+    the generator supports inside h."""
+    supps = {_supp_mask(g) for g in gens}
+    return lambda h: reduce(or_, (m for m in supps if not m & ~h), 0)
+
+
 class SystemOfSupports(Record):
     """Immutable gluing data (S, {A_H}) with a chosen order-unit.
 
@@ -468,22 +476,6 @@ def truncated_members(sos: SystemOfSupports, bound: int) -> frozenset:
         fin = generated_upto(basis.gens, bound, sos.s - len(H))
         out.update(_inject_all(fin, H, sos.s))
     return frozenset(out)
-
-
-def support_closure(gens) -> frozenset:
-    """All unions of generator supports, the empty set included: the
-    supports of the members of the generated monoid.
-
-    Each distinct support doubles the unions found so far at most, and
-    the loop is refused once they pass 2^MAX_POWERSET_DIM, so no input
-    with at most MAX_POWERSET_DIM coordinates is refused.
-    """
-    out, supps = {0}, {_supp_mask(g) for g in gens}
-    for m in supps:
-        out |= {k | m for k in out}
-        if len(out) > 1 << MAX_POWERSET_DIM:
-            raise _too_many("support_closure", reduce(or_, supps).bit_count())
-    return frozenset(map(_index_set, out))
 
 
 def minimal_nonempty(S) -> list:

@@ -1,11 +1,12 @@
 import random
+import time
 
 import pytest
 
 from oracles import from_lib, o_a_plus_inf_a, o_solutions
 from supportmonoids import (INF, DioSystem, analyze_single_equation,
                             equals_a_plus_inf_a, is_member, verdict)
-from supportmonoids.errors import MissingOrderUnitError
+from supportmonoids.errors import MissingOrderUnitError, ResourceLimitError
 
 RANDCLOSURE = DioSystem(s=3, F=((1, 1, 0),), G=((1, 0, 1),))
 
@@ -27,6 +28,14 @@ def test_equals_two_x_three_y_true():
 def test_equals_unconstrained_true():
     flag, witnesses = equals_a_plus_inf_a(DioSystem(s=2))
     assert flag and witnesses == ()
+
+
+def test_equals_refuses_seventeen_coordinates_in_its_own_name():
+    # the free finite part of N0^17 has 2^17 supports of members
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="^equals_a_plus_inf_a: .*MAX_POWERSET_DIM"):
+        equals_a_plus_inf_a(DioSystem(s=17))
+    assert time.perf_counter() - start < 1
 
 
 def test_equals_requires_order_unit():

@@ -13,9 +13,8 @@ import pytest
 
 import supportmonoids
 from conftest import FIXTURE_NAMES, FIXTURES
-from supportmonoids import INF, generated_truncated
+from supportmonoids import INF, HilbertBasis, a_plus_inf_a, generated_truncated
 from supportmonoids.cli import COMMANDS, _closed_under_addition, build_parser, main
-from supportmonoids.supports import support_closure
 
 
 def run_cli(*argv):
@@ -270,13 +269,12 @@ def test_support_closure_past_the_cap_is_refused(tmp_path, dim):
     rc, out, err = run_cli("aplusinfa", "--basis", str(f))
     assert time.perf_counter() - start < 1
     assert rc == 3 and json.loads(out)["error"] == "resource_limit"
-    assert "support_closure" in err and "2^16" in err and f"2^{dim}" in err
+    assert "a_plus_inf_a" in err and "2^16" in err and f"2^{dim}" in err
 
 
 def test_support_closure_counts_distinct_supports(tmp_path):
-    # at the cap itself the closure is built
-    units = [tuple(int(i == j) for j in range(16)) for i in range(16)]
-    assert len(support_closure(units)) == 1 << 16
+    # at the cap itself the supports are listed
+    assert len(a_plus_inf_a(HilbertBasis.free(16)).S) == 1 << 16
     # 24 generators sharing the full support have only two support unions
     f = tmp_path / "full.json"
     f.write_text(json.dumps([[1 + (i == j) for j in range(24)] for i in range(24)]))

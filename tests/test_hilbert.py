@@ -170,7 +170,8 @@ def test_minimize_generators():
 
 def test_completion_state_cap():
     sys_ = DioSystem(s=4, F=((3, 1, 2, 1),), G=((1, 2, 1, 3),))
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=r"^minimal_solutions: the completion search "
+                       r"expanded 6 states, past the cap max_states = 5$"):
         hilbert_basis(sys_, max_states=5)
 
 
@@ -238,7 +239,9 @@ def _restated_minimal_solutions(rows, dim, max_states):
         for t, v in frontier:
             states += 1
             if states > max_states:
-                raise ResourceLimitError(f"completion search exceeded {max_states} states")
+                raise ResourceLimitError(
+                    f"minimal_solutions: the completion search expanded {states} states, "
+                    f"past the cap max_states = {max_states}")
             if not any(v):
                 if not any(all(a >= b for a, b in zip(t, m)) for m in minimals):
                     minimals.append(t)

@@ -1,5 +1,5 @@
 """Static checks on the package source: no unused import, no dead code,
-no unread parameter.
+no unread parameter, no refusal that hides its stage.
 
 Every module of ``src/supportmonoids`` is parsed with ``ast``.  An
 import is used when the module reads the name it binds, or lists it in
@@ -168,3 +168,36 @@ def test_every_public_count_is_in_the_boundary_table():
                if isinstance(node, ast.FunctionDef) and node.name in public
                and COUNT_PARAMETERS & set(_parameters(node)) and node.name not in listed]
     assert not missing, "public counts missing from the boundary table:\n" + "\n".join(missing)
+
+
+def _names_a_stage(message) -> bool:
+    """Does a message start with a stage name and ": ", as a literal or
+    as the field ``{stage}``?"""
+    if isinstance(message, ast.JoinedStr):
+        head, *rest = message.values
+        if isinstance(head, ast.FormattedValue):
+            return (isinstance(head.value, ast.Name) and head.value.id == "stage"
+                    and bool(rest) and isinstance(rest[0], ast.Constant)
+                    and rest[0].value.startswith(": "))
+        message = head
+    if not (isinstance(message, ast.Constant) and isinstance(message.value, str)):
+        return False
+    stage, colon, _ = message.value.partition(": ")
+    return bool(colon) and stage.isidentifier()
+
+
+def test_every_refusal_names_its_stage():
+    """Every ``ResourceLimitError(...)`` built in the package says which
+    stage refused, so a refusal read from the CLI or a log points at its
+    loop.  A re-raise of a stored refusal's ``*args`` is exempt."""
+    nameless = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "ResourceLimitError"):
+                continue
+            if any(isinstance(arg, ast.Starred) for arg in node.args):
+                continue
+            if not (node.args and _names_a_stage(node.args[0])):
+                nameless.append(f"{name}:{node.lineno}")
+    assert not nameless, "refusals that name no stage:\n" + "\n".join(nameless)

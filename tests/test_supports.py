@@ -582,7 +582,7 @@ def test_one_family_queries_answer_past_sixteen_coordinates():
              (lambda: extract(x1_is_x2), "infinite_supports", False),
              (lambda: b_min(HilbertBasis.free(24)), "b_min", True),
              (lambda: b_max(HilbertBasis.free(24)), "b_max", True),
-             (lambda: a_plus_inf_a(HilbertBasis.free(17)), "support_closure", True))
+             (lambda: a_plus_inf_a(HilbertBasis.free(17)), "a_plus_inf_a", True))
     for make, stage, everything in cases:
         start = time.perf_counter()
         sos = make()
