@@ -5,18 +5,19 @@ validation or parse errors, 3 when a resource cap refuses the
 computation.  stdout carries exactly one JSON document; diagnostics go
 to stderr.
 
-A command loads only what it runs: ``main`` registers the subparser of
-the command named first on the command line (every subparser for
-``--help``, a missing command or an unknown one), and each handler
-imports the library functions it calls when it runs.  Usage and error
-lines name every command either way.
+A command loads only what it runs.  ``main`` reads a well-formed
+command line (``_parse``) straight from the ``COMMANDS`` table, without
+loading ``argparse``; any other line, such as ``--help`` or a usage
+error, goes to the full parser of ``build_parser``, which alone writes
+help and error text.  Each handler imports the library functions it
+calls when it runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys as _sys
+from types import SimpleNamespace
 
 from .errors import MissingOrderUnitError, ResourceLimitError
 from .semiring import INF, parse_vec, scale, vec_to_json
@@ -248,23 +249,16 @@ COMMANDS = {
 }
 
 
-def build_parser(names=tuple(COMMANDS)) -> argparse.ArgumentParser:
-    """The parser with a subparser for each command in names, all of them
-    by default.  With fewer, the usage line still lists every command,
-    so its output matches the full parser's on any command line that
-    starts with one of names."""
+def build_parser():
+    """The argparse parser, with a subparser for each command."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="supportmonoids",
         description="Monoids of solutions of linear equations and congruences "
                     "over the extended naturals, their systems of supports, and "
                     "decomposition verdicts.")
-    # argparse names the subparsers action by its metavar, when one is
-    # set, in the errors for a missing or unknown command, which only a
-    # full parser reports; so the full parser keeps the default
-    every = None if len(names) == len(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
-    for name in names:
-        fn, help_, flags = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, help_, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         for flag, kw in flags.items():
             p.add_argument(f"--{flag}", **kw)
@@ -272,10 +266,41 @@ def build_parser(names=tuple(COMMANDS)) -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv):
+    """A namespace with the attributes ``build_parser().parse_args(argv)``
+    gives, for argv = [command, --flag, value, ...] in which every flag
+    is a long flag of that command written in full, none twice, no value
+    starts with '-', every required flag is present and every type
+    conversion succeeds; None for any other argv."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    fn, _, flags = COMMANDS[argv[0]]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if 2 * len(given) != len(argv) - 1:
+        return None  # a flag without a value, or one given twice
+    args = {"command": argv[0], "fn": fn}
+    for flag, kw in flags.items():
+        value = given.pop(f"--{flag}", None)
+        if value is None:
+            if kw.get("required"):
+                return None
+            value = kw.get("default")
+        elif value.startswith("-"):
+            return None
+        elif "type" in kw:
+            try:
+                value = kw["type"](value)
+            except (TypeError, ValueError):
+                return None
+        args[flag] = value
+    return None if given else SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
     argv = _sys.argv[1:] if argv is None else list(argv)
-    named = argv[:1] if argv[:1] and argv[0] in COMMANDS else tuple(COMMANDS)
-    args = build_parser(named).parse_args(argv)
+    args = _parse(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ResourceLimitError as exc:

@@ -70,6 +70,7 @@ search on tuples, and memoizes the same failures.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from operator import add, le, mul
 
@@ -428,7 +429,9 @@ def _in_generated_finite(pool, x, carriers=(), todo=0) -> bool:
 
     The memo counts the states the cover and the search expand, but for
     those on the path that succeeds, and the query is refused once it
-    passes MAX_COMPLETION_STATES.
+    passes MAX_COMPLETION_STATES.  Both recurse once per generator they
+    try, so a query that outgrows the interpreter's recursion limit, as
+    one with about a thousand generators that fit can, is refused too.
     """
     # INF <= t is False for every finite t
     gens = [g for g in pool if all(map(le, g, x))]
@@ -464,26 +467,31 @@ def _in_generated_finite(pool, x, carriers=(), todo=0) -> bool:
             raise _too_many_states(len(failed))
         return False
 
-    if not todo:
-        return search(0, start)
-
-    def cover(r, todo) -> bool:
+    try:
         if not todo:
-            return search(0, r)
-        state = (-todo, r)
-        if state in failed:
-            return False
-        low = todo & -todo
-        for g, inf_at in zip(words, carriers):
-            if (inf_at & low and (t := (r | top) - g) & top == top
-                    and cover(t ^ top, todo & ~inf_at)):
-                return True
-        failed.add(state)
-        if len(failed) > MAX_COMPLETION_STATES:
-            raise _too_many_states(len(failed))
-        return False
+            return search(0, start)
 
-    return cover(start, todo)
+        def cover(r, todo) -> bool:
+            if not todo:
+                return search(0, r)
+            state = (-todo, r)
+            if state in failed:
+                return False
+            low = todo & -todo
+            for g, inf_at in zip(words, carriers):
+                if (inf_at & low and (t := (r | top) - g) & top == top
+                        and cover(t ^ top, todo & ~inf_at)):
+                    return True
+            failed.add(state)
+            if len(failed) > MAX_COMPLETION_STATES:
+                raise _too_many_states(len(failed))
+            return False
+
+        return cover(start, todo)
+    except RecursionError:
+        raise ResourceLimitError(
+            f"in_generated: the membership search over {len(words)} generators went "
+            f"deeper than the recursion limit {sys.getrecursionlimit()}") from None
 
 
 def minimize_generators(gens) -> tuple:

@@ -14,7 +14,7 @@ import pytest
 import supportmonoids
 from conftest import FIXTURE_NAMES, FIXTURES
 from supportmonoids import INF, HilbertBasis, a_plus_inf_a, generated_truncated
-from supportmonoids.cli import COMMANDS, _closed_under_addition, build_parser, main
+from supportmonoids.cli import COMMANDS, _closed_under_addition, _parse, build_parser, main
 
 
 def run_cli(*argv):
@@ -284,12 +284,20 @@ def test_support_closure_counts_distinct_supports(tmp_path):
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
-    # both are slow to import; the cold CLI start must not pay for them
-    proc = run_cold("-c", "import sys, supportmonoids.cli; "
-                          "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+    # all three are slow to import; the cold CLI start must not pay for
+    # them (argparse is loaded only for help and usage errors)
+    proc = run_cold("-c", "import sys, supportmonoids.cli; print(sorted("
+                          "{'argparse', 'dataclasses', 'inspect'} & set(sys.modules)))",
                     timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cold_help_prints_the_full_usage():
+    proc = run_cold("-m", "supportmonoids.cli", "--help", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    usage = " ".join(proc.stdout.split())  # argparse wraps the usage line
+    assert usage.startswith("usage: supportmonoids [-h] {" + ",".join(COMMANDS) + "} ...")
 
 
 def exit_output(call):
@@ -317,10 +325,10 @@ def parse_exits():
 
 @pytest.mark.parametrize("argv", list(parse_exits()), ids=lambda a: " ".join(a) or "-")
 def test_main_parses_as_the_parser_of_every_command(argv):
-    # main registers one subparser when argv names a command; what it
-    # prints, and its exit code, must match the parser of all eleven
+    # main reads none of these lines itself and hands them to the full
+    # parser; what it prints, and its exit code, must be that parser's
     assert len(COMMANDS) == 11
-    want = exit_output(lambda: build_parser(tuple(COMMANDS)).parse_args(argv))
+    want = exit_output(lambda: build_parser().parse_args(argv))
     assert exit_output(lambda: main(argv)) == want
     code, out, err = want
     assert (code, bool(out), bool(err)) == ((0, True, False) if "--help" in argv
@@ -334,6 +342,87 @@ def test_main_parses_as_the_parser_of_every_command(argv):
         usage = " ".join(err.split())  # argparse wraps the usage line
         assert usage.startswith("usage: supportmonoids [-h] {" + ",".join(COMMANDS) + "} ...")
         assert err.endswith("error: unrecognized arguments: extra\n")
+
+
+VALUES = ("x", "fixtures/cusp.json", "1,inf,0", "0", "7", " 4", "", "-1", "-", "--", "x y")
+
+
+def random_argv(rng):
+    """A command line built from COMMANDS: mostly a well-formed one, then
+    up to three edits from the ways a line can go wrong."""
+    if rng.random() < 0.03:
+        return rng.choice([[], ["nope", "--system", "x"], ["-h"], ["--help"], ["--"]])
+    name = rng.choice(list(COMMANDS))
+    flags = COMMANDS[name][2]
+    every_flag = sorted({flag for _, _, fl in COMMANDS.values() for flag in fl})
+    pairs = []
+    for flag, kw in flags.items():
+        if kw.get("required") or rng.random() < 0.5:
+            value = str(rng.randint(0, 9)) if "type" in kw else rng.choice(VALUES[:3])
+            pairs.append([f"--{flag}", value])
+    rng.shuffle(pairs)
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        edit = rng.randrange(9)
+        if edit == 0 and pairs:  # drop a flag
+            pairs.pop(rng.randrange(len(pairs)))
+        elif edit == 1 and pairs:  # repeat a flag
+            flag = rng.choice(pairs)[0]
+            pairs.insert(rng.randrange(len(pairs) + 1), [flag, rng.choice(VALUES)])
+        elif edit == 2 and pairs:  # --flag=value
+            i = rng.randrange(len(pairs))
+            pairs[i] = ["=".join(pairs[i])]
+        elif edit == 3 and pairs and len(pairs[0][0]) > 3:  # an abbreviation: --sys
+            pairs[0][0] = pairs[0][0][:rng.randint(3, len(pairs[0][0]) - 1)]
+        elif edit == 4 and pairs:  # an odd value: empty, "-1", "--", "x y", ...
+            rng.choice(pairs)[-1] = rng.choice(VALUES)
+        elif edit == 5:  # a flag of any command, with any value
+            pairs.append([f"--{rng.choice(every_flag)}", rng.choice(VALUES)])
+        elif edit == 6:  # help, a stray option, "--" or a positional
+            pairs.insert(rng.randrange(len(pairs) + 1),
+                         [rng.choice(("-h", "--help", "-x", "--", "extra"))])
+        elif edit == 7:  # a non-integer bound
+            pairs.append(["--bound", rng.choice(("x", "1.5", "", "inf", "-1", "-2"))])
+        elif edit == 8 and pairs:  # a flag without its value
+            del rng.choice(pairs)[1:]
+    return [name, *(arg for pair in pairs for arg in pair)]
+
+
+def test_direct_parse_agrees_with_the_parser(monkeypatch):
+    # main reads well-formed lines itself (_parse) and hands every other
+    # line to the full parser: on each seeded line the handler must see
+    # the parser's attributes, or main must print what the parser prints
+    seen = []
+
+    def record(args):
+        seen.append(vars(args))
+        return 0
+
+    for name, (_, help_, flags) in list(COMMANDS.items()):
+        monkeypatch.setitem(COMMANDS, name, (record, help_, flags))
+    parser = build_parser()
+    rng = random.Random(2101)
+    accepted = refused = 0
+    for _ in range(1000):
+        argv = random_argv(rng)
+        direct = _parse(argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                want = vars(parser.parse_args(argv))
+        except SystemExit:
+            assert direct is None, argv
+            refused += 1
+            want = exit_output(lambda: parser.parse_args(argv))
+            assert exit_output(lambda: main(argv)) == want, argv
+            continue
+        if direct is not None:
+            accepted += 1
+            assert vars(direct) == want, argv
+        seen.clear()
+        assert main(argv) == 0 and seen == [want], argv
+    # each of the three ways is taken: read directly, parsed by argparse
+    # (an abbreviation, a repeated flag, ...), refused by argparse
+    assert accepted > 250 and refused > 250 and 1000 - accepted - refused > 100
 
 
 def test_cold_runs_load_only_what_the_command_runs(tmp_path):
@@ -370,6 +459,8 @@ def test_cold_runs_load_only_what_the_command_runs(tmp_path):
                    if name.startswith("supportmonoids.")}
         assert runs in package and {"semiring", "errors"} <= package, (argv, package)
         assert not package & skipped, (argv, package & skipped)
+        # main reads a well-formed line without argparse and its gettext
+        assert not loaded & {"argparse", "gettext", "locale"}, (argv, loaded)
 
 
 def test_package_exports_resolve_on_first_access():

@@ -585,6 +585,18 @@ def test_packed_membership_search_matches_a_tuple_search():
     assert _in_generated_finite([ones, *units], (200,) * MAX_DIM)
 
 
+def test_a_search_past_the_recursion_limit_is_refused():
+    # every generator fits (3, 2401) and none can be the last one used,
+    # so the search recurses once per generator
+    deep = [(2, 2 * k) for k in range(1200)]
+    with pytest.raises(ResourceLimitError, match=r"^in_generated: .* recursion limit"):
+        in_generated(deep, (3, 2401))
+    # an inf target: the cover peels (1, 0, inf) off, then searches as deep
+    with pytest.raises(ResourceLimitError, match=r"^in_generated: .* recursion limit"):
+        in_generated([(1, 0, INF), *((*g, 0) for g in deep)], (3, 2401, INF))
+    assert not in_generated([(2, 2 * k) for k in range(900)], (3, 2401))
+
+
 def _members_by_coefficients(gens, bound, dim):
     """Every sum of the generators, each with a coefficient in {0, ...,
     bound + 1, inf}, whose entries all lie in {0, ..., bound, inf}.
