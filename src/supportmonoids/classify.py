@@ -79,20 +79,24 @@ def equals_a_plus_inf_a(sys: DioSystem, sos: SystemOfSupports | None = None):
     candidate is kept only if it provably lies in B and outside
     A + inf·A, so the list can be empty in the degenerate case where
     B = A + inf·A without being almost-free.
+
+    The finite part's supports are listed first, so that a refusal there
+    names this function, and then compared, as masks in the order of
+    ``families``, with the listing of ``sos``.
     """
     if sos is None:
         sos = extract(sys)
     s = sos.s
     gens0 = sos.basis_for(frozenset()).gens
-    suppset = frozenset(map(_index_set, _closed_masks(
-        s, _union_interior(gens0), "equals_a_plus_inf_a")))
+    supps = _closed_masks(s, _union_interior(gens0), "equals_a_plus_inf_a")
+    masks = sos._masks()
 
     def projected(H):
         return [p for p in (_project(g, H) for g in gens0) if any(p)]
 
     witnesses = set()
-    cond_supports = sos.S == suppset
-    for H in sos.S - suppset:
+    cond_supports = masks == supps
+    for H in map(_index_set, set(masks).difference(supps)):
         # inf exactly on H is a member but its infinite support is not a
         # support of the finite part, so it cannot be a1 + inf·a2
         witnesses.add(inject(zero_vec(s - len(H)), H))

@@ -105,13 +105,11 @@ def _glued(basis: HilbertBasis, interior, build, stage: str) -> SystemOfSupports
     """The system with finite part A whose supports are the fixed masks
     of ``interior`` and whose family at a support h is build(h, known);
     the families are built on first use, and the supports are listed by
-    ``_closed_masks`` on the first read of all of them, refused there in
-    the name of ``stage``."""
-    unit = _order_unit_of(basis)
+    ``_closed_masks`` on the first read of S or of the families, refused
+    there in the name of ``stage``."""
     s = basis.dim
-    return SystemOfSupports._deferred(
-        s, unit, interior, build,
-        lambda: [(h, _index_set(h)) for h in _closed_masks(s, interior, stage)])
+    return SystemOfSupports._deferred(s, _order_unit_of(basis), interior, build,
+                                      lambda: _closed_masks(s, interior, stage))
 
 
 def monoid_sum(m1, m2) -> tuple:

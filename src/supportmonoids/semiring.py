@@ -399,7 +399,7 @@ def parse_extnat(token: str) -> ExtNat:
     t = token.strip()
     if t.lower() == "inf":
         return INF
-    if not t.isdigit():
+    if not (t.isascii() and t.isdigit()):
         raise ValueError(f"cannot parse {token!r} as a nonnegative integer or 'inf'")
     return int(t)
 

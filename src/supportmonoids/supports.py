@@ -67,8 +67,8 @@ def _index_set(h: int) -> IndexSet:
 
 
 def _in_order(S) -> list:
-    """(mask, H) for each support set H in S, in the order of ``families``."""
-    return [(_mask(H), H) for H in sorted(S, key=_iset_key)]
+    """The masks of the support sets in S, in the order of ``families``."""
+    return [_mask(H) for H in sorted(S, key=_iset_key)]
 
 
 def _too_many(stage: str, s: int) -> ResourceLimitError:
@@ -129,35 +129,36 @@ class SystemOfSupports(Record):
     data: equality, hashing, repr, JSON and pickling see s, ``unit`` and
     ``families``, and nothing else.
 
-    Every instance holds two functions over support masks: a lookup
-    ``lookup(h, known)`` that returns A_h, as a basis of dimension
-    s - |h|, for a mask h below 2^s in S and None for any other, where
-    ``known`` maps some masks to their lookups and may be read, not
-    written; and ``listing()``, the masks of S in the order of
-    ``families``, each with its support set.  The validating
-    constructor reads both off its checked input, whose S need not be
-    closed under unions.  The systems the library builds (``extract``,
-    ``a_plus_inf_a``, ``b_min``, ``b_max``) have union-closed S and pass
-    ``_deferred`` its interior operator, interior(h) = the largest
-    member of S inside h, so that h is in S iff interior(h) == h, with a
-    builder of A_h for h in S and a lister.
+    Every instance holds a lookup ``lookup(h, known)`` over support
+    masks, which returns A_h, as a basis of dimension s - |h|, for a
+    mask h below 2^s in S and None for any other, where ``known`` maps
+    some masks to their lookups and may be read, not written; and a
+    listing of S, the masks in the order of ``families``.  The
+    validating constructor reads both off its checked input, whose S
+    need not be closed under unions.  The systems the library builds
+    (``extract``, ``a_plus_inf_a``, ``b_min``, ``b_max``) have
+    union-closed S and pass ``_deferred`` its interior operator,
+    interior(h) = the largest member of S inside h, so that h is in S
+    iff interior(h) == h, with a builder of A_h for h in S and a lister
+    that returns the listing.
 
-    One listing rule holds at every size: S is listed on the first read
-    of ``families`` or ``S``, which equality, hashing, repr, JSON and
-    pickling make too, and a lister refuses there once it passes
-    2^MAX_POWERSET_DIM sets, which needs more than MAX_POWERSET_DIM
-    coordinates.  A refusal is remembered: every later read raises it
-    again, with the same message, and lists nothing.  Each A_h is looked
-    up on first use and memoized in ``_by_h``: ``member_via_supports``
-    and ``basis_for`` list nothing and look up only the family they
-    read, so they answer however many coordinates there are.  The memo
-    only stores what the lookup returns, so concurrent readers can at
-    worst repeat work.
+    There are two memos.  ``_listing`` holds the lister until the first
+    read of ``S`` or ``families``, which equality, hashing, repr, JSON
+    and pickling make too, and from then on what it returned: the list
+    of masks, or its refusal once it passes 2^MAX_POWERSET_DIM sets,
+    which needs more than MAX_POWERSET_DIM coordinates.  A refusal is
+    raised again, with the same message, on every later read, and lists
+    nothing.  ``S`` reads the listing and builds no family.  Each A_h is
+    looked up on first use and memoized in ``_by_h``: ``families``
+    looks up every listed mask, while ``member_via_supports`` and
+    ``basis_for`` list nothing and look up only the family they read, so
+    they answer however many coordinates there are.  Each memo only
+    stores what its function returns, so concurrent readers can at worst
+    repeat work.
     """
 
     _fields = ("s", "unit", "families")
-    __slots__ = ("s", "unit", "_lookup", "_listing", "_solution_backed", "_by_h",
-                 "_families")
+    __slots__ = ("s", "unit", "_lookup", "_listing", "_solution_backed", "_by_h")
 
     def __init__(self, s: int, unit: Vec, families: tuple):
         check_dim(s)
@@ -179,8 +180,8 @@ class SystemOfSupports(Record):
                     f"basis for H={sorted(H)} has dimension {basis.dim}, "
                     f"expected {s - len(H)}")
             by_h[h] = basis
-        order = _in_order(map(_index_set, by_h))
-        self._hold(s, unit, lambda h, _known: by_h.get(h), lambda: order, False)
+        self._hold(s, unit, lambda h, _known: by_h.get(h),
+                   _in_order(map(_index_set, by_h)), False)
 
     @classmethod
     def _deferred(cls, s: int, unit: Vec, interior, build, listing,
@@ -202,26 +203,30 @@ class SystemOfSupports(Record):
 
     def _hold(self, *values) -> None:
         """Store the values in slot order, with an empty memo."""
-        for name, value in zip(self.__slots__, values + ({}, None), strict=True):
+        for name, value in zip(self.__slots__, values + ({},), strict=True):
             object.__setattr__(self, name, value)
+
+    def _masks(self) -> list:
+        """The masks of S in the order of ``families``, listed on the
+        first read; a refused listing is raised again on every read."""
+        listing = self._listing
+        if callable(listing):
+            try:
+                listing = listing()
+            except ResourceLimitError as refusal:
+                listing = refusal
+            object.__setattr__(self, "_listing", listing)
+        if isinstance(listing, ResourceLimitError):
+            raise ResourceLimitError(*listing.args)
+        return listing
 
     @property
     def families(self) -> tuple:
-        fams = self._families
-        if fams is None:
-            try:
-                fams = tuple((H, self._family(h)) for h, H in self._listing())
-            except ResourceLimitError as refusal:
-                object.__setattr__(self, "_families", refusal)
-                raise
-            object.__setattr__(self, "_families", fams)
-        elif isinstance(fams, ResourceLimitError):
-            raise ResourceLimitError(*fams.args)
-        return fams
+        return tuple((_index_set(h), self._family(h)) for h in self._masks())
 
     @property
     def S(self) -> frozenset:
-        return frozenset(H for H, _ in self.families)
+        return frozenset(map(_index_set, self._masks()))
 
     def _family(self, h: int):
         """A_h for a mask h below 2^s, or None when h is not in S: one
@@ -305,7 +310,7 @@ def infinite_supports(sys: DioSystem) -> frozenset:
     passes 2^MAX_POWERSET_DIM of them, which needs more than
     MAX_POWERSET_DIM coordinates.  It is the lister of ``extract``, so
     a system of supports makes that refusal on the first read of its
-    families, not when it is built.
+    support sets or its families, not when it is built.
     """
     interior = partial(_interior, _row_masks(sys)[0])
     return frozenset(map(_index_set, _closed_masks(sys.s, interior, "infinite_supports")))
@@ -356,9 +361,9 @@ def extract(sys: DioSystem) -> SystemOfSupports:
     The completion search of the finite part and a missing order unit
     are refused here.  The rest follows the one listing rule of
     ``SystemOfSupports``: each family is built on first use, and S is
-    listed, by ``infinite_supports``, on the first read of the families,
-    which refuses past 2^MAX_POWERSET_DIM supports; a query that reads
-    one family lists nothing.
+    listed, by ``infinite_supports``, on the first read of S or of the
+    families, which refuses past 2^MAX_POWERSET_DIM supports; a query
+    that reads one family lists nothing, and reading S builds none.
     """
     basis0 = hilbert_basis(sys)
     unit = basis0.order_unit()
@@ -479,10 +484,15 @@ def truncated_members(sos: SystemOfSupports, bound: int) -> frozenset:
 
 
 def minimal_nonempty(S) -> list:
-    """Inclusion-minimal elements of S minus the empty set."""
-    nonempty = [H for H in S if H]
-    return sorted((H for H in nonempty
-                   if not any(K < H for K in nonempty)), key=_iset_key)
+    """Inclusion-minimal elements of S minus the empty set, in the order
+    of ``families``.  In that order a set comes after every set strictly
+    inside it, and a set that is not minimal holds a minimal one, so a
+    set is kept iff no set kept before it lies strictly inside it."""
+    out = []
+    for H in sorted(S, key=_iset_key):
+        if H and not any(K < H for K in out):
+            out.append(H)
+    return out
 
 
 def validate(sos: SystemOfSupports) -> list:
@@ -493,7 +503,7 @@ def validate(sos: SystemOfSupports) -> list:
     because projections are monoid maps.
     """
     issues = []
-    S = sos.S
+    S, families = sos.S, sos.families
     full = frozenset(range(1, sos.s + 1))
 
     if frozenset() not in S:
@@ -512,14 +522,14 @@ def validate(sos: SystemOfSupports) -> list:
             issues.append(f"(3) S is not closed under unions: "
                           f"{sorted(H)} ∪ {sorted(K)} missing")
 
-    for H, basis in sos.families:
+    for H, basis in families:
         for g in basis.gens:
             if supp(inject(g, H)) not in S:
                 issues.append(f"(3) H ∪ supp(x) escapes S for H={sorted(H)}, x={g}")
 
-    for H, basis_H in sos.families:
+    for H, basis_H in families:
         comp_H = sos.complement(H)
-        for K, basis_K in sos.families:
+        for K, basis_K in families:
             if not H < K:
                 continue
             positions = [j for j in range(len(comp_H)) if comp_H[j] not in K]

@@ -192,6 +192,10 @@ def test_bad_vector_exits_2():
     rc, out, _ = run_cli("member", "--system", fixture_path("randclosure-s2"),
                          "--vector", "1,-2,0")
     assert rc == 2
+    # digits outside ASCII are not digits of a vector
+    rc, out, _ = run_cli("member", "--system", fixture_path("cusp"),
+                         "--vector", "\u0661,\u0662,0")
+    assert rc == 2 and json.loads(out)["error"] == "invalid_input"
 
 
 def test_missing_order_unit_exits_2(tmp_path):
@@ -273,8 +277,9 @@ def test_support_closure_past_the_cap_is_refused(tmp_path, dim):
 
 
 def test_support_closure_counts_distinct_supports(tmp_path):
-    # at the cap itself the supports are listed
-    assert len(a_plus_inf_a(HilbertBasis.free(16)).S) == 1 << 16
+    # at the cap itself the supports are listed, and reading them builds no family
+    sos = a_plus_inf_a(HilbertBasis.free(16))
+    assert len(sos.S) == 1 << 16 and sos._by_h == {}
     # 24 generators sharing the full support have only two support unions
     f = tmp_path / "full.json"
     f.write_text(json.dumps([[1 + (i == j) for j in range(24)] for i in range(24)]))

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import pickle
 import random
 import time
 
@@ -520,10 +521,10 @@ def test_constructions_build_only_the_family_a_query_reads():
     for construct in (a_plus_inf_a, b_min, b_max):
         sos = construct(A)
         assert member_via_supports(sos, (INF, INF, 3, 1))
-        assert list(sos._by_h) == [0b0011] and sos._families is None
+        assert list(sos._by_h) == [0b0011] and callable(sos._listing)
         # {1} contains no generator support: only b_max admits it
         assert member_via_supports(sos, (INF, 0, 0, 0)) == (construct is b_max)
-        assert list(sos._by_h) == [0b0011, 0b0001] and sos._families is None
+        assert list(sos._by_h) == [0b0011, 0b0001] and callable(sos._listing)
         assert (sos._by_h[0b0001] is None) == (construct is not b_max)
 
 
@@ -538,14 +539,29 @@ def test_a_plus_inf_a_on_seventeen_nested_generators():
     assert sos.basis_for(frozenset(range(1, s + 1))) == HilbertBasis(0, ())
 
 
-def test_constructions_refuse_seventeen_coordinates_at_the_first_listing():
+def test_constructions_refuse_seventeen_coordinates_at_the_first_listing(monkeypatch):
+    # S is listed once, by the first read, and every read raises the same refusal
+    from supportmonoids import constructions
+    calls = []
+    real = constructions._closed_masks
+    monkeypatch.setattr(constructions, "_closed_masks",
+                        lambda *args: calls.append(args) or real(*args))
     free = HilbertBasis.free(17)
     for construct in (a_plus_inf_a, b_min, b_max):
         stage = construct.__name__
+        calls.clear()
         sos = construct(free)
-        for read in (lambda: sos.families, lambda: sos.S, sos.to_json):
-            with pytest.raises(ResourceLimitError, match=f"^{stage}: .*MAX_POWERSET_DIM"):
+        messages = set()
+        for read in (lambda: sos.S, lambda: sos.families, sos.to_json,
+                     lambda: hash(sos), lambda: pickle.dumps(sos)):
+            with pytest.raises(ResourceLimitError,
+                               match=f"^{stage}: .*MAX_POWERSET_DIM") as refusal:
                 read()
+            messages.add(str(refusal.value))
+        assert len(calls) == 1 and messages == {
+            f"{stage}: listing more than 2^16 support sets out of the 2^17 subsets "
+            "of 17 coordinates exceeds the cap MAX_POWERSET_DIM = 16"}
+        assert sos._by_h == {}
 
 
 def test_decomposed_almost_free_accepts_a_free_factor_that_is_not_minimal():

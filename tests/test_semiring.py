@@ -140,6 +140,16 @@ def test_text_encoding():
             parse_extnat(bad)
 
 
+def test_only_ascii_digits_parse():
+    # str.isdigit accepts Arabic-Indic and superscript digits
+    for token in ("\u0661", "\u00b2"):
+        message = f"cannot parse {token!r} as a nonnegative integer or 'inf'"
+        for parse in (lambda: parse_vec(f"{token},2"), lambda: vec_from_json([token, 2])):
+            with pytest.raises(ValueError) as refusal:
+                parse()
+            assert str(refusal.value) == message
+
+
 def test_json_encoding():
     x = (1, INF, 0)
     assert vec_to_json(x) == [1, "inf", 0]

@@ -14,8 +14,8 @@ from conftest import FIXTURE_NAMES, load_fixture
 from oracles import from_lib, o_closure, o_solutions
 from supportmonoids import (INF, DioSystem, HilbertBasis, SystemOfSupports,
                             a_plus_inf_a, b_max, b_min,
-                            divides, enumerate_truncated, extract, generators,
-                            generated_truncated, infinite_supports, inject,
+                            divides, enumerate_truncated, equals_a_plus_inf_a,
+                            extract, generators, generated_truncated, infinite_supports, inject,
                             is_almost_free, is_full, is_member,
                             member_via_supports, minimal_nonempty,
                             minimize_generators, subsystem_for, supp,
@@ -439,6 +439,18 @@ def test_minimal_nonempty():
     assert minimal_nonempty(S) == [fset(1), fset(2, 3)]
 
 
+def test_minimal_nonempty_matches_brute_force():
+    rng = random.Random(157)
+    for _ in range(3000):
+        s = rng.randint(1, 8)
+        S = {frozenset(rng.sample(range(1, s + 1), rng.randint(0, s)))
+             for _ in range(rng.randint(0, 30))}
+        nonempty = [H for H in S if H]
+        restated = sorted((H for H in nonempty if not any(K < H for K in nonempty)),
+                          key=lambda H: (len(H), sorted(H)))
+        assert minimal_nonempty(S) == restated, S
+
+
 def test_json_roundtrip():
     sos = extract(RANDCLOSURE)
     again = SystemOfSupports.from_json(sos.to_json())
@@ -500,7 +512,7 @@ def assert_lazy_matches_eager(make):
         else:
             with pytest.raises(KeyError):
                 fresh.basis_for(H)
-    assert fresh._families is None  # no query built every family
+    assert callable(fresh._listing)  # no query listed S
 
     assert lazy.families == eager.families and lazy.S == eager.S
     assert [member_via_supports(lazy, x) for x in box] == want
@@ -531,13 +543,49 @@ def test_extract_builds_only_the_families_it_reads(monkeypatch):
     sos = extract(DioSystem(s=4, D=((1, 1, 1, 0),), moduli=(2,)))
     assert member_via_supports(sos, (INF, INF, 1, 0))
     assert len(calls) <= 2
-    assert list(sos._by_h) == [0b0011] and sos._families is None
+    assert list(sos._by_h) == [0b0011] and callable(sos._listing)
     assert sos.basis_for(fset(3)) == HilbertBasis.free(3)
+    assert list(sos._by_h) == [0b0011, 0b0100]
+    # reading S lists the supports and builds no family
+    built = len(calls)
+    assert len(sos.S) == 16 and len(calls) == built
     assert list(sos._by_h) == [0b0011, 0b0100]
     # building every family reuses the two already built, and each
     # support set is the one shared object of its mask
-    assert len(sos.S) == 16 and len(calls) == 1 + 14
+    assert len(sos.families) == 16 and len(calls) == 1 + 14
     assert all(H is _index_set(_mask(H)) for H, _ in sos.families)
+
+
+def test_reading_S_builds_no_family():
+    for sys_ in seeded_extractable_systems(random.Random(163), 60):
+        A = extract(sys_).basis_for(fset())
+        for make in (lambda: extract(sys_), lambda: a_plus_inf_a(A),
+                     lambda: b_min(A), lambda: b_max(A)):
+            sos = make()
+            S = sos.S
+            assert sos._by_h == {} and sos._masks() == [_mask(H) for H, _ in make().families]
+            assert S == frozenset(H for H, _ in sos.families)
+
+
+def test_almost_free_builds_only_the_minimal_families():
+    sos = extract(DioSystem(s=14))
+    assert is_almost_free(sos)
+    assert len(sos._by_h) <= 15
+
+
+def test_equals_a_plus_inf_a_reads_a_rebuilt_copy_alike():
+    # the comparison reads both listings in the order of ``families``,
+    # which the validating constructor keeps too
+    systems = seeded_extractable_systems(random.Random(167), 80)
+    systems += _seeded_sparse_systems(random.Random(173), 40)
+    flags = set()
+    for sys_ in systems:
+        sos = extract(sys_)
+        rebuilt = SystemOfSupports(sos.s, sos.unit, sos.families)
+        want = equals_a_plus_inf_a(sys_)
+        assert equals_a_plus_inf_a(sys_, rebuilt) == want, sys_
+        flags.add(want[0])
+    assert flags == {True, False}
 
 
 def test_extract_refuses_seventeen_coordinates_at_the_first_listing():
@@ -549,7 +597,7 @@ def test_extract_refuses_seventeen_coordinates_at_the_first_listing():
     # sixteen are accepted, and one query builds one family
     sos = extract(DioSystem(s=16))
     assert member_via_supports(sos, (INF,) * 8 + (1,) * 8)
-    assert list(sos._by_h) == [0xFF] and sos._families is None
+    assert list(sos._by_h) == [0xFF] and callable(sos._listing)
 
 
 def test_a_refused_listing_is_remembered(monkeypatch):
@@ -592,7 +640,7 @@ def test_one_family_queries_answer_past_sixteen_coordinates():
         assert member_via_supports(sos, (INF,) + (0,) * (s - 1)) == everything
         assert sos.basis_for(range(1, 6)) == HilbertBasis.free(s - 5)
         assert time.perf_counter() - start < 0.5
-        assert sos._families is None
+        assert callable(sos._listing)
         for read in (lambda: sos.families, lambda: sos.S, sos.to_json):
             with pytest.raises(ResourceLimitError, match=f"^{stage}: .*MAX_POWERSET_DIM"):
                 read()
@@ -631,8 +679,8 @@ def test_listings_walk_the_supports_by_size_then_lexicographically():
         restated = [frozenset(c) for r in range(s + 1)
                     for c in itertools.combinations(range(1, s + 1), r)]
         for sos in (b_max(HilbertBasis.free(s)), extract(DioSystem(s=s))):
-            assert [H for _, H in sos._listing()] == restated
-            assert [h for h, _ in sos._listing()] == [_mask(H) for H in restated]
+            assert [_index_set(h) for h in sos._masks()] == restated
+            assert sos._masks() == [_mask(H) for H in restated]
         # b_min of <e1 + ... + es> holds the empty set and the full set only
         assert [H for H, _ in b_min(HilbertBasis(s, ((1,) * s,))).families] == \
             [restated[0], restated[-1]]
@@ -724,7 +772,7 @@ def test_interior_and_listing_agree_with_brute_force(monkeypatch):
                 sub = (sub - 1) & h
             assert interior(h) == largest
         restated = sorted(map(_index_set, S), key=lambda H: (len(H), sorted(H)))
-        assert [H for _, H in sos._listing()] == restated
+        assert [_index_set(h) for h in sos._masks()] == restated
         # the walk lists in that order for every operator, whichever lister the system uses
         assert _closed_masks(s, interior, "walk") == [_mask(H) for H in restated]
 
