@@ -10,12 +10,15 @@ command line (``_parse``) straight from the ``COMMANDS`` table, without
 loading ``argparse``; any other line, such as ``--help`` or a usage
 error, goes to the full parser of ``build_parser``, which alone writes
 help and error text.  Each handler imports the library functions it
-calls when it runs.
+calls when it runs.  In the same way, ``_load_json`` and ``_emit`` read
+and write the JSON these commands handle themselves (``_read``,
+``_write``) and hand any other text or document to the ``json``
+module, which alone handles floats, escapes and non-ASCII text and
+words every parse error.
 """
 
 from __future__ import annotations
 
-import json
 import sys as _sys
 from types import SimpleNamespace
 
@@ -28,9 +31,96 @@ EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 
 
+_SPACE = " \t\n\r"  # JSON whitespace
+_DIGITS = "0123456789"
+_WORDS = {"t": ("true", True), "f": ("false", False), "n": ("null", None)}
+_MAX_DEPTH = 32  # deeper documents go to the json module
+# longer texts go to the json module too: _read takes about 0.5 us a
+# character, so past a few thousand it costs more than importing json
+_MAX_READ = 4096
+
+
+def _plain(s: str) -> bool:
+    """Is s printable ASCII without '"' or '\\', so that JSON writes it as is?"""
+    return s.isascii() and s.isprintable() and '"' not in s and "\\" not in s
+
+
+def _read(text: str, i: int, depth: int):
+    """(value, end) of the JSON value that starts at text[i], after any
+    whitespace, for the subset of JSON made of objects, arrays, true,
+    false, null, integers -?(0|[1-9][0-9]*) and _plain strings without
+    escapes; IndexError or ValueError for any other text."""
+    while text[i] in _SPACE:
+        i += 1
+    c = text[i]
+    if c == '"':
+        end = text.index('"', i + 1)
+        value = text[i + 1:end]
+        if not _plain(value):
+            raise ValueError("not a plain string")
+        return value, end + 1
+    if c in "[{":
+        if depth == _MAX_DEPTH:
+            raise ValueError("nested too deep")
+        close = "]" if c == "[" else "}"
+        items = [] if c == "[" else {}
+        i += 1
+        while text[i] in _SPACE:
+            i += 1
+        if text[i] == close:
+            return items, i + 1
+        while True:
+            if c == "[":
+                value, i = _read(text, i, depth + 1)
+                items.append(value)
+            else:
+                while text[i] in _SPACE:
+                    i += 1
+                if text[i] != '"':
+                    raise ValueError("not a key")
+                key, i = _read(text, i, depth + 1)
+                while text[i] in _SPACE:
+                    i += 1
+                if text[i] != ":":
+                    raise ValueError("no colon")
+                items[key], i = _read(text, i + 1, depth + 1)
+            while text[i] in _SPACE:
+                i += 1
+            if text[i] == close:
+                return items, i + 1
+            if text[i] != ",":
+                raise ValueError("no comma")
+            i += 1
+    if c in _WORDS:
+        word, value = _WORDS[c]
+        if not text.startswith(word, i):
+            raise ValueError("not a literal")
+        return value, i + len(word)
+    first = i + 1 if c == "-" else i
+    end = first
+    while end < len(text) and text[end] in _DIGITS:
+        end += 1
+    if end == first or (text[first] == "0" and end > first + 1):
+        raise ValueError("not an integer")
+    return int(text[i:end]), end
+
+
+def _loads(text: str):
+    """``json.loads(text)``, read directly when ``_read`` can."""
+    if len(text) <= _MAX_READ:
+        try:
+            value, end = _read(text, 0, 0)
+            if not text[end:].strip(_SPACE):
+                return value
+        except (IndexError, ValueError):
+            pass
+    import json
+    return json.loads(text)
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _loads(fh.read())
 
 
 def _load_system(path: str):
@@ -54,8 +144,40 @@ def _load_basis(path: str):
     return HilbertBasis.from_generators(dim, (tuple(g) for g in gens))
 
 
+def _write(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` for
+    documents made of dicts with _plain str keys, lists, tuples, bools,
+    None, exact ints and _plain strings; ValueError for any other."""
+    kind = type(obj)
+    if kind is int:
+        return str(obj)
+    if kind is str and _plain(obj):
+        return f'"{obj}"'
+    if obj is None or kind is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    if depth < _MAX_DEPTH:
+        if kind is list or kind is tuple:
+            return "[" + ",".join([str(v) if type(v) is int else _write(v, depth + 1)
+                                   for v in obj]) + "]"
+        if kind is dict and all(type(k) is str and _plain(k) for k in obj):
+            return "{" + ",".join([f'"{k}":{_write(obj[k], depth + 1)}'
+                                   for k in sorted(obj)]) + "}"
+    raise ValueError("not written directly")
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, separators=(",", ":"))``, written
+    directly when ``_write`` can."""
+    try:
+        return _write(obj)
+    except ValueError:
+        pass
+    import json
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    print(_dumps(obj))
 
 
 def _cmd_member(args) -> int:
@@ -311,7 +433,7 @@ def main(argv=None) -> int:
         _emit({"error": "missing_order_unit", "message": str(exc)})
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INVALID
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         _emit({"error": "invalid_input", "message": str(exc)})
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INVALID

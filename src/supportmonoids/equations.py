@@ -70,8 +70,7 @@ class DioSystem(Record):
     def from_json(cls, obj: dict) -> "DioSystem":
         if not isinstance(obj, dict) or "s" not in obj:
             raise ValueError("system JSON must be an object with an 's' key")
-        eq = obj.get("equations") or {}
-        cg = obj.get("congruences") or {}
+        eq, cg = (_rows_object(obj, key) for key in ("equations", "congruences"))
         return cls(
             s=obj["s"],
             F=tuple(tuple(r) for r in eq.get("F", ())),
@@ -79,6 +78,18 @@ class DioSystem(Record):
             D=tuple(tuple(r) for r in cg.get("D", ())),
             moduli=tuple(cg.get("moduli", ())),
         )
+
+
+def _rows_object(obj: dict, key: str) -> dict:
+    """The object at obj[key] of a system JSON, {} when the key is absent
+    or null."""
+    rows = obj.get(key)
+    if rows is None:
+        return {}
+    if not isinstance(rows, dict):
+        raise ValueError(f"system JSON '{key}' must be an object or null, "
+                         f"got {type(rows).__name__}")
+    return rows
 
 
 def is_member(sys: DioSystem, x: Vec) -> bool:

@@ -584,8 +584,9 @@ def is_almost_free(sos: SystemOfSupports, bound: int = DEFAULT_FULLNESS_BOUND) -
     from its data is verified like any other.
     """
     check_int(bound, "verification bound", 0)
+    S = sos.S
     if not sos._solution_backed:
         empty = frozenset()
-        if empty not in sos.S or not _full_upto(sos.basis_for(empty), bound):
+        if empty not in S or not _full_upto(sos.basis_for(empty), bound):
             return False
-    return all(sos.basis_for(H).is_free() for H in minimal_nonempty(sos.S))
+    return all(sos.basis_for(H).is_free() for H in minimal_nonempty(S))

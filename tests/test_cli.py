@@ -14,7 +14,8 @@ import pytest
 import supportmonoids
 from conftest import FIXTURE_NAMES, FIXTURES
 from supportmonoids import INF, HilbertBasis, a_plus_inf_a, generated_truncated
-from supportmonoids.cli import COMMANDS, _closed_under_addition, _parse, build_parser, main
+from supportmonoids.cli import (COMMANDS, _closed_under_addition, _dumps, _loads, _parse,
+                                _read, _write, build_parser, main)
 
 
 def run_cli(*argv):
@@ -179,7 +180,10 @@ def test_parse_error_exits_2(tmp_path):
     bad.write_text("{not json")
     rc, out, _ = run_cli("member", "--system", str(bad), "--vector", "1")
     assert rc == 2
-    assert json.loads(out)["error"] == "invalid_input"
+    # the json module reads what the direct reader does not, and words the error
+    assert json.loads(out) == {
+        "error": "invalid_input",
+        "message": "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"}
 
 
 def test_missing_file_exits_2(tmp_path):
@@ -224,6 +228,26 @@ def run_cold(*args, timeout):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env, timeout=timeout)
+
+
+def test_system_rows_that_are_not_objects_exit_2(tmp_path):
+    # rows given as an array where an object belongs are invalid input, not a crash
+    f = tmp_path / "rows.json"
+    f.write_text(json.dumps({"s": 2, "equations": [[1, 1]]}))
+    proc = run_cold("-m", "supportmonoids.cli", "supports", "--system", str(f), timeout=60)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {
+        "error": "invalid_input",
+        "message": "system JSON 'equations' must be an object or null, got list"}
+
+
+def test_non_ascii_message_is_written_by_json():
+    # the direct writer hands non-ASCII text to json.dumps, which escapes it
+    proc = run_cold("-m", "supportmonoids.cli", "member", "--system", fixture_path("cusp"),
+                    "--vector", "\u0661,1,0", timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ('{"error":"invalid_input","message":"cannot parse '
+                           "'\\u0661' as a nonnegative integer or 'inf'\"}\n")
 
 
 def test_classify_refuses_a_fullness_check_too_large_to_enumerate(tmp_path):
@@ -288,14 +312,20 @@ def test_support_closure_counts_distinct_supports(tmp_path):
     assert [fam["H"] for fam in json.loads(out)["supports"]] == [[], list(range(1, 25))]
 
 
+JSON_MODULES = {"json", "json.decoder", "json.encoder", "json.scanner", "_json"}
+
+
 def test_cli_import_skips_dataclasses_and_inspect():
     # all three are slow to import; the cold CLI start must not pay for
-    # them (argparse is loaded only for help and usage errors)
-    proc = run_cold("-c", "import sys, supportmonoids.cli; print(sorted("
-                          "{'argparse', 'dataclasses', 'inspect'} & set(sys.modules)))",
+    # them (argparse is loaded only for help and usage errors), nor for
+    # json, which reads and writes only what the direct path does not
+    # (counted past what the interpreter loaded before the import)
+    proc = run_cold("-c", "import sys; before = set(sys.modules); import supportmonoids.cli; "
+                          "print(sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)),"
+                          f" sorted(set({sorted(JSON_MODULES)}) & (set(sys.modules) - before)))",
                     timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] []"
 
 
 def test_cold_help_prints_the_full_usage():
@@ -455,17 +485,23 @@ def test_cold_runs_load_only_what_the_command_runs(tmp_path):
         *(([cmd, "--basis", str(basis)], "constructions", {"classify", "ranks"})
           for cmd in ("aplusinfa", "bmin", "bmax")),
     ]
-    for argv, runs, skipped in cases:
-        proc = run_cold("-X", "importtime", "-m", "supportmonoids.cli", *argv, timeout=60)
+    def imported(*args):
+        proc = run_cold("-X", "importtime", *args, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-                  if line.startswith("import time:")}
+        return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+
+    at_start = imported("-c", "pass")  # a host's site may load json itself
+    for argv, runs, skipped in cases:
+        loaded = imported("-m", "supportmonoids.cli", *argv)
         package = {name.split(".", 1)[1] for name in loaded
                    if name.startswith("supportmonoids.")}
         assert runs in package and {"semiring", "errors"} <= package, (argv, package)
         assert not package & skipped, (argv, package & skipped)
         # main reads a well-formed line without argparse and its gettext
         assert not loaded & {"argparse", "gettext", "locale"}, (argv, loaded)
+        # and reads and writes well-formed JSON without the json module
+        assert not (loaded - at_start) & JSON_MODULES, (argv, loaded & JSON_MODULES)
 
 
 def test_package_exports_resolve_on_first_access():
@@ -496,6 +532,127 @@ print(len(pkg.__all__))
     proc = run_cold("-c", script, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(len(supportmonoids.__all__))
+
+
+def outcome(call, arg):
+    """repr of what call(arg) returns (repr tells 1 from True and 1.0),
+    or the type and message of what it raises."""
+    try:
+        return repr(call(arg))
+    except Exception as exc:  # every exception is compared, whatever its type
+        return type(exc), str(exc)
+
+
+CHARS = ("a", "Z", " ", "~", "/", "'", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f",
+         "\xe9", "\u0661", "\U0001f600", "\ufeff")
+
+
+def random_doc(rng, depth=0):
+    """A random JSON-like document: mostly what the commands read and
+    write, with floats, odd strings, tuples and odd keys mixed in."""
+    r = rng.random()
+    if depth > 4 or r < 0.45:
+        return rng.choice((
+            rng.randint(-3, 30), rng.randint(-10 ** 30, 10 ** 30), True, False, None,
+            rng.choice((0.5, -0.0, 1e300, 2.0, float("inf"), float("nan"))), "inf",
+            "".join(rng.choice(CHARS[:5] if rng.random() < 0.7 else CHARS)
+                    for _ in range(rng.randint(0, 6)))))
+    if r < 0.75:
+        items = [random_doc(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+        return tuple(items) if rng.random() < 0.2 else items
+    doc = {}
+    for _ in range(rng.randint(0, 4)):
+        key = rng.choice(("s", "F", "G", "moduli", "a", "gens", "\xe9", 'q"', "b\\",
+                          "inf", "") if rng.random() < 0.9 else (1, -2, True, None, 1.5))
+        doc[key] = random_doc(rng, depth + 1)
+    return doc
+
+
+def mutated(rng, text):
+    """text with up to two random edits: a character deleted, inserted or
+    repeated, a cut, or a BOM in front."""
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(text) + 1)
+        edit = rng.randrange(5)
+        if edit == 0:
+            text = text[:i] + text[i + 1:]
+        elif edit == 1:
+            text = text[:i] + rng.choice(',]}[{:"\\ 0-.eEx\ufeff\x0b') + text[i:]
+        elif edit == 2:
+            text = text[:i] + text[i:i + 3] + text[i:]
+        elif edit == 3:
+            text = text[:i]
+        else:
+            text = "\ufeff" + text
+    return text
+
+
+DEEP = 40  # deeper than the direct paths go
+ODD_TEXTS = [
+    '{"s": 2}', "-0", "[-0, 0, -12]", "01", "[01]", "-01", "-", "--1", "1.5", "[1e3]", "1E-2",
+    "[2.]", ".5", '"\\u0041"', '"a\\"b"', '"\\n"', '"\xe9"', '"\u0661"', '\ufeff{"s": 1}',
+    "[1,]", "[1 2]", '{"a": 1,}', '{"a" 1}', '{"a": 1 "b": 2}', "{1: 2}", "[", '{"s": ', '"abc',
+    "", "   ", "tru", "nul", "true false", "NaN", "Infinity", "-Infinity", '"\x7f"', '"\t"',
+    "[true, false, null]", '{"a": 1, "a": 2, "b": 3}', " \t\n\r[1]\r\n", "[1]\x0b",
+    "\x0c[1]", "[1]]", "{}}", '{"a":[}', '{"a": 1]"b": 2}', "[1}2]", "9" * 4000, "9" * 4301, "[" + "1" * 4400 + "]",
+    "[" * 32 + "]" * 32, "[" * DEEP + "]" * DEEP, "[" * 2000 + "]" * 2000, "[" * 5000 + "]" * 5000,
+    '{"a":' * DEEP + "1" + "}" * DEEP,
+]
+
+
+def test_direct_reader_agrees_with_json_loads():
+    # _loads reads the subset of JSON the commands use itself and hands
+    # every other text to json.loads: value, or exception type and message,
+    # must be json.loads's on odd texts and on seeded, mostly mutated, documents
+    rng = random.Random(2301)
+    texts = list(ODD_TEXTS)
+    for _ in range(3000):
+        text = json.dumps(random_doc(rng), ensure_ascii=rng.random() < 0.5,
+                          indent=rng.choice((None, None, 0, 2)),
+                          separators=rng.choice((None, (",", ":"), (", ", ": "))))
+        texts.append(mutated(rng, text) if rng.random() < 0.5 else text)
+    direct = 0
+    for text in texts:
+        assert outcome(_loads, text) == outcome(json.loads, text), text[:200]
+        try:
+            direct += not text[_read(text, 0, 0)[1]:].strip(" \t\n\r")
+        except (IndexError, ValueError):
+            pass
+    # both ways are taken often
+    assert 600 < direct < len(texts) - 600, direct
+
+
+def test_direct_writer_agrees_with_json_dumps():
+    # _dumps writes the documents the commands emit itself and hands every
+    # other to json.dumps: the text, or exception type and message, must
+    # be json.dumps's
+    def dumps(doc):
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+    circular = []
+    circular.append(circular)
+    deep = {}
+    for _ in range(DEEP):
+        deep = {"a": [deep]}
+
+    class Int(int):
+        pass
+
+    rng = random.Random(2302)
+    docs = [{"b": 1, "a": [True, False, None, (1, 2)]}, ("x", ["y"]), {"k": "\xe9"},
+            {"k": 'a"b'}, {"k": "a\\b"}, {"\u0661": 1}, {1: 2, 3: 4}, {1: 2, "a": 3},
+            {True: 1}, {None: 1}, {1.5: 2}, 1.5, float("nan"), -0.0, 10 ** 5000, [10 ** 5000],
+            {"x": 2 ** 64}, -5, Int(3), [Int(3)], set(), b"x", "\x7f", "\t", "", [], {},
+            circular, deep, [[[[1]]]] * 3, {"error": "invalid_input", "message": "'s'"}]
+    docs += [random_doc(rng) for _ in range(3000)]
+    direct = 0
+    for doc in docs:
+        assert outcome(_dumps, doc) == outcome(dumps, doc), repr(doc)[:200]
+        try:
+            direct += isinstance(_write(doc), str)
+        except ValueError:
+            pass
+    assert 600 < direct < len(docs) - 600, direct
 
 
 def closed_by_ordered_pairs(enum, members, bound):

@@ -191,3 +191,9 @@ def test_json_roundtrip():
         assert DioSystem.from_json(sys_.to_json()) == sys_
     with pytest.raises(ValueError):
         DioSystem.from_json({"equations": {}})
+    # a missing or null key has no rows; anything else but an object is refused
+    for key in ("equations", "congruences"):
+        assert DioSystem.from_json({"s": 2, key: None}) == DioSystem(s=2)
+        for rows in ([[1, 1]], [], 5, 0, False, "", "F"):
+            with pytest.raises(ValueError, match=f"system JSON '{key}' must be an object"):
+                DioSystem.from_json({"s": 2, key: rows})
