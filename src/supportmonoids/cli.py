@@ -2,8 +2,21 @@
 
 Exit status: 0 on success, 1 when the oracle finds a mismatch, 2 on
 validation or parse errors, 3 when a resource cap refuses the
-computation.  stdout carries exactly one JSON document; diagnostics go
-to stderr.
+computation, 120 when stdout is closed before the document is written
+(the interpreter's own status when its exit-time flush fails).  stdout
+carries exactly one JSON document; diagnostics go to stderr.
+
+A cold run ends through ``run``, the entry point of both the
+``supportmonoids`` script and ``python -m supportmonoids.cli``: it calls
+``main``, flushes stdout and stderr, and ends the process with
+``os._exit``, so module teardown and the final garbage collections,
+which no answer needs, never run.  No ``atexit`` handler runs after a
+completed command either (the package registers none), so a profiler
+or coverage tool that reports at exit should call ``main``, which
+returns its status instead of ending the process, as in-process callers
+do.  A closed stdout ends with status 120 and one ``error:`` line on
+stderr.  An uncaught exception, and argparse's ``SystemExit`` for help
+and usage errors, leave ``run`` and end the interpreter as usual.
 
 A command loads only what it runs.  ``main`` reads a well-formed
 command line (``_parse``) straight from the ``COMMANDS`` table, without
@@ -19,6 +32,7 @@ words every parse error.
 
 from __future__ import annotations
 
+import os as _os
 import sys as _sys
 from types import SimpleNamespace
 
@@ -29,6 +43,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
+EXIT_CLOSED = 120
 
 
 _SPACE = " \t\n\r"  # JSON whitespace
@@ -106,7 +121,9 @@ def _read(text: str, i: int, depth: int):
 
 
 def _loads(text: str):
-    """``json.loads(text)``, read directly when ``_read`` can."""
+    """``json.loads(text)``, read directly when ``_read`` can; json's
+    RecursionError on deep nesting comes back as a ValueError with its
+    message, so such a file is invalid input."""
     if len(text) <= _MAX_READ:
         try:
             value, end = _read(text, 0, 0)
@@ -115,7 +132,10 @@ def _loads(text: str):
         except (IndexError, ValueError):
             pass
     import json
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _load_json(path: str):
@@ -425,6 +445,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        raise  # stdout is closed: no document can be written, run ends the process
     except ResourceLimitError as exc:
         _emit({"error": "resource_limit", "message": str(exc)})
         print(f"error: {exc}", file=_sys.stderr)
@@ -439,5 +461,24 @@ def main(argv=None) -> int:
         return EXIT_INVALID
 
 
+def run(argv=None) -> None:
+    """Run ``main`` on argv, flush its output and end the process with its
+    exit status, skipping interpreter teardown (module docstring)."""
+    try:
+        code = main(argv)
+        if _sys.stdout is not None:  # None when the process started without fd 1
+            _sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # as the Python docs advise for SIGPIPE: point stdout at devnull, so
+        # that should anything raise before os._exit, the interpreter's
+        # exit-time flush of what is left in stdout's buffer cannot fail again
+        _os.dup2(_os.open(_os.devnull, _os.O_WRONLY), _sys.stdout.fileno())
+        print(f"error: stdout is closed: {exc}", file=_sys.stderr)
+        code = EXIT_CLOSED
+    if _sys.stderr is not None:
+        _sys.stderr.flush()
+    _os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

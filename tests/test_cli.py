@@ -12,7 +12,7 @@ import time
 import pytest
 
 import supportmonoids
-from conftest import FIXTURE_NAMES, FIXTURES
+from conftest import FIXTURE_NAMES, FIXTURES, load_fixture
 from supportmonoids import INF, HilbertBasis, a_plus_inf_a, generated_truncated
 from supportmonoids.cli import (COMMANDS, _closed_under_addition, _dumps, _loads, _parse,
                                 _read, _write, build_parser, main)
@@ -221,13 +221,112 @@ def test_resource_cap_exits_3(tmp_path):
     assert json.loads(out)["error"] == "resource_limit"
 
 
-def run_cold(*args, timeout):
-    """Run a fresh interpreter on this checkout's package."""
+def run_cold(*args, timeout, unbuffered=None, **options):
+    """Run a fresh interpreter on this checkout's package.  unbuffered
+    True or False sets or removes PYTHONUNBUFFERED in its environment
+    (None keeps the caller's); options go to subprocess.run, which
+    captures stdout and stderr as text unless they say otherwise."""
     src = str(pathlib.Path(supportmonoids.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, timeout=timeout)
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+    options = {"capture_output": True, "text": True, **options}
+    return subprocess.run([sys.executable, *args], env=env, timeout=timeout, **options)
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Input files for the cold runs, by name."""
+    root = tmp_path_factory.mktemp("cli")
+    docs = {"ranks": {"a": [[1, 1, 0], [1, 0, 1]]}, "matrix": [[1, -1]],
+            "free12": [[int(i == j) for j in range(12)] for i in range(12)], "s8": {"s": 8},
+            "pinned": {"s": 2, "equations": {"F": [[1, 0]], "G": [[0, 0]]}}}
+    for name in FIXTURE_NAMES:
+        supports = expected(name)["supports"]["supports"]
+        docs[f"basis-{name}"] = next(fam["basis"] for fam in supports if not fam["H"])
+    files = {}
+    for name, doc in docs.items():
+        files[name] = root / f"{name}.json"
+        files[name].write_text(json.dumps(doc))
+    files["deep"] = root / "deep.json"
+    files["deep"].write_text("[" * 3000 + "]" * 3000)  # past json's recursion limit
+    files["missing"] = root / "nope.json"  # never written
+    return {name: str(path) for name, path in files.items()}
+
+
+def parity_lines(group, files):
+    """The command lines of one group of cold parity runs."""
+    if group in FIXTURE_NAMES:
+        system = fixture_path(group)
+        vector = ",".join(["inf"] + ["1"] * (load_fixture(group)["s"] - 1))
+        yield ["member", "--system", system, "--vector", vector]
+        for cmd in ("supports", "generators", "classify", "oracle"):
+            yield [cmd, "--system", system]
+        for cmd in ("aplusinfa", "bmin", "bmax"):
+            yield [cmd, "--basis", files[f"basis-{group}"]]
+    elif group == "ranks":
+        yield ["lo-system", "--ranks", files["ranks"]]
+        yield ["lo-extended", "--ranks", files["ranks"], "--vector", "inf,1,0"]
+        yield ["wiegand", "--matrix", files["matrix"]]
+    elif group == "large":  # about 500 KB, past any pipe buffer
+        yield ["aplusinfa", "--basis", files["free12"]]
+    else:  # exit 2 and 3 without a traceback, a file too deep for json included
+        yield ["generators", "--system", files["missing"]]
+        yield ["member", "--system", fixture_path("cusp"), "--vector", "1,-2,0"]
+        yield ["generators", "--system", files["pinned"]]
+        yield ["oracle", "--system", files["s8"], "--bound", "8"]
+        for cmd, flag in (("supports", "--system"), ("bmin", "--basis"),
+                          ("lo-system", "--ranks"), ("wiegand", "--matrix")):
+            yield [cmd, flag, files["deep"]]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("group", [*FIXTURE_NAMES, "ranks", "large", "errors"])
+def test_cold_runs_match_in_process(cli_inputs, group, unbuffered):
+    # a cold run ends through cli.run, which flushes and then skips the
+    # interpreter's teardown: stdout bytes, stderr and the exit status must
+    # be those of main called in-process, with stdout buffered or not
+    for argv in parity_lines(group, cli_inputs):
+        rc, out, err = run_cli(*argv)
+        proc = run_cold("-m", "supportmonoids.cli", *argv, timeout=120,
+                        unbuffered=unbuffered, text=False)
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == \
+            (rc, out.encode(), err), argv
+        if group == "large":
+            assert rc == 0 and len(proc.stdout) > 1 << 16
+        if group == "errors":
+            assert rc in (2, 3) and err.startswith("error: ") and err.count("\n") == 1
+            assert json.loads(out)["error"] in ("invalid_input", "missing_order_unit",
+                                                "resource_limit")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_120_without_a_traceback(cli_inputs, unbuffered):
+    # the read end of stdout is closed before the child writes: a short
+    # document fails at the final flush (or at its write when unbuffered),
+    # a long one while it is written
+    for argv in (["member", "--system", fixture_path("cusp"), "--vector", "1,1,1"],
+                 ["aplusinfa", "--basis", cli_inputs["free12"]]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_cold("-m", "supportmonoids.cli", *argv, timeout=120,
+                            unbuffered=unbuffered, capture_output=False,
+                            stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 120, (argv, proc.stderr)
+        assert proc.stderr == "error: stdout is closed: [Errno 32] Broken pipe\n", argv
+    # a process started without fd 1 has no sys.stdout: print drops the
+    # document, and run must not fail on the missing stream
+    proc = run_cold("-m", "supportmonoids.cli", "member", "--system", fixture_path("cusp"),
+                    "--vector", "1,1,1", timeout=60, unbuffered=unbuffered,
+                    capture_output=False, stderr=subprocess.PIPE,
+                    preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_system_rows_that_are_not_objects_exit_2(tmp_path):
@@ -603,7 +702,8 @@ ODD_TEXTS = [
 def test_direct_reader_agrees_with_json_loads():
     # _loads reads the subset of JSON the commands use itself and hands
     # every other text to json.loads: value, or exception type and message,
-    # must be json.loads's on odd texts and on seeded, mostly mutated, documents
+    # must be json.loads's on odd texts and on seeded, mostly mutated,
+    # documents, but for the ValueError that stands for its RecursionError
     rng = random.Random(2301)
     texts = list(ODD_TEXTS)
     for _ in range(3000):
@@ -611,9 +711,16 @@ def test_direct_reader_agrees_with_json_loads():
                           indent=rng.choice((None, None, 0, 2)),
                           separators=rng.choice((None, (",", ":"), (", ", ": "))))
         texts.append(mutated(rng, text) if rng.random() < 0.5 else text)
+    def loads(text):
+        # json's RecursionError on deep nesting comes back as a ValueError
+        try:
+            return json.loads(text)
+        except RecursionError as exc:
+            raise ValueError(str(exc)) from None
+
     direct = 0
     for text in texts:
-        assert outcome(_loads, text) == outcome(json.loads, text), text[:200]
+        assert outcome(_loads, text) == outcome(loads, text), text[:200]
         try:
             direct += not text[_read(text, 0, 0)[1]:].strip(" \t\n\r")
         except (IndexError, ValueError):

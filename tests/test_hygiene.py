@@ -201,3 +201,26 @@ def test_every_refusal_names_its_stage():
             if not (node.args and _names_a_stage(node.args[0])):
                 nameless.append(f"{name}:{node.lineno}")
     assert not nameless, "refusals that name no stage:\n" + "\n".join(nameless)
+
+
+def _exits(node) -> set:
+    """Lines below node that name ``_exit``: an attribute, a name or an import."""
+    return {sub.lineno for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and sub.attr == "_exit"
+            or isinstance(sub, ast.Name) and sub.id == "_exit"
+            or isinstance(sub, ast.ImportFrom) and any(a.name == "_exit" for a in sub.names)}
+
+
+def test_only_cli_run_ends_the_process():
+    """``os._exit`` skips every flush, exit handler and finalizer, so only
+    ``cli.run``, the entry point of a cold run, may call it.  A fast exit
+    in ``main`` or in library code would end the test process, or a
+    launcher that calls ``main`` and writes its own record afterwards."""
+    modules = _modules()
+    run = next(node for node in modules["cli.py"].body
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    inside = {f"cli.py:{line}" for line in _exits(run)}
+    everywhere = {f"{name}:{line}" for name, tree in modules.items() for line in _exits(tree)}
+    assert inside, "cli.run no longer ends the process with os._exit"
+    outside = sorted(everywhere - inside)
+    assert not outside, "os._exit outside cli.run:\n" + "\n".join(outside)
