@@ -14,9 +14,10 @@ which no answer needs, never run.  No ``atexit`` handler runs after a
 completed command either (the package registers none), so a profiler
 or coverage tool that reports at exit should call ``main``, which
 returns its status instead of ending the process, as in-process callers
-do.  A closed stdout ends with status 120 and one ``error:`` line on
-stderr.  An uncaught exception, and argparse's ``SystemExit`` for help
-and usage errors, leave ``run`` and end the interpreter as usual.
+do.  Help and usage errors end the same way, with argparse's status.
+A closed stdout, help included, ends with status 120 and one ``error:``
+line on stderr.  An uncaught exception leaves ``run`` and ends the
+interpreter as usual.
 
 A command loads only what it runs.  ``main`` reads a well-formed
 command line (``_parse``) straight from the ``COMMANDS`` table, without
@@ -392,9 +393,21 @@ COMMANDS = {
 
 
 def build_parser():
-    """The argparse parser, with a subparser for each command."""
+    """The argparse parser, with a subparser for each command.
+
+    Its help goes to stdout without argparse's guard, which drops an
+    OSError from that write, so that help into a closed stdout ends, as
+    every command does, with status 120 (``run``) rather than in silence.
+    """
     import argparse
-    parser = argparse.ArgumentParser(
+
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):
+            file = file or _sys.stdout
+            if file is not None:  # None when the process started without fd 1
+                file.write(self.format_help())
+
+    parser = Parser(
         prog="supportmonoids",
         description="Monoids of solutions of linear equations and congruences "
                     "over the extended naturals, their systems of supports, and "
@@ -465,7 +478,10 @@ def run(argv=None) -> None:
     """Run ``main`` on argv, flush its output and end the process with its
     exit status, skipping interpreter teardown (module docstring)."""
     try:
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's end of help and usage errors
+            code = exc.code
         if _sys.stdout is not None:  # None when the process started without fd 1
             _sys.stdout.flush()
     except BrokenPipeError as exc:

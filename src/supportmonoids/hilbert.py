@@ -3,17 +3,14 @@
 The finite part A = B ∩ N0^s of a solution monoid is generated by its
 finitely many minimal nonzero solutions.  They are computed with a
 Contejean-Devie completion search on the congruence-lifted,
-equations-only system: grow candidate vectors one unit coordinate at a
-time, but only in directions whose column makes the defect vector
-smaller in the inner-product sense, prune anything that dominates a
-solution already found, and accept a candidate when both sides balance.
-A candidate carries the products of its defect with every column and
-the defect's squared length rather than the defect itself; one step
-updates both from a precomputed Gram matrix of the columns.  The
-candidate vector is a packed word (below), so a step is one addition,
-the visited set holds ints, and a domination test is one subtraction
-and one mask.  A system with no rows at all skips the search: its basis
-is the unit vectors.
+equations-only system (``minimal_solutions``): grow candidates one unit
+coordinate at a time, only in directions whose column shrinks the
+defect, prune anything that dominates a solution already found, and
+accept a candidate whose defect is zero.  A candidate is a packed word
+(below) and its defect, one int per row; the search holds one level of
+candidates at a time, and its cap counts the candidates it stores.  A
+system with no rows at all skips the search: its basis is the unit
+vectors.
 
 Packed words.  The enumerations here add and compare vectors of N0^dim
 packed into one int, one fixed-width field per coordinate (SWAR;
@@ -49,15 +46,10 @@ generates everything.
 
 Membership in a generated monoid (`in_generated`) has one search, over
 finite coefficients for an all-finite target, the question every
-membership test in A_H reduces to.  A target that is inf on a set lam
-is decided by finite membership of its projection off lam: generators
-supported inside lam take inf coefficients and cover their supports,
-and the rest of lam is covered by peeling off, one at a time, a copy
-of a generator that is inf there.  That cover runs inside the finite
-search, on the same packed words, and records its failed states in
-the same memo, so a query has one state space and one cap, and a
-remainder that one cover leaves fails once however many covers reach
-it.
+membership test in A_H reduces to.  A target with inf entries is
+reduced to it by a cover that peels off generators inf there, inside
+the same search, on the same packed words, memo and cap, so a remainder
+that one cover leaves fails once however many covers reach it.
 
 The finite search runs on packed words with fields for entries up to
 max(x).  Every remainder lies below x, and every generator it tries
@@ -272,60 +264,65 @@ def minimal_solutions(rows, dim: int, max_states: int = MAX_COMPLETION_STATES):
     ``rows`` are integer tuples (entries of any sign).  With no rows at
     all, the answer is the unit vectors.
 
-    A candidate t with defect v = sum_j t_j·col_j is kept as (t, p, n2)
-    with p_k = v·col_k and n2 = |v|^2.  A step in direction j is allowed
-    when p_j < 0 (it shrinks the defect); it adds gram[j] to p and
-    2·p_j + gram[j][j] to n2.  The candidate solves the system iff n2 == 0.
+    A candidate is its vector t, a packed word with fields for entries
+    up to max_states (at least 1), and its defect v = sum_j t_j·col_j,
+    one int per row; it is a solution iff v = 0.  A step in direction j
+    adds e_j to t and col_j to v; it is taken when v·col_j < 0 (it
+    shrinks the defect) and t + e_j dominates no solution found (by
+    the packed test).  The steps that shrink a defect, with the defects
+    they leave, are worked out once per distinct defect, and candidates
+    share them.  A level is a dict of the candidates of one coordinate
+    sum, keyed by t, so a candidate reached twice is reached on one
+    level, and keeping its first copy there drops every duplicate.
 
-    t itself is a packed word with fields for entries up to max_states
-    (at least 1), and a domination test is the packed one (module
-    docstring).  No coordinate reaches its guard bit: a candidate with
-    coordinate sum n descends from one counted state on every level
-    1..n, so n <= states <= max_states before any step from it; and a
-    step in direction j needs p_j < 0, which fails when t is a multiple
-    of e_j (then p_j = t_j·|col_j|^2 >= 0), so the stepped coordinate
-    ends at most n.
+    ``max_states`` caps the candidates stored, the dim unit vectors
+    included; the search is refused at the first candidate it takes
+    once past the cap, having stored at most max_states + dim.  Each
+    candidate is stored before it is expanded, and distinct defects are
+    no more than candidates, so the count bounds the expansions and the
+    memory.  No coordinate reaches its guard bit: a candidate with
+    coordinate sum n descends from a stored candidate on every level
+    1..n, so n <= max_states before any step from it, and a step in
+    direction j fails when t is a multiple of e_j (then v·col_j =
+    t_j·|col_j|^2 >= 0), so the stepped coordinate ends at most n.
     """
-    cols = [tuple(row[j] for row in rows) for j in range(dim)]
-    gram = [tuple(sum(map(mul, c, d)) for d in cols) for c in cols]
     fields = _Fields(dim, max(max_states, 1))
-    step = [1 << k for k in fields.shifts]
     guard = fields.top
+    moves = [(1 << k, tuple(row[j] for row in rows)) for j, k in enumerate(fields.shifts)]
     minimals: list[int] = []
-    frontier = [(step[j], gram[j], gram[j][j]) for j in range(dim)]
-    seen = set(step)
-    states = 0
-    while frontier:
-        nxt = []
-        for t, p, n2 in frontier:
-            states += 1
-            if states > max_states:
+    shrinking = {}  # defect -> [(step, defect after it) for each step that shrinks it]
+    level = dict(moves)
+    stored = dim
+    while level:
+        nxt = {}
+        for t, v in level.items():
+            if stored > max_states:
                 raise ResourceLimitError(
-                    f"minimal_solutions: the completion search expanded {states} states, "
+                    f"minimal_solutions: the completion search stored {stored} candidates, "
                     f"past the cap max_states = {max_states}")
             tg = t | guard
-            if not n2:
+            if not any(v):
                 if not any((tg - m) & guard == guard for m in minimals):
                     minimals.append(t)
                 continue
-            for j, pj in enumerate(p):
-                # move in direction j only if it shrinks the defect
-                if pj < 0:
-                    t2 = t + step[j]
-                    if t2 in seen:
+            out = shrinking.get(v)
+            if out is None:
+                out = shrinking[v] = [(step, tuple(map(add, v, col))) for step, col in moves
+                                      if sum(map(mul, v, col)) < 0]
+            for step, v2 in out:
+                t2 = t + step
+                if t2 in nxt:
+                    continue
+                if minimals:
+                    t2g = tg + step
+                    if any((t2g - m) & guard == guard for m in minimals):
                         continue
-                    if minimals:
-                        t2g = tg + step[j]
-                        if any((t2g - m) & guard == guard for m in minimals):
-                            continue
-                    seen.add(t2)
-                    g = gram[j]
-                    nxt.append((t2, tuple(map(add, p, g)), n2 + 2 * pj + g[j]))
-        frontier = nxt
-    # Already an antichain: candidates are visited level by level in the
-    # coordinate sum, so every solution below t has a smaller sum and was
-    # found on an earlier level, and t was accepted only if it dominates
-    # none of those.
+                stored += 1
+                nxt[t2] = v2
+        level = nxt
+    # Already an antichain: a solution below t has a smaller coordinate
+    # sum, so it was found on an earlier level, and t was accepted only
+    # if it dominates none of those.
     return fields.unpack(minimals)
 
 
@@ -334,7 +331,7 @@ def hilbert_basis(sys: DioSystem, max_states: int = MAX_COMPLETION_STATES) -> Hi
 
     A system with no equation and no congruence rows is solved by all of
     N0^s, so its basis is the shared free one, ``HilbertBasis.free(s)``,
-    found without a search.  The search would visit just the s unit
+    found without a search.  The search would store just the s unit
     vectors, so it still runs, and refuses, when max_states < s.
 
     Otherwise congruences are lifted to equations with fresh variables
@@ -344,8 +341,10 @@ def hilbert_basis(sys: DioSystem, max_states: int = MAX_COMPLETION_STATES) -> Hi
     sweep of ``minimize_generators`` removes none of them.  It still
     runs here: it makes the only ``in_generated`` calls on the
     ``classify-1eq`` workload of ``perfbench``, whose traced run
-    requires some.  A ``max_states`` that is not an int at least 0 is
-    refused first.
+    requires some.  ``max_states`` caps the candidates the completion
+    search stores, each a packed vector and its defect, one level at a
+    time (``minimal_solutions``); a ``max_states`` that is not an int
+    at least 0 is refused first.
     """
     check_int(max_states, "max_states", 0)
     if not sys.F and not sys.D and sys.s <= max_states:

@@ -307,9 +307,11 @@ def test_cold_runs_match_in_process(cli_inputs, group, unbuffered):
 def test_closed_stdout_exits_120_without_a_traceback(cli_inputs, unbuffered):
     # the read end of stdout is closed before the child writes: a short
     # document fails at the final flush (or at its write when unbuffered),
-    # a long one while it is written
+    # a long one while it is written; argparse's help, which argparse
+    # would write in silence when unbuffered, ends the same way
     for argv in (["member", "--system", fixture_path("cusp"), "--vector", "1,1,1"],
-                 ["aplusinfa", "--basis", cli_inputs["free12"]]):
+                 ["aplusinfa", "--basis", cli_inputs["free12"]],
+                 ["--help"], ["bmin", "--help"]):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:

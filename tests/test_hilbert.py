@@ -1,10 +1,13 @@
 import collections
 import itertools
+import json
 import random
+import re
 import time
 
 import pytest
 
+from conftest import limit_probe
 from oracles import (from_lib, o_closure, o_finite_closure,
                      o_finite_solutions, o_minimal)
 from supportmonoids import (INF, DioSystem, HilbertBasis, find_order_unit,
@@ -169,10 +172,46 @@ def test_minimize_generators():
 
 
 def test_completion_state_cap():
+    # the cap counts stored candidates, the four unit vectors included, and
+    # is checked before each candidate is taken: e1's two steps take the
+    # count from 4 to 6, so a cap of 4 or 5 is refused at e2, and the whole
+    # search stores eleven
     sys_ = DioSystem(s=4, F=((3, 1, 2, 1),), G=((1, 2, 1, 3),))
-    with pytest.raises(ResourceLimitError, match=r"^minimal_solutions: the completion search "
-                       r"expanded 6 states, past the cap max_states = 5$"):
-        hilbert_basis(sys_, max_states=5)
+    for cap, stored in ((3, 4), (4, 6), (5, 6), (8, 10), (10, 11)):
+        with pytest.raises(ResourceLimitError, match=r"^minimal_solutions: the completion "
+                           rf"search stored {stored} candidates, past the cap "
+                           rf"max_states = {cap}$"):
+            hilbert_basis(sys_, max_states=cap)
+    assert hilbert_basis(sys_, max_states=11) == hilbert_basis(sys_)
+
+
+_LIBRARY_PROBE = """import sys
+from supportmonoids import DioSystem, ResourceLimitError, hilbert_basis
+try:
+    hilbert_basis(DioSystem(s={}, F={}, G={}))
+except ResourceLimitError as exc:
+    print(f"error: {{exc}}", file=sys.stderr)
+    sys.exit(3)
+"""
+
+
+@pytest.mark.parametrize("k,cold", [(10, True), (4, False), (22, False)],
+                         ids=["classify-s12", "hilbert_basis-s6", "hilbert_basis-s24"])
+def test_completion_refusals_stay_small(tmp_path, k, cold):
+    # single equations whose completion search runs into the 10^6 cap: each
+    # child, a cold CLI run or a library call, refuses at a peak RSS under
+    # 256 MB (an RLIMIT_AS of 1 GiB keeps a regression from taking more)
+    s, F, G = k + 2, ((1,) * k + (0, 0),), ((0,) * k + (89, 97),)  # x1+...+xk = 89y1+97y2
+    if cold:
+        f = tmp_path / "system.json"
+        f.write_text(json.dumps({"s": s, "equations": {"F": F, "G": G}}))
+        probe = limit_probe("-m", "supportmonoids.cli", "classify", "--system", str(f))
+    else:
+        probe = limit_probe("-c", _LIBRARY_PROBE.format(s, F, G))
+    assert probe.status == 3, probe.stderr
+    assert re.fullmatch(r"error: minimal_solutions: the completion search stored \d+ "
+                        r"candidates, past the cap max_states = 1000000\n", probe.stderr)
+    assert probe.peak_mb < 256, probe
 
 
 def test_lifting_past_the_dimension_cap_is_refused():
@@ -221,26 +260,28 @@ def test_free_basis_is_shared_per_dimension():
 def test_rowless_systems_get_the_shared_free_basis():
     for k in range(1, 7):
         assert hilbert_basis(DioSystem(s=k)) is HilbertBasis.free(k)
-    # the search would visit the 3 unit vectors, so a smaller cap still refuses
+    # the search would store the 3 unit vectors, so a smaller cap still refuses
     with pytest.raises(ResourceLimitError):
         hilbert_basis(DioSystem(s=3), max_states=2)
 
 
 def _restated_minimal_solutions(rows, dim, max_states):
-    """The completion loop as it stood before the incremental products."""
+    """The completion loop on tuples, with one visited set for the whole
+    search, as it stood before the incremental products; it counts the
+    candidates it stores and is refused before it takes the next one once
+    that count passes the cap."""
     cols = [tuple(row[j] for row in rows) for j in range(dim)]
     unit = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
-    minimals, frontier, seen, states = [], [], set(), 0
+    minimals, frontier, seen, stored = [], [], set(), dim
     for j in range(dim):
         frontier.append((unit[j], cols[j]))
         seen.add(unit[j])
     while frontier:
         nxt = []
         for t, v in frontier:
-            states += 1
-            if states > max_states:
+            if stored > max_states:
                 raise ResourceLimitError(
-                    f"minimal_solutions: the completion search expanded {states} states, "
+                    f"minimal_solutions: the completion search stored {stored} candidates, "
                     f"past the cap max_states = {max_states}")
             if not any(v):
                 if not any(all(a >= b for a, b in zip(t, m)) for m in minimals):
@@ -252,6 +293,7 @@ def _restated_minimal_solutions(rows, dim, max_states):
                     if t2 in seen or any(all(a >= b for a, b in zip(t2, m))
                                          for m in minimals):
                         continue
+                    stored += 1
                     seen.add(t2)
                     nxt.append((t2, tuple(a + b for a, b in zip(v, cols[j]))))
         frontier = nxt
@@ -321,8 +363,9 @@ def test_minimize_generators_matches_the_restated_sweep():
 
 def test_packed_search_matches_on_coordinates_above_the_small_fields():
     # minimal solutions such as (37, 1) for x1 = 37·x2 need more than four
-    # bits per coordinate, and caps near the state count they take give
-    # the narrowest fields; the answer, its order and the refusal agree
+    # bits per coordinate, and caps near the count of candidates the search
+    # stores give the narrowest fields; the answer, its order and the
+    # refusal agree
     rng = random.Random(47)
     # the last case needs the spare bit: with fields one bit narrower, a
     # coordinate of 32 under the cap 63 spills into the guard and the
