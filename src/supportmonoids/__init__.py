@@ -59,18 +59,6 @@ __all__ = [
     "INF", "add", "mul", "vec_add", "scale", "supp", "inf_supp", "support_pair",
     "divides", "project", "inject", "parse_extnat", "format_extnat",
     "parse_vec", "format_vec", "vec_from_json", "vec_to_json",
-    "DioSystem", "is_member", "lift_congruences", "intersect",
-    "from_integer_matrix", "enumerate_truncated",
-    "HilbertBasis", "hilbert_basis", "in_generated", "find_order_unit",
-    "minimize_generators", "generated_upto", "generated_truncated",
-    "SystemOfSupports", "extract", "infinite_supports", "subsystem_for",
-    "validate", "member_via_supports", "generators", "is_full",
-    "is_almost_free", "minimal_nonempty", "truncated_members",
-    "a_plus_inf_a", "b_min", "b_max", "monoid_sum", "DirectSumData",
-    "compose_direct_sum", "decompose_direct_sum", "decomposed_almost_free",
-    "ClassReport", "SingleEquationReport", "analyze_single_equation",
-    "equals_a_plus_inf_a", "verdict",
-    "RankMatrix", "vstar_system", "is_extended", "realize_wiegand",
-    "MissingOrderUnitError", "ResourceLimitError",
-    "__version__",
+    "MissingOrderUnitError", "ResourceLimitError", "__version__",
+    *_LAZY,
 ]

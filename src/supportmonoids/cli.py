@@ -24,11 +24,11 @@ command line (``_parse``) straight from the ``COMMANDS`` table, without
 loading ``argparse``; any other line, such as ``--help`` or a usage
 error, goes to the full parser of ``build_parser``, which alone writes
 help and error text.  Each handler imports the library functions it
-calls when it runs.  In the same way, ``_load_json`` and ``_emit`` read
-and write the JSON these commands handle themselves (``_read``,
-``_write``) and hand any other text or document to the ``json``
-module, which alone handles floats, escapes and non-ASCII text and
-words every parse error.
+calls when it runs and returns its document, which ``main`` writes.  In
+the same way, ``_load_json`` and ``_dumps`` read and write the JSON these
+commands handle themselves (``_read``, ``_write``) and hand any other
+text or document to the ``json`` module, which alone handles floats,
+escapes and non-ASCII text and words every parse error.
 """
 
 from __future__ import annotations
@@ -197,129 +197,62 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(obj) -> None:
-    print(_dumps(obj))
-
-
-def _cmd_member(args) -> int:
+def _cmd_member(args) -> dict:
     from .equations import is_member
     sys_ = _load_system(args.system)
-    _emit({"member": is_member(sys_, parse_vec(args.vector))})
-    return EXIT_OK
+    return {"member": is_member(sys_, parse_vec(args.vector))}
 
 
-def _cmd_supports(args) -> int:
+def _cmd_supports(args) -> dict:
     from .supports import extract
-    _emit(extract(_load_system(args.system)).to_json())
-    return EXIT_OK
+    return extract(_load_system(args.system)).to_json()
 
 
-def _cmd_generators(args) -> int:
+def _cmd_generators(args) -> dict:
     from .supports import extract, generators
     gens = generators(extract(_load_system(args.system)))
-    _emit({"generators": [vec_to_json(g) for g in gens]})
-    return EXIT_OK
+    return {"generators": [vec_to_json(g) for g in gens]}
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> dict:
     from .classify import verdict
-    _emit(verdict(_load_system(args.system), bound=args.bound).to_json())
-    return EXIT_OK
+    return verdict(_load_system(args.system), bound=args.bound).to_json()
 
 
-def _cmd_aplusinfa(args) -> int:
-    from .constructions import a_plus_inf_a
-    _emit(a_plus_inf_a(_load_basis(args.basis)).to_json())
-    return EXIT_OK
+def _cmd_glued(args) -> dict:
+    """A + inf·A, B_min or B_max over the finite part the basis generates."""
+    from .constructions import a_plus_inf_a, b_max, b_min
+    glue = {"aplusinfa": a_plus_inf_a, "bmin": b_min, "bmax": b_max}[args.command]
+    return glue(_load_basis(args.basis)).to_json()
 
 
-def _cmd_bmin(args) -> int:
-    from .constructions import b_min
-    _emit(b_min(_load_basis(args.basis)).to_json())
-    return EXIT_OK
-
-
-def _cmd_bmax(args) -> int:
-    from .constructions import b_max
-    _emit(b_max(_load_basis(args.basis)).to_json())
-    return EXIT_OK
-
-
-def _cmd_lo_system(args) -> int:
+def _cmd_lo_system(args) -> dict:
     from .ranks import ASSUMPTIONS, RankMatrix, vstar_system
     rm = RankMatrix.from_json(_load_json(args.ranks))
-    _emit({"system": vstar_system(rm).to_json(), "assumptions": list(ASSUMPTIONS)})
-    return EXIT_OK
+    return {"system": vstar_system(rm).to_json(), "assumptions": list(ASSUMPTIONS)}
 
 
-def _cmd_lo_extended(args) -> int:
+def _cmd_lo_extended(args) -> dict:
     from .ranks import ASSUMPTIONS, RankMatrix, is_extended
     rm = RankMatrix.from_json(_load_json(args.ranks))
     x = parse_vec(args.vector)
-    _emit({"extended": is_extended(rm, x), "assumptions": list(ASSUMPTIONS)})
-    return EXIT_OK
+    return {"extended": is_extended(rm, x), "assumptions": list(ASSUMPTIONS)}
 
 
-def _cmd_wiegand(args) -> int:
+def _cmd_wiegand(args) -> dict:
     from .ranks import ASSUMPTIONS, realize_wiegand
     E = _load_json(args.matrix)
     rm, sys_ = realize_wiegand(tuple(tuple(r) for r in E))
-    _emit({"ranks": rm.to_json(), "system": sys_.to_json(),
-           "assumptions": list(ASSUMPTIONS)})
-    return EXIT_OK
+    return {"ranks": rm.to_json(), "system": sys_.to_json(),
+            "assumptions": list(ASSUMPTIONS)}
 
 
-def _closed_under_addition(enum, members, bound: int) -> bool:
-    """Does every sum of two vectors of enum that lies in the truncated box
-    (each coordinate inf or at most bound) belong to members?
-
-    Vectors are truncated packed words (``hilbert`` module docstring),
-    bucketed by inf mask.  The sum of x and y is inf on the union U of
-    their inf masks and x_j + y_j off it, so it depends only on the two
-    masks and on the entries of x and y off U.  Hence, for each pair of
-    buckets, it suffices to add the distinct projections off U of one
-    bucket to those of the other: two vectors of a bucket that agree off
-    U have the same sum with every vector of the other.  Addition in N0*
-    is commutative, so each unordered pair of buckets, and within one
-    bucket each unordered pair of vectors, is visited once.  Exact both
-    ways: every pair of vectors of enum is represented, and every sum
-    formed is the sum of such a pair.
-    """
-    from .hilbert import _Fields
-    s = len(enum[0]) if enum else 0
-    fields = _Fields(s, bound)
-    top, bias = fields.top, fields.bias
-    keys = set()
-    buckets = {}
-    for inf, fin, keep in fields.pack_truncated(enum):
-        buckets.setdefault((inf, keep), []).append(fin)
-    for inf, fin, keep in fields.pack_truncated(members):
-        keys.add(((fin + bias) & keep) << s | inf)
-    groups = list(buckets.items())
-    for i, ((inf_x, keep_x), fins_x) in enumerate(groups):
-        for (inf_y, keep_y), fins_y in groups[i:]:
-            keep = keep_x & keep_y
-            inf = inf_x | inf_y
-            xs = list({f & keep for f in fins_x})
-            ys = xs if fins_y is fins_x else list({f & keep for f in fins_y})
-            bias_k = bias & keep
-            for n, x in enumerate(xs):
-                x += bias_k
-                for y in (ys[n:] if ys is xs else ys):
-                    total = x + y
-                    if total & top:
-                        continue
-                    if total << s | inf not in keys:
-                        return False
-    return True
-
-
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> dict:
     """Re-verify the structural machinery against truncated brute force."""
     from .classify import verdict
     from .constructions import a_plus_inf_a
     from .equations import enumerate_truncated
-    from .hilbert import generated_truncated
+    from .hilbert import closed_under_addition, generated_truncated
     from .supports import extract, generators, truncated_members
     sys_ = _load_system(args.system)
     bound = args.bound
@@ -343,7 +276,7 @@ def _cmd_oracle(args) -> int:
     checks["closed_under_inf_scaling"] = closed
 
     checks["closed_under_addition"] = \
-        (0,) * sys_.s in members and _closed_under_addition(enum, members, bound)
+        (0,) * sys_.s in members and closed_under_addition(enum, members, bound)
 
     report = verdict(sys_, bound=max(bound, 1))
     # a1 and a2 may need entries above the bound, so A + inf·A is filled
@@ -356,8 +289,7 @@ def _cmd_oracle(args) -> int:
         ok = ok and a_plus == members
     checks["classification_consistent"] = ok
 
-    _emit({"ok": all(checks.values()), "bound": bound, "checks": checks})
-    return EXIT_OK if all(checks.values()) else EXIT_MISMATCH
+    return {"ok": all(checks.values()), "bound": bound, "checks": checks}
 
 
 _SYSTEM = {"required": True, "help": "path to a system JSON file"}
@@ -376,9 +308,9 @@ COMMANDS = {
                  {"system": _SYSTEM,
                   "bound": {"type": int, "default": 5,
                             "help": "verification bound (default 5)"}}),
-    "aplusinfa": (_cmd_aplusinfa, "A + inf·A of a finite part", {"basis": _BASIS}),
-    "bmin": (_cmd_bmin, "least almost-free monoid over a finite part", {"basis": _BASIS}),
-    "bmax": (_cmd_bmax, "largest monoid over a finite part", {"basis": _BASIS}),
+    "aplusinfa": (_cmd_glued, "A + inf·A of a finite part", {"basis": _BASIS}),
+    "bmin": (_cmd_glued, "least almost-free monoid over a finite part", {"basis": _BASIS}),
+    "bmax": (_cmd_glued, "largest monoid over a finite part", {"basis": _BASIS}),
     "lo-system": (_cmd_lo_system, "descent equations of a rank matrix", {"ranks": _RANKS}),
     "lo-extended": (_cmd_lo_extended, "descent test for one multiplicity vector",
                     {"ranks": _RANKS, "vector": _VECTOR}),
@@ -451,27 +383,34 @@ def _parse(argv):
     return None if given else SimpleNamespace(**args)
 
 
+# raised type -> (the "error" of its document, exit status); main reports
+# the first type an error is an instance of, so MissingOrderUnitError, a
+# ValueError, reads missing_order_unit
+_ERRORS = {
+    ResourceLimitError: ("resource_limit", EXIT_RESOURCE),
+    MissingOrderUnitError: ("missing_order_unit", EXIT_INVALID),
+    **dict.fromkeys((ValueError, KeyError, TypeError, OSError), ("invalid_input", EXIT_INVALID)),
+}
+
+
 def main(argv=None) -> int:
+    """Run the command of argv and write its document, or the document of
+    the error it raised, to stdout; return the exit status."""
     argv = _sys.argv[1:] if argv is None else list(argv)
     args = _parse(argv)
     if args is None:
         args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        doc = args.fn(args)
+        print(_dumps(doc))
     except BrokenPipeError:
         raise  # stdout is closed: no document can be written, run ends the process
-    except ResourceLimitError as exc:
-        _emit({"error": "resource_limit", "message": str(exc)})
+    except tuple(_ERRORS) as exc:
+        kind, code = next(v for t, v in _ERRORS.items() if isinstance(exc, t))
+        print(_dumps({"error": kind, "message": str(exc)}))
         print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_RESOURCE
-    except MissingOrderUnitError as exc:
-        _emit({"error": "missing_order_unit", "message": str(exc)})
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_INVALID
-    except (ValueError, KeyError, TypeError, OSError) as exc:
-        _emit({"error": "invalid_input", "message": str(exc)})
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_INVALID
+        return code
+    return EXIT_MISMATCH if args.fn is _cmd_oracle and not doc["ok"] else EXIT_OK
 
 
 def run(argv=None) -> None:

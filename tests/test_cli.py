@@ -14,8 +14,9 @@ import pytest
 import supportmonoids
 from conftest import FIXTURE_NAMES, FIXTURES, load_fixture
 from supportmonoids import INF, HilbertBasis, a_plus_inf_a, generated_truncated
-from supportmonoids.cli import (COMMANDS, _closed_under_addition, _dumps, _loads, _parse,
-                                _read, _write, build_parser, main)
+from supportmonoids.cli import (COMMANDS, _dumps, _loads, _parse, _read, _write,
+                                build_parser, main)
+from supportmonoids.hilbert import closed_under_addition
 
 
 def run_cli(*argv):
@@ -531,7 +532,7 @@ def test_direct_parse_agrees_with_the_parser(monkeypatch):
 
     def record(args):
         seen.append(vars(args))
-        return 0
+        return {}
 
     for name, (_, help_, flags) in list(COMMANDS.items()):
         monkeypatch.setitem(COMMANDS, name, (record, help_, flags))
@@ -559,6 +560,50 @@ def test_direct_parse_agrees_with_the_parser(monkeypatch):
     # each of the three ways is taken: read directly, parsed by argparse
     # (an abbreviation, a repeated flag, ...), refused by argparse
     assert accepted > 250 and refused > 250 and 1000 - accepted - refused > 100
+
+
+def test_handlers_return_the_document_main_writes(tmp_path):
+    # a handler writes nothing: it returns its document, and main writes
+    # that document as its one line
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps([[1, 0, 0], [0, 1, 1]]))
+    ranks = tmp_path / "ranks.json"
+    ranks.write_text(json.dumps({"a": [[1, 1, 0], [1, 0, 1]]}))
+    matrix = tmp_path / "E.json"
+    matrix.write_text(json.dumps([[1, -1]]))
+    system = fixture_path("randclosure-s2")
+    flags = {
+        "member": ["--system", system, "--vector", "inf,1,0"],
+        "supports": ["--system", system],
+        "generators": ["--system", system],
+        "classify": ["--system", system],
+        "aplusinfa": ["--basis", str(basis)],
+        "bmin": ["--basis", str(basis)],
+        "bmax": ["--basis", str(basis)],
+        "lo-system": ["--ranks", str(ranks)],
+        "lo-extended": ["--ranks", str(ranks), "--vector", "inf,1,0"],
+        "wiegand": ["--matrix", str(matrix)],
+        "oracle": ["--system", system],
+    }
+    assert list(flags) == list(COMMANDS)
+    for name, rest in flags.items():
+        argv = [name, *rest]
+        args = _parse(argv)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            doc = args.fn(args)
+        assert out.getvalue() == err.getvalue() == "", argv
+        assert type(doc) is dict, argv
+        assert run_cli(*argv) == (0, _dumps(doc) + "\n", ""), argv
+
+
+def test_oracle_mismatch_exits_1(monkeypatch):
+    monkeypatch.setattr("supportmonoids.supports.truncated_members",
+                        lambda sos, bound: frozenset())
+    rc, out, err = run_cli("oracle", "--system", fixture_path("cusp"))
+    doc = json.loads(out)
+    assert rc == 1 and err == ""
+    assert doc["ok"] is False and doc["checks"]["membership_equivalence"] is False
 
 
 def test_cold_runs_load_only_what_the_command_runs(tmp_path):
@@ -776,13 +821,13 @@ def closed_by_ordered_pairs(enum, members, bound):
 def test_closed_under_addition_finds_a_missing_sum():
     members = generated_truncated([(1, 0), (0, 1)], 2, 2)
     enum = sorted(members, key=str)
-    assert _closed_under_addition(enum, members, 2)
+    assert closed_under_addition(enum, members, 2)
     for missing in ((1, 1), (2, 0), (1, INF), (INF, INF)):
         rest = members - {missing}
-        assert not _closed_under_addition(sorted(rest, key=str), rest, 2)
+        assert not closed_under_addition(sorted(rest, key=str), rest, 2)
     # a sum outside the box is not required
     small = [(0, 0), (2, 0)]
-    assert _closed_under_addition(small, frozenset(small), 2)
+    assert closed_under_addition(small, frozenset(small), 2)
 
 
 def test_closed_under_addition_agrees_with_ordered_pairs():
@@ -802,7 +847,7 @@ def test_closed_under_addition_agrees_with_ordered_pairs():
         enum = sorted(members, key=str)
         members = frozenset(members)
         want = closed_by_ordered_pairs(enum, members, bound)
-        assert _closed_under_addition(enum, members, bound) == want
+        assert closed_under_addition(enum, members, bound) == want
         answers.append(want)
     assert True in answers and False in answers
 

@@ -14,7 +14,8 @@ import pytest
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.mark.parametrize("name", ["classify-1eq", "structure-random", "membership"])
+@pytest.mark.parametrize("name", ["classify-1eq", "structure-random", "membership",
+                                  "cli-fixtures"])
 def test_traced_workload_is_correct(name, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from run import measure
