@@ -26,15 +26,17 @@ from .equations import DioSystem, is_member
 from .hilbert import _in_generated_finite, find_order_unit
 from .semiring import (Record, _project, canonical_sorted, check_int, inject,
                        supp, unit_vec, vec_to_json, zero_vec)
-from .supports import (SystemOfSupports, _closed_masks, _index_set, _union_interior,
-                       extract, is_almost_free, is_full, minimal_nonempty)
+from .supports import (DEFAULT_FULLNESS_BOUND, SystemOfSupports, _closed_masks, _index_set,
+                       _union_interior, extract, is_almost_free, is_full, minimal_nonempty)
 
 
 class ClassReport(Record):
     """Aggregate answer for one defining system.
 
-    ``full`` and ``almost_free`` are bounded verifications up to
-    ``verification_bound``.  ``all_fg_sums`` restates
+    ``full`` is a bounded verification up to ``verification_bound``.
+    So is ``almost_free``, except on the system ``extract`` returns,
+    which ``verdict`` uses: there freeness is read from the generators
+    and fullness at the empty set is not checked.  ``all_fg_sums`` restates
     ``equals_a_plus_inf_a`` in module language.  ``witnesses`` lists
     members provably outside A + inf·A, canonically sorted (so the
     first is the canonically smallest found); it can only be nonempty
@@ -184,7 +186,7 @@ def analyze_single_equation(a, b) -> SingleEquationReport:
     )
 
 
-def verdict(sys: DioSystem, bound: int = 5) -> ClassReport:
+def verdict(sys: DioSystem, bound: int = DEFAULT_FULLNESS_BOUND) -> ClassReport:
     """Full classification of one defining system.
 
     A missing order-unit is reported in-band (all structural fields

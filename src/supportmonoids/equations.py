@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 
 from .errors import ResourceLimitError
-from .semiring import (INF, Record, Vec, check_bound, check_dim, check_int, check_matrix,
-                       check_vec, dot, sort_key)
+from .semiring import (INF, Record, Vec, check_dim, check_int, check_matrix, check_vec, dot,
+                       sort_key)
 
 Matrix = tuple  # tuple of row tuples
 
@@ -178,7 +178,7 @@ def from_integer_matrix(E, mode: str = "shift-uniform") -> DioSystem:
 
 def truncated_domain(s: int, bound: int):
     """All vectors with every coordinate in {0, ..., bound, inf}."""
-    check_bound(bound)
+    check_int(bound, "bound", 0)
     size = (bound + 2) ** s
     if size > ENUMERATION_GUARD:
         raise ResourceLimitError(

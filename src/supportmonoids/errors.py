@@ -5,8 +5,10 @@ class ResourceLimitError(RuntimeError):
     """A computation refused to continue past an explicit resource cap.
 
     Raised instead of silently truncating: enumeration guards, the
-    completion-search state cap, and the direct-sum partition cap all
-    end here.
+    completion-search state cap, the membership search's state cap and
+    its refusal to go deeper than the recursion limit, the support-listing
+    cap ``MAX_POWERSET_DIM``, and the direct-sum partition cap all end
+    here.
     """
 
 

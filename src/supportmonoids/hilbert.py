@@ -68,8 +68,8 @@ from operator import add, le, mul
 
 from .equations import ENUMERATION_GUARD, DioSystem, lift_congruences
 from .errors import ResourceLimitError
-from .semiring import (INF, MAX_DIM, Record, Vec, _supp_mask, canonical_sorted, check_bound,
-                       check_dim, check_int, check_vecs, unit_vec)
+from .semiring import (INF, MAX_DIM, Record, Vec, _supp_mask, canonical_sorted, check_dim,
+                       check_int, check_vecs, unit_vec)
 
 MAX_COMPLETION_STATES = 1_000_000
 
@@ -83,7 +83,7 @@ def _too_many_states(count: int) -> ResourceLimitError:
 
 def _refuse_inf(gens) -> None:
     """A generator of a basis is over N0: refuse one with an inf entry."""
-    if any(INF in g for g in gens):
+    if any(v is INF for g in gens for v in g):
         raise ValueError(f"generator entry: expected an integer, got {INF!r}")
 
 
@@ -542,9 +542,10 @@ def _is_antichain(vecs) -> bool:
 
 
 def generated_upto(gens, bound: int, dim: int) -> frozenset:
-    """All elements of the generated monoid (generators in N0^dim) with
-    every coordinate <= bound.  Exact: partial sums never exceed totals,
-    so a generator with an entry above the bound is dropped up front.
+    """All elements of the generated monoid with every coordinate <=
+    bound, for generators in N0^dim, which are checked first.  Exact:
+    partial sums never exceed totals, so a generator with an entry above
+    the bound is dropped up front.
 
     Refused with ResourceLimitError before any point is built when both
     counts of the points it could build exceed ENUMERATION_GUARD: the
@@ -557,14 +558,12 @@ def generated_upto(gens, bound: int, dim: int) -> frozenset:
     closing the points found so far under adding the next one, a copy
     per round, gives the closure under all generators taken so far.
     """
-    check_dim(dim, 0)
-    check_bound(bound)
+    gens = check_vecs(gens, dim)
+    _refuse_inf(gens)
+    check_int(bound, "bound", 0)
     copies = 1
     fit = []
     for g in gens:
-        if len(g) != dim or any(v.__class__ is not int or v < 0 for v in g):
-            raise ValueError(
-                f"generated_upto needs generators of length {dim} with entries in N0")
         m = max(g, default=0)
         if m:
             copies *= bound // m + 1
@@ -617,7 +616,7 @@ def generated_truncated(gens, bound: int, dim: int) -> frozenset:
     copies (every positive finite entry is over from there on) and inf
     copies.  A generator with no positive finite entry has two.
     """
-    check_bound(bound)
+    check_int(bound, "bound", 0)
     moves = []
     choices = 1
     for g in check_vecs(gens, dim):

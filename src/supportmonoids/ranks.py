@@ -19,10 +19,10 @@ recorded in serialized output, not checkable from a matrix.
 
 from __future__ import annotations
 
-from .equations import DioSystem, from_integer_matrix
+from .equations import DioSystem, from_integer_matrix, is_member
 from .errors import MissingOrderUnitError
 from .hilbert import find_order_unit
-from .semiring import Record, Vec, check_matrix, check_vec, dot
+from .semiring import Record, Vec, check_matrix
 
 ASSUMPTIONS = ("reduced completion", "finitely generated torsion-free module")
 
@@ -95,12 +95,10 @@ def vstar_system(rm: RankMatrix) -> DioSystem:
 
 def is_extended(rm: RankMatrix, x: Vec) -> bool:
     """Do the weighted ranks of x, a vector over N0* of length s, agree
-    at every minimal prime?"""
+    at every minimal prime, that is, does x solve ``vstar_system(rm)``?"""
     if len(x) != rm.s:
         raise ValueError(f"vector has length {len(x)}, expected {rm.s}")
-    x = check_vec(x)
-    values = [dot(row, x) for row in rm.a]
-    return all(v == values[0] for v in values[1:])
+    return is_member(vstar_system(rm), x)
 
 
 def realize_wiegand(E) -> tuple[RankMatrix, DioSystem]:
@@ -114,10 +112,8 @@ def realize_wiegand(E) -> tuple[RankMatrix, DioSystem]:
     Requires a strictly positive finite solution of E·x = 0.
     """
     rows = tuple(tuple(r) for r in E)
-    if not rows:
-        raise ValueError("E must have at least one row")
-    s = len(rows[0])
     finite_part = from_integer_matrix(rows)
+    s = finite_part.s
     if find_order_unit(finite_part) is None:
         raise MissingOrderUnitError("E·x = 0 has no strictly positive solution")
     M = 1 + max(0, -min(v for row in rows for v in row))

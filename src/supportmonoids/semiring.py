@@ -43,7 +43,7 @@ freely between threads.
 ``check_vec`` and its list form ``check_vecs`` hold the one entry test
 that every public query of the other modules applies to outside input;
 ``check_matrix`` is the one test of integer rows (equations, shadow
-maps, rank data), and ``check_bound`` of a truncation bound.
+maps, rank data), and ``check_int`` of a count, every bound included.
 The arithmetic and format helpers (``vec_add``, ``scale``, ``divides``,
 ``supp``, ``project``, ``inject``, ...) are unchecked primitives.
 """
@@ -92,9 +92,6 @@ class _Infinity:
 
     def __eq__(self, other):
         return other is self
-
-    def __ne__(self, other):
-        return other is not self
 
     # Equality is identity, so the identity hash agrees with it, and it
     # runs in C on every set or dict lookup of a vector with an inf entry.
@@ -181,17 +178,11 @@ class Record:
 
 def add(a: ExtNat, b: ExtNat) -> ExtNat:
     """a + b in N0*; any infinite operand makes the sum infinite."""
-    if a is INF or b is INF:
-        return INF
     return a + b
 
 
 def mul(a: ExtNat, b: ExtNat) -> ExtNat:
     """a * b in N0*; note 0 * inf = 0 while inf * x = inf for x != 0."""
-    if a is INF:
-        return 0 if b == 0 else INF
-    if b is INF:
-        return 0 if a == 0 else INF
     return a * b
 
 
@@ -256,14 +247,6 @@ def check_matrix(rows: Iterable, s: int, what: str, least: int | None = 0) -> tu
             check_int(v, entry, least)
         out.append(row)
     return tuple(out)
-
-
-def check_bound(bound) -> None:
-    """Refuse a bound that is not an int (a bool included) or is negative."""
-    if bound.__class__ is not int:
-        raise ValueError(f"bound must be an int, got {bound!r}")
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
 
 
 def check_index_set(H: Iterable[int], s: int) -> IndexSet:

@@ -1,3 +1,4 @@
+import inspect
 import random
 import time
 
@@ -5,8 +6,10 @@ import pytest
 
 from oracles import from_lib, o_a_plus_inf_a, o_solutions
 from supportmonoids import (INF, DioSystem, analyze_single_equation,
-                            equals_a_plus_inf_a, is_member, verdict)
+                            equals_a_plus_inf_a, is_almost_free, is_full, is_member, verdict)
+from supportmonoids.cli import COMMANDS
 from supportmonoids.errors import MissingOrderUnitError, ResourceLimitError
+from supportmonoids.supports import DEFAULT_FULLNESS_BOUND
 
 RANDCLOSURE = DioSystem(s=3, F=((1, 1, 0),), G=((1, 0, 1),))
 
@@ -131,6 +134,13 @@ def test_verdict_refuses_a_negative_bound():
         with pytest.raises(ValueError, match="^verification bound: expected at least 0, got -1$"):
             verdict(sys_, bound=-1)
     assert verdict(RANDCLOSURE, bound=0).verification_bound == 0
+
+
+def test_the_verification_bound_has_one_default():
+    # the CLI writes its default as a literal, so a cold parse imports nothing
+    for query in (verdict, is_full, is_almost_free):
+        assert inspect.signature(query).parameters["bound"].default == DEFAULT_FULLNESS_BOUND
+    assert COMMANDS["classify"][2]["bound"]["default"] == DEFAULT_FULLNESS_BOUND
 
 
 def test_verdict_reports_missing_order_unit_in_band():

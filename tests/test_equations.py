@@ -141,11 +141,11 @@ def test_enumerate_guard():
 
 
 def test_enumerate_truncated_validates_the_bound():
-    # the check of the bounded closures: a bool, a float or a str is no bound
+    # the check of every count: a bool, a float or a str is no bound
     for bad in (True, 1.5, "2"):
-        with pytest.raises(ValueError, match="^bound must be an int, got "):
+        with pytest.raises(ValueError, match="^bound: expected an integer, got "):
             enumerate_truncated(RANDCLOSURE, bad)
-    with pytest.raises(ValueError, match="^bound must be >= 0$"):
+    with pytest.raises(ValueError, match="^bound: expected at least 0, got -1$"):
         enumerate_truncated(RANDCLOSURE, -1)
 
 

@@ -111,7 +111,7 @@ def test_generated_upto_matches_oracle():
     with pytest.raises(ValueError):
         generated_upto(((INF, 1),), 3, 2)
     # no point lies below a negative bound, not even the zero vector
-    with pytest.raises(ValueError, match="bound must be >= 0"):
+    with pytest.raises(ValueError, match="bound: expected at least 0, got -1"):
         generated_upto(gens, -1, 2)
     # 6^12 points in the box: refused before anything is enumerated
     with pytest.raises(ResourceLimitError, match="generated_upto"):
@@ -502,9 +502,10 @@ def test_closures_validate_the_bound():
     gens = ((1, 2), (2, 1))
     for closure in (generated_upto, generated_truncated):
         for bad in (1.5, True, "3", None):
-            with pytest.raises(ValueError, match="bound must be an int"):
+            wanted = f"^bound: expected an integer, got {re.escape(repr(bad))}$"
+            with pytest.raises(ValueError, match=wanted):
                 closure(gens, bad, 2)
-        with pytest.raises(ValueError, match="^bound must be >= 0$"):
+        with pytest.raises(ValueError, match="^bound: expected at least 0, got -1$"):
             closure(gens, -1, 2)
     # the dimension is checked first, against the 24-coordinate cap
     with pytest.raises(ValueError, match="^dimension 30 exceeds the supported maximum 24$"):
@@ -514,8 +515,12 @@ def test_closures_validate_the_bound():
     with pytest.raises(ValueError, match="^dimension: expected an integer, got 1.5$"):
         generated_upto([], -1, 1.5)
     assert generated_upto([], 3, 0) == frozenset({()})
-    for bad in (((1, -1),), ((1, True),), ((1, 0, 0),)):
-        with pytest.raises(ValueError, match="generated_upto needs generators"):
+    # the generators take the entry test of every public query
+    for bad, message in ((((1, -1),), "generator entry: expected at least 0, got -1"),
+                         (((1, True),), "generator entry: expected an integer, got True"),
+                         (((INF, 1),), "generator entry: expected an integer, got INF"),
+                         (((1, 0, 0),), "generator (1, 0, 0) has length 3, expected 2")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             generated_upto(bad, 3, 2)
 
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from oracles import from_lib, o_row_value
 from supportmonoids import (INF, DioSystem, RankMatrix, enumerate_truncated,
                             extract, from_integer_matrix, hilbert_basis,
                             b_max, is_almost_free, is_extended, is_member,
@@ -39,11 +40,15 @@ def test_is_extended():
 
 
 def test_is_extended_equals_system_membership():
-    rm = RankMatrix(a=((2, 0, 1), (1, 1, 0), (0, 2, 1)))
-    sys_ = vstar_system(rm)
+    # the reference is the definition: the weighted ranks agree at every
+    # prime; the second matrix repeats its first row, which vstar_system drops
     values = (0, 1, 2, INF)
-    for x in itertools.product(values, repeat=3):
-        assert is_extended(rm, x) == is_member(sys_, x)
+    for rows in (((2, 0, 1), (1, 1, 0), (0, 2, 1)),
+                 ((1, 2, 0), (0, 1, 1), (1, 2, 0), (0, 1, 1))):
+        rm = RankMatrix(a=rows)
+        for x in itertools.product(values, repeat=3):
+            ranks = {o_row_value(row, from_lib(x, INF)) for row in rows}
+            assert is_extended(rm, x) == (len(ranks) == 1), (rows, x)
 
 
 def test_finite_extendedness_matches_the_finite_part():
