@@ -338,13 +338,15 @@ def hilbert_basis(sys: DioSystem, max_states: int = MAX_COMPLETION_STATES) -> Hi
     first; the lifted solutions biject additively and order-preservingly
     with the original ones, so the minimal lifted solutions project onto
     the minimal solutions.  They form an antichain, so the redundancy
-    sweep of ``minimize_generators`` removes none of them.  It still
-    runs here: it makes the only ``in_generated`` calls on the
-    ``classify-1eq`` workload of ``perfbench``, whose traced run
-    requires some.  ``max_states`` caps the candidates the completion
-    search stores, each a packed vector and its defect, one level at a
-    time (``minimal_solutions``); a ``max_states`` that is not an int
-    at least 0 is refused first.
+    sweep of ``minimize_generators`` removes none of them, and every
+    ``in_generated`` call it makes gets an empty list: no minimal
+    solution lies below another.  The sweep still runs here for the
+    ``hilbert.in_generated`` span of ``perfbench``: it makes the only
+    ``in_generated`` calls on the ``classify-1eq`` workload, whose
+    traced run requires some.  ``max_states`` caps the candidates the
+    completion search stores, each a packed vector and its defect, one
+    level at a time (``minimal_solutions``); a ``max_states`` that is
+    not an int at least 0 is refused first.
     """
     check_int(max_states, "max_states", 0)
     if not sys.F and not sys.D and sys.s <= max_states:
@@ -495,22 +497,31 @@ def _in_generated_finite(pool, x, carriers=(), todo=0) -> bool:
 
 def minimize_generators(gens) -> tuple:
     """Remove every generator expressible from the others; deterministic
-    (canonical sweep order), and the result still generates the same
-    monoid.  The generators, vectors over N0* of one length, are checked
-    first."""
+    (canonical order), and the result still generates the same monoid.
+    The generators, vectors over N0* of one length, are checked first.
+
+    One pass over the distinct vectors in canonical order keeps g unless
+    ``in_generated`` finds g among the sums of the kept vectors below it
+    (coordinatewise, inf above every finite value).  This is exact:
+
+    1. every summand of g, with a finite or an inf coefficient, lies
+       below g, so no vector that does not can occur in a sum;
+    2. a vector below g and not equal to it comes earlier in canonical
+       order, which is lexicographic, so it is decided before g;
+    3. a vector removed earlier is generated by vectors kept before it,
+       so the kept vectors below g generate whatever all of them do.
+
+    A lone vector is kept, even a zero one; with others beside it, the
+    zero vector is the empty sum and goes.
+    """
     gens = list(gens)
-    remaining = list(canonical_sorted(check_vecs(gens, len(gens[0]) if gens else 0)))
-    atoms = _atoms(remaining)
-    # One pass suffices: a vector kept against a set is kept against any
-    # subset of it, and the set only shrinks, so a second pass would
-    # remove nothing.
-    for g in list(remaining):
-        if g in atoms:
-            continue
-        others = [h for h in remaining if h != g]
-        if others and in_generated(others, g):
-            remaining.remove(g)
-    return tuple(remaining)
+    vecs = canonical_sorted(check_vecs(gens, len(gens[0]) if gens else 0))
+    kept = []
+    for g in vecs:
+        below = [h for h in kept if all(map(le, h, g))]
+        if not (len(vecs) > 1 and in_generated(below, g)):
+            kept.append(g)
+    return tuple(kept)
 
 
 def _is_antichain(vecs) -> bool:

@@ -169,6 +169,9 @@ def test_minimize_generators():
     assert minimize_generators(((INF, 0), (2, 0))) == ((2, 0),)
     # no combination of (1, 0) alone puts a finite 1 next to an inf
     assert minimize_generators(((INF, 1), (1, 0))) == ((1, 0), (INF, 1))
+    # the zero vector is the empty sum, but a lone one is kept
+    assert minimize_generators(((0, 0), (1, 0))) == ((1, 0),)
+    assert minimize_generators(((0, 0),)) == ((0, 0),)
 
 
 def test_completion_state_cap():
@@ -350,15 +353,62 @@ def _restated_minimize(gens):
 
 
 def test_minimize_generators_matches_the_restated_sweep():
+    # chains such as v, 2v, v + e_j and v + w put vectors removed early
+    # below vectors decided later
     rng = random.Random(43)
     values = (0, 0, 1, 1, 2, 3, INF)
-    for _ in range(100):
-        dim = rng.randint(1, 4)
+    removed = 0
+    for _ in range(150):
+        dim = rng.randint(1, 5)
         gens = [tuple(rng.choice(values) for _ in range(dim))
                 for _ in range(rng.randint(1, 6))]
         gens += [tuple(int(i == j) for i in range(dim))
                  for j in range(dim) if rng.random() < 0.6]
-        assert minimize_generators(gens) == _restated_minimize(gens), gens
+        for _ in range(rng.randint(0, 20 - len(gens))):
+            v, w = rng.choice(gens), rng.choice(gens)
+            j = rng.randrange(dim)
+            gens.append(rng.choice((tuple(2 * a for a in v),
+                                    tuple(a + (i == j) for i, a in enumerate(v)),
+                                    tuple(a + b for a, b in zip(v, w)))))
+        want = _restated_minimize(gens)
+        assert minimize_generators(gens) == want, gens
+        removed += len(want) < len(set(gens) - {(0,) * dim})
+    assert removed > 120
+
+
+def test_minimize_generators_checks_each_vector_once(monkeypatch):
+    # on an antichain every vector is checked on entry and once as a
+    # target; and whatever the input, in_generated is handed only kept
+    # vectors below its target
+    import supportmonoids.hilbert as hilbert_module
+
+    checked = [0]
+    check_vecs, search = hilbert_module.check_vecs, hilbert_module.in_generated
+
+    def counted(vecs, n, what="generator"):
+        out = check_vecs(vecs, n, what)
+        checked[0] += len(out)
+        return out
+
+    def below_only(gens, x):
+        gens = list(gens)
+        assert all(h != x and all(b is INF or a is not INF and a <= b
+                                  for a, b in zip(h, x)) for h in gens), (gens, x)
+        return search(gens, x)
+
+    sols = canonical_sorted(minimal_solutions([(1, 1, 1, -41, -43)], 5))
+    assert len(sols) == 1893
+    monkeypatch.setattr(hilbert_module, "check_vecs", counted)
+    monkeypatch.setattr(hilbert_module, "in_generated", below_only)
+    assert minimize_generators(sols) == sols
+    assert checked[0] <= 2 * len(sols)
+    rng = random.Random(29)
+    # sums of two minimal solutions are removed, against nonempty lists
+    sols = canonical_sorted(minimal_solutions([(1, 1, 1, -7, -9)], 5))
+    sums = [tuple(map(int.__add__, *rng.sample(sols, 2))) for _ in range(200)]
+    assert minimize_generators([*sols, *sums]) == sols
+    assert minimize_generators([(1, 0), (0, INF), (INF, 0), (2, 1), (1, INF), (INF, INF)]) \
+        == ((0, INF), (1, 0), (2, 1))
 
 
 def test_packed_search_matches_on_coordinates_above_the_small_fields():
