@@ -38,7 +38,7 @@ import sys as _sys
 from types import SimpleNamespace
 
 from .errors import MissingOrderUnitError, ResourceLimitError
-from .semiring import INF, parse_vec, scale, vec_to_json
+from .semiring import INF, parse_vec, vec_to_json
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -248,16 +248,27 @@ def _cmd_wiegand(args) -> dict:
 
 
 def _cmd_oracle(args) -> dict:
-    """Re-verify the structural machinery against truncated brute force."""
+    """Re-verify the structural machinery against truncated brute force.
+
+    Three checks compare the members of the box (each coordinate inf or
+    at most bound) with what ``truncated_members`` lists from the system
+    of supports, with what the generators regenerate, and with the
+    classification.  Closure under addition and inf-scaling needs no
+    check of its own: when the generators regenerate the members, they
+    are exactly the box part of the monoid that ``generators(sos)`` spans
+    over N0*, and that set holds 0, every sum of two members that stays
+    in the box, and inf times every member (inf·x has only 0 and inf
+    entries).  So a failure of either closure is a failure of
+    ``generators_regenerate`` too.
+    """
     from .classify import verdict
     from .constructions import a_plus_inf_a
     from .equations import enumerate_truncated
-    from .hilbert import closed_under_addition, generated_truncated
+    from .hilbert import generated_truncated
     from .supports import extract, generators, truncated_members
     sys_ = _load_system(args.system)
     bound = args.bound
-    enum = enumerate_truncated(sys_, bound)
-    members = frozenset(enum)
+    members = frozenset(enumerate_truncated(sys_, bound))
     sos = extract(sys_)
     checks = {}
 
@@ -266,12 +277,6 @@ def _cmd_oracle(args) -> dict:
     gens = generators(sos)
     checks["generators_regenerate"] = \
         generated_truncated(gens, bound, sys_.s) == members
-
-    # inf·x has only 0 and inf entries, so it always lies in the box
-    checks["closed_under_inf_scaling"] = all(scale(INF, x) in members for x in enum)
-
-    checks["closed_under_addition"] = \
-        (0,) * sys_.s in members and closed_under_addition(enum, members, bound)
 
     report = verdict(sys_, bound=max(bound, 1))
     # a1 and a2 may need entries above the bound, so A + inf·A is filled

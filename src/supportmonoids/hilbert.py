@@ -666,49 +666,6 @@ def generated_truncated(gens, bound: int, dim: int) -> frozenset:
     return frozenset(fields.unpack_truncated([key for key in points if not key >> dim & top]))
 
 
-def closed_under_addition(enum, members, bound: int) -> bool:
-    """Does every sum of two vectors of enum that lies in the truncated box
-    (each coordinate inf or at most bound) belong to members?
-
-    Vectors are truncated packed words (module docstring), bucketed by inf
-    mask.  The sum of x and y is inf on the union U of their inf masks and
-    x_j + y_j off it, so it depends only on the two masks and on the entries
-    of x and y off U.  Hence, for each pair of buckets, it suffices to add
-    the distinct projections off U of one bucket to those of the other: two
-    vectors of a bucket that agree off U have the same sum with every vector
-    of the other.  Addition in N0* is commutative, so each unordered pair of
-    buckets, and within one bucket each unordered pair of vectors, is
-    visited once.  Exact both ways: every pair of vectors of enum is
-    represented, and every sum formed is the sum of such a pair.
-    """
-    s = len(enum[0]) if enum else 0
-    fields = _Fields(s, bound)
-    top, bias = fields.top, fields.bias
-    keys = set()
-    buckets = {}
-    for inf, fin, keep in fields.pack_truncated(enum):
-        buckets.setdefault((inf, keep), []).append(fin)
-    for inf, fin, keep in fields.pack_truncated(members):
-        keys.add(((fin + bias) & keep) << s | inf)
-    groups = list(buckets.items())
-    for i, ((inf_x, keep_x), fins_x) in enumerate(groups):
-        for (inf_y, keep_y), fins_y in groups[i:]:
-            keep = keep_x & keep_y
-            inf = inf_x | inf_y
-            xs = list({f & keep for f in fins_x})
-            ys = xs if fins_y is fins_x else list({f & keep for f in fins_y})
-            bias_k = bias & keep
-            for n, x in enumerate(xs):
-                x += bias_k
-                for y in (ys[n:] if ys is xs else ys):
-                    total = x + y
-                    if total & top:
-                        continue
-                    if total << s | inf not in keys:
-                        return False
-    return True
-
-
 def find_order_unit(sys: DioSystem):
     """Some strictly positive finite solution, or None when none exists:
     the order-unit of the Hilbert basis of the finite part."""

@@ -1,5 +1,4 @@
 import io
-import itertools
 import json
 import contextlib
 import os
@@ -13,10 +12,9 @@ import pytest
 
 import supportmonoids
 from conftest import FIXTURE_NAMES, FIXTURES, load_fixture
-from supportmonoids import INF, HilbertBasis, a_plus_inf_a, generated_truncated
+from supportmonoids import DioSystem, HilbertBasis, a_plus_inf_a, enumerate_truncated
 from supportmonoids.cli import (COMMANDS, _dumps, _loads, _parse, _read, _write,
                                 build_parser, main)
-from supportmonoids.hilbert import closed_under_addition
 
 
 def run_cli(*argv):
@@ -69,12 +67,18 @@ def test_output_is_byte_identical_across_runs():
         assert len(runs) == 1
 
 
+ORACLE_CHECKS = {"membership_equivalence", "generators_regenerate",
+                 "classification_consistent"}
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_oracle_passes_on_every_fixture(name):
-    rc, out, _ = run_cli("oracle", "--system", fixture_path(name), "--bound", "3")
-    doc = json.loads(out)
-    assert rc == 0, doc
-    assert doc["ok"] is True and all(doc["checks"].values())
+    for bound in (0, 2, 3):
+        rc, out, _ = run_cli("oracle", "--system", fixture_path(name), "--bound", str(bound))
+        doc = json.loads(out)
+        assert rc == 0, (bound, doc)
+        assert doc["ok"] is True and all(doc["checks"].values())
+        assert set(doc["checks"]) == ORACLE_CHECKS
 
 
 def test_oracle_builds_a_plus_inf_a_from_supports_beyond_the_box(tmp_path):
@@ -302,6 +306,16 @@ def test_cold_runs_match_in_process(cli_inputs, group, unbuffered):
             assert rc in (2, 3) and err.startswith("error: ") and err.count("\n") == 1
             assert json.loads(out)["error"] in ("invalid_input", "missing_order_unit",
                                                 "resource_limit")
+
+
+def test_oracle_on_eight_free_coordinates_answers_within_budget(cli_inputs):
+    # N0*^8 at bound 2 holds 4^8 = 65,536 members: the three checks take
+    # about 2 s cold on a 2-core Xeon host, a check that added the members
+    # pairwise took 16.6 s
+    proc = run_cold("-m", "supportmonoids.cli", "oracle", "--system", cli_inputs["s8"],
+                    "--bound", "2", timeout=8)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["ok"] is True
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -605,6 +619,19 @@ def test_oracle_mismatch_exits_1(monkeypatch):
     assert rc == 1 and err == ""
     assert doc["ok"] is False and doc["checks"]["membership_equivalence"] is False
 
+    # an enumeration that is not closed under addition: (1, 1, 1) is
+    # (1, 0, 0) + (0, 1, 1), both kept, so the generators regenerate more
+    monkeypatch.undo()
+    box = enumerate_truncated(DioSystem.from_json(load_fixture("cusp")), 3)
+    assert {(1, 1, 1), (1, 0, 0), (0, 1, 1)} <= set(box)
+    monkeypatch.setattr("supportmonoids.equations.enumerate_truncated",
+                        lambda sys_, bound: [x for x in enumerate_truncated(sys_, bound)
+                                             if x != (1, 1, 1)])
+    rc, out, err = run_cli("oracle", "--system", fixture_path("cusp"), "--bound", "3")
+    doc = json.loads(out)
+    assert rc == 1 and err == ""
+    assert doc["ok"] is False and doc["checks"]["generators_regenerate"] is False
+
 
 def test_cold_runs_load_only_what_the_command_runs(tmp_path):
     basis = tmp_path / "basis.json"
@@ -807,49 +834,6 @@ def test_direct_writer_agrees_with_json_dumps():
         except ValueError:
             pass
     assert 600 < direct < len(docs) - 600, direct
-
-
-def closed_by_ordered_pairs(enum, members, bound):
-    for x in enum:
-        for y in enum:
-            z = tuple(INF if a is INF or b is INF else a + b for a, b in zip(x, y))
-            if all(v is INF or v <= bound for v in z) and z not in members:
-                return False
-    return True
-
-
-def test_closed_under_addition_finds_a_missing_sum():
-    members = generated_truncated([(1, 0), (0, 1)], 2, 2)
-    enum = sorted(members, key=str)
-    assert closed_under_addition(enum, members, 2)
-    for missing in ((1, 1), (2, 0), (1, INF), (INF, INF)):
-        rest = members - {missing}
-        assert not closed_under_addition(sorted(rest, key=str), rest, 2)
-    # a sum outside the box is not required
-    small = [(0, 0), (2, 0)]
-    assert closed_under_addition(small, frozenset(small), 2)
-
-
-def test_closed_under_addition_agrees_with_ordered_pairs():
-    rng = random.Random(4)
-    answers = []
-    for _ in range(50):
-        s, bound = rng.randint(1, 4), rng.randint(0, 9)
-        values = list(range(bound + 1)) + [INF]
-        box = list(itertools.product(values, repeat=s))
-        if rng.random() < 0.5:
-            gens = rng.sample(box, rng.randint(1, 3))
-            members = set(generated_truncated(gens, bound, s))
-            if rng.random() < 0.5 and len(members) > 1:
-                members.discard(rng.choice(sorted(members, key=str)))
-        else:
-            members = set(rng.sample(box, rng.randint(1, min(len(box), 12))))
-        enum = sorted(members, key=str)
-        members = frozenset(members)
-        want = closed_by_ordered_pairs(enum, members, bound)
-        assert closed_under_addition(enum, members, bound) == want
-        answers.append(want)
-    assert True in answers and False in answers
 
 
 def test_mismatching_congruence_vector_member():
