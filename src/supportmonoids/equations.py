@@ -71,13 +71,8 @@ class DioSystem(Record):
         if not isinstance(obj, dict) or "s" not in obj:
             raise ValueError("system JSON must be an object with an 's' key")
         eq, cg = (_rows_object(obj, key) for key in ("equations", "congruences"))
-        return cls(
-            s=obj["s"],
-            F=tuple(tuple(r) for r in eq.get("F", ())),
-            G=tuple(tuple(r) for r in eq.get("G", ())),
-            D=tuple(tuple(r) for r in cg.get("D", ())),
-            moduli=tuple(cg.get("moduli", ())),
-        )
+        return cls(s=obj["s"], F=eq.get("F", ()), G=eq.get("G", ()), D=cg.get("D", ()),
+                   moduli=cg.get("moduli", ()))
 
 
 def _rows_object(obj: dict, key: str) -> dict:

@@ -37,7 +37,10 @@ Lamport, "Multiple byte processing with full-word instructions", CACM
   It is keyed by its biased, kept fields shifted above the inf mask.
 
 Hot loops use the masks inline; ``_Fields`` packs on entry and unpacks
-on exit.
+on exit.  ``_Below`` keeps words of one layout in buckets by the mask
+of their nonzero fields and answers "which kept words lie below x?"
+from the buckets whose mask lies inside x's, in the order the buckets
+were first filled and each in insertion order.
 
 Unit vectors are atoms: a sum of nonzero vectors over N0*, or an inf
 multiple of one, equals e_j only when one summand is e_j itself.  So a
@@ -132,15 +135,10 @@ class HilbertBasis(Record):
 
         A set holding all dim unit vectors yields the shared free basis:
         they generate every other vector and none of them is redundant.
-        An all-finite antichain is kept whole without a redundancy
-        sweep: a nonzero all-finite vector that is a sum of others
-        dominates each summand, so no member of an antichain is one.
         """
         cleaned = canonical_sorted(g for g in gens if any(g))
         if len(_atoms(cleaned)) == dim:
             return cls.free(dim)
-        if _is_antichain(cleaned):
-            return cls._trusted(dim, cleaned)
         return cls._trusted(dim, minimize_generators(cleaned))
 
     @classmethod
@@ -255,6 +253,32 @@ class _Fields:
                           for j, k in enumerate(self.shifts)]))
 
 
+class _Below:
+    """Packed words with their items, in buckets by the mask of their
+    nonzero fields; see "Packed words" in the module docstring."""
+
+    __slots__ = ("top", "ones", "buckets")
+
+    def __init__(self, fields: _Fields):
+        self.top, self.ones = fields.top, fields.ones
+        self.buckets: dict[int, list] = {}
+
+    def add(self, word: int, item) -> None:
+        key = ((word | self.top) - self.ones) & self.top
+        self.buckets.setdefault(key, []).append((word, item))
+
+    def below(self, x: int):
+        """The items of the kept words that x dominates, lazily."""
+        top = self.top
+        xg = x | top
+        outside = ~(xg - self.ones)  # its guard bits: x's zero fields
+        for key, bucket in self.buckets.items():
+            if not key & outside:
+                for w, item in bucket:
+                    if (xg - w) & top == top:
+                        yield item
+
+
 # -- Contejean-Devie completion search --------------------------------------
 
 def minimal_solutions(rows, dim: int, max_states: int = MAX_COMPLETION_STATES):
@@ -268,12 +292,13 @@ def minimal_solutions(rows, dim: int, max_states: int = MAX_COMPLETION_STATES):
     up to max_states (at least 1), and its defect v = sum_j t_j·col_j,
     one int per row; it is a solution iff v = 0.  A step in direction j
     adds e_j to t and col_j to v; it is taken when v·col_j < 0 (it
-    shrinks the defect) and t + e_j dominates no solution found (by
-    the packed test).  The steps that shrink a defect, with the defects
-    they leave, are worked out once per distinct defect, and candidates
-    share them.  A level is a dict of the candidates of one coordinate
-    sum, keyed by t, so a candidate reached twice is reached on one
-    level, and keeping its first copy there drops every duplicate.
+    shrinks the defect) and t + e_j dominates no solution found, asked
+    of a ``_Below`` index of the solutions.  The steps that shrink a
+    defect, with the defects they leave, are worked out once per
+    distinct defect, and candidates share them.  A level is a dict of
+    the candidates of one coordinate sum, keyed by t, so a candidate
+    reached twice is reached on one level, and keeping its first copy
+    there drops every duplicate.
 
     ``max_states`` caps the candidates stored, the dim unit vectors
     included; the search is refused at the first candidate it takes
@@ -287,9 +312,9 @@ def minimal_solutions(rows, dim: int, max_states: int = MAX_COMPLETION_STATES):
     t_j·|col_j|^2 >= 0), so the stepped coordinate ends at most n.
     """
     fields = _Fields(dim, max(max_states, 1))
-    guard = fields.top
     moves = [(1 << k, tuple(row[j] for row in rows)) for j, k in enumerate(fields.shifts)]
     minimals: list[int] = []
+    found = _Below(fields)
     shrinking = {}  # defect -> [(step, defect after it) for each step that shrinks it]
     level = dict(moves)
     stored = dim
@@ -300,9 +325,11 @@ def minimal_solutions(rows, dim: int, max_states: int = MAX_COMPLETION_STATES):
                 raise ResourceLimitError(
                     f"minimal_solutions: the completion search stored {stored} candidates, "
                     f"past the cap max_states = {max_states}")
-            tg = t | guard
             if not any(v):
-                if not any((tg - m) & guard == guard for m in minimals):
+                # a solution found after t was stored lies below t only along a zero
+                # column, which no step takes; re-tested anyway, as it is cheap
+                if next(found.below(t), None) is None:
+                    found.add(t, len(minimals))
                     minimals.append(t)
                 continue
             out = shrinking.get(v)
@@ -311,12 +338,8 @@ def minimal_solutions(rows, dim: int, max_states: int = MAX_COMPLETION_STATES):
                                       if sum(map(mul, v, col)) < 0]
             for step, v2 in out:
                 t2 = t + step
-                if t2 in nxt:
+                if t2 in nxt or minimals and next(found.below(t2), None) is not None:
                     continue
-                if minimals:
-                    t2g = tg + step
-                    if any((t2g - m) & guard == guard for m in minimals):
-                        continue
                 stored += 1
                 nxt[t2] = v2
         level = nxt
@@ -337,9 +360,10 @@ def hilbert_basis(sys: DioSystem, max_states: int = MAX_COMPLETION_STATES) -> Hi
     Otherwise congruences are lifted to equations with fresh variables
     first; the lifted solutions biject additively and order-preservingly
     with the original ones, so the minimal lifted solutions project onto
-    the minimal solutions.  They form an antichain, so the redundancy
-    sweep of ``minimize_generators`` removes none of them, and every
-    ``in_generated`` call it makes gets an empty list: no minimal
+    the minimal solutions.  Those go through ``HilbertBasis._minimal``,
+    like every basis the library computes.  They form an antichain, so
+    its redundancy sweep (``minimize_generators``) removes none, and
+    every ``in_generated`` call it makes gets an empty list: no minimal
     solution lies below another.  The sweep still runs here for the
     ``hilbert.in_generated`` span of ``perfbench``: it makes the only
     ``in_generated`` calls on the ``classify-1eq`` workload, whose
@@ -355,10 +379,7 @@ def hilbert_basis(sys: DioSystem, max_states: int = MAX_COMPLETION_STATES) -> Hi
     rows = [tuple(f - g for f, g in zip(frow, grow))
             for frow, grow in zip(lifted.F, lifted.G)]
     sols = minimal_solutions(rows, lifted.s, max_states)
-    gens = canonical_sorted(t[:sys.s] for t in sols)
-    if len(_atoms(gens)) == sys.s:
-        return HilbertBasis.free(sys.s)
-    return HilbertBasis._trusted(sys.s, minimize_generators(gens))
+    return HilbertBasis._minimal(sys.s, (t[:sys.s] for t in sols))
 
 
 # -- membership in generated monoids ----------------------------------------
@@ -416,7 +437,8 @@ def _in_generated_finite(pool, x, carriers=(), todo=0) -> bool:
     packed words with fields for entries up to max(x) ("Packed words"
     in the module docstring): g fits r iff (r | top) - g keeps every
     guard bit, and a remainder with a nonzero field that no generator
-    from k on reaches is rejected without a search.
+    from k on reaches is rejected without a search.  With no generator
+    that fits, x must be zero with nothing to cover; nothing is packed.
 
     A nonzero ``todo`` is the int mask of inf coordinates of a target
     (outside x) still to cover, and ``carriers`` holds, for every
@@ -436,6 +458,8 @@ def _in_generated_finite(pool, x, carriers=(), todo=0) -> bool:
     """
     # INF <= t is False for every finite t
     gens = [g for g in pool if all(map(le, g, x))]
+    if not gens:
+        return not todo and not any(x)
     fields = _Fields(len(x), max(x, default=0))
     top, ones = fields.top, fields.ones
     start, *words = fields.pack([x, *gens])
@@ -502,7 +526,10 @@ def minimize_generators(gens) -> tuple:
 
     One pass over the distinct vectors in canonical order keeps g unless
     ``in_generated`` finds g among the sums of the kept vectors below it
-    (coordinatewise, inf above every finite value).  This is exact:
+    (coordinatewise, inf above every finite value), in the order they
+    were kept.  The vectors are packed once, inf as one more than the
+    largest finite entry, and a ``_Below`` index of the kept ones finds
+    them.  This is exact:
 
     1. every summand of g, with a finite or an inf coefficient, lies
        below g, so no vector that does not can occur in a sum;
@@ -515,41 +542,18 @@ def minimize_generators(gens) -> tuple:
     zero vector is the empty sum and goes.
     """
     gens = list(gens)
-    vecs = canonical_sorted(check_vecs(gens, len(gens[0]) if gens else 0))
+    n = len(gens[0]) if gens else 0
+    vecs = canonical_sorted(check_vecs(gens, n))
+    over = 1 + max((v for g in vecs for v in g if v is not INF), default=0)
+    fields = _Fields(n, over)
+    index = _Below(fields)
     kept = []
-    for g in vecs:
-        below = [h for h in kept if all(map(le, h, g))]
+    for g, x in zip(vecs, fields.pack([over if v is INF else v for v in g] for g in vecs)):
+        below = [kept[i] for i in sorted(index.below(x))]
         if not (len(vecs) > 1 and in_generated(below, g)):
+            index.add(x, len(kept))
             kept.append(g)
     return tuple(kept)
-
-
-def _is_antichain(vecs) -> bool:
-    """Are the canonically sorted, distinct vecs, vectors over N0* of one
-    length, all finite, with none dominating another?
-
-    A vector dominating another follows it in canonical order, so each
-    is compared with the ones before it, by the packed domination test
-    (module docstring) with fields for the largest entry.
-    """
-    n = len(vecs[0]) if vecs else 0
-    top = 0
-    for g in vecs:
-        for v in g:
-            if v is INF:
-                return False
-            if v > top:
-                top = v
-    fields = _Fields(n, top)
-    guard = fields.top
-    packed = []
-    for x in fields.pack(vecs):
-        xg = x | guard
-        for m in packed:
-            if (xg - m) & guard == guard:
-                return False
-        packed.append(x)
-    return True
 
 
 def generated_upto(gens, bound: int, dim: int) -> frozenset:

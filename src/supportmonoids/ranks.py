@@ -70,8 +70,8 @@ class RankMatrix(Record):
     def from_json(cls, obj: dict) -> "RankMatrix":
         if not isinstance(obj, dict) or "a" not in obj:
             raise ValueError("rank-matrix JSON needs key 'a'")
-        rm = cls(a=tuple(tuple(r) for r in obj["a"]),
-                 labels=tuple(obj["labels"]) if "labels" in obj else None)
+        # tuple() refuses a null "labels", which would otherwise mean none
+        rm = cls(a=obj["a"], labels=tuple(obj["labels"]) if "labels" in obj else None)
         if "s" in obj and obj["s"] != rm.s:
             raise ValueError(f"declared s={obj['s']} but matrix has {rm.s} columns")
         if "primes" in obj and obj["primes"] != rm.primes:

@@ -15,6 +15,7 @@ from conftest import FIXTURE_NAMES, FIXTURES, load_fixture
 from supportmonoids import DioSystem, HilbertBasis, a_plus_inf_a, enumerate_truncated
 from supportmonoids.cli import (COMMANDS, _dumps, _loads, _parse, _read, _write,
                                 build_parser, main)
+from supportmonoids.ranks import RankMatrix
 
 
 def run_cli(*argv):
@@ -355,6 +356,37 @@ def test_system_rows_that_are_not_objects_exit_2(tmp_path):
     assert json.loads(proc.stdout) == {
         "error": "invalid_input",
         "message": "system JSON 'equations' must be an object or null, got list"}
+
+
+@pytest.mark.parametrize("command,option,doc,message", [
+    ("supports", "--system", {"s": 2, "equations": {"F": [5], "G": [[1, 1]]}},
+     "'int' object is not iterable"),
+    ("supports", "--system", {"s": 2, "equations": {"F": [[1, "x"]], "G": [[1, 1]]}},
+     "F entry: expected an integer, got 'x'"),
+    ("supports", "--system", {"s": 2, "congruences": {"D": [[1, 1.5]], "moduli": [2]}},
+     "D entry: expected an integer, got 1.5"),
+    ("supports", "--system", {"s": 2, "congruences": {"D": [[1, 1]], "moduli": 2}},
+     "'int' object is not iterable"),
+    # the constructor checks s before it reads a row
+    ("supports", "--system", {"s": 0, "equations": {"F": [5], "G": [5]}},
+     "dimension: expected at least 1, got 0"),
+    ("lo-system", "--ranks", {"a": [[1, 1], 7]}, "'int' object is not iterable"),
+    ("lo-system", "--ranks", {"a": [[1, 1], [1, True]]},
+     "rank entry: expected an integer, got True"),
+    ("lo-system", "--ranks", {"a": [[1, 1], [1, 2]], "labels": None},
+     "'NoneType' object is not iterable"),
+])
+def test_bad_json_rows_are_refused(tmp_path, command, option, doc, message):
+    # the record constructors check the rows from_json hands them as they are
+    load = DioSystem.from_json if option == "--system" else RankMatrix.from_json
+    with pytest.raises((TypeError, ValueError)) as err:
+        load(doc)
+    assert str(err.value) == message
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    rc, out, _ = run_cli(command, option, str(f))
+    assert rc == 2
+    assert json.loads(out) == {"error": "invalid_input", "message": message}
 
 
 def test_non_ascii_message_is_written_by_json():
