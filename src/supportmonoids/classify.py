@@ -24,10 +24,10 @@ import math
 
 from .equations import DioSystem, is_member
 from .hilbert import _in_generated_finite, find_order_unit
-from .semiring import (Record, _project, canonical_sorted, check_int, inject,
-                       supp, unit_vec, vec_to_json, zero_vec)
-from .supports import (DEFAULT_FULLNESS_BOUND, SystemOfSupports, _closed_masks, _index_set,
-                       _union_interior, extract, is_almost_free, is_full, minimal_nonempty)
+from .semiring import (INF, Record, _inject_all, canonical_sorted, check_int, supp, unit_vec,
+                       vec_to_json)
+from .supports import (DEFAULT_FULLNESS_BOUND, SystemOfSupports, _closed_masks, _minimal,
+                       _union_interior, extract, is_almost_free, is_full)
 
 
 class ClassReport(Record):
@@ -89,30 +89,31 @@ def equals_a_plus_inf_a(sys: DioSystem, sos: SystemOfSupports | None = None):
     if sos is None:
         sos = extract(sys)
     s = sos.s
-    gens0 = sos.basis_for(frozenset()).gens
+    gens0 = sos.basis_for(()).gens
     supps = _closed_masks(s, _union_interior(gens0), "equals_a_plus_inf_a")
     masks = sos._masks()
 
-    def projected(H):
-        return [p for p in (_project(g, H) for g in gens0) if any(p)]
+    def projected(h):
+        shadow = (tuple(v for j, v in enumerate(g) if not h >> j & 1) for g in gens0)
+        return [p for p in shadow if any(p)]
 
     witnesses = set()
     cond_supports = masks == supps
-    for H in map(_index_set, set(masks).difference(supps)):
+    for h in set(masks).difference(supps):
         # inf exactly on H is a member but its infinite support is not a
         # support of the finite part, so it cannot be a1 + inf·a2
-        witnesses.add(inject(zero_vec(s - len(H)), H))
+        witnesses.add(tuple(INF if h >> j & 1 else 0 for j in range(s)))
 
     cond_projections = True
-    for H in minimal_nonempty(sos.S):
-        k = s - len(H)
-        shadow = projected(H)
+    for h in _minimal(masks):
+        k = s - h.bit_count()
+        shadow = projected(h)
         for j in range(k):
             e = unit_vec(k, j + 1)
             # a unit vector is an atom: generated only if it is a generator
             if e not in shadow:
                 cond_projections = False
-                w = inject(e, H)
+                [w] = _inject_all([e], h, s)
                 if is_member(sys, w):
                     witnesses.add(w)
 
@@ -120,13 +121,11 @@ def equals_a_plus_inf_a(sys: DioSystem, sos: SystemOfSupports | None = None):
     if not flag and not witnesses:
         # exhaustive pass: any family generator outside the projected
         # finite part lifts to a genuine member of B \ (A + inf·A)
-        for H, basis in sos.families:
-            if not H:
-                continue
-            shadow = projected(H)
-            for g in basis.gens:
-                if not _in_generated_finite(shadow, g):
-                    witnesses.add(inject(g, H))
+        for h, basis in sos._families():
+            if h:
+                shadow = projected(h)
+                witnesses.update(_inject_all(
+                    [g for g in basis.gens if not _in_generated_finite(shadow, g)], h, s))
     return flag, canonical_sorted(witnesses)
 
 

@@ -263,20 +263,18 @@ def _cmd_oracle(args) -> dict:
     """
     from .classify import verdict
     from .constructions import a_plus_inf_a
-    from .equations import enumerate_truncated
+    from .equations import enumerate_truncated, truncated_domain
     from .hilbert import generated_truncated
     from .supports import extract, generators, truncated_members
     sys_ = _load_system(args.system)
     bound = args.bound
-    members = frozenset(enumerate_truncated(sys_, bound))
+    # each guard runs as soon as its inputs exist, before any enumeration
+    truncated_domain(sys_.s, bound)
     sos = extract(sys_)
-    checks = {}
-
-    checks["membership_equivalence"] = members == truncated_members(sos, bound)
-
-    gens = generators(sos)
-    checks["generators_regenerate"] = \
-        generated_truncated(gens, bound, sys_.s) == members
+    regenerated = generated_truncated(generators(sos), bound, sys_.s)
+    members = frozenset(enumerate_truncated(sys_, bound))
+    checks = {"membership_equivalence": members == truncated_members(sos, bound),
+              "generators_regenerate": regenerated == members}
 
     report = verdict(sys_, bound=max(bound, 1))
     # a1 and a2 may need entries above the bound, so A + inf·A is filled

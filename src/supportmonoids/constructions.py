@@ -27,7 +27,7 @@ from .errors import MissingOrderUnitError, ResourceLimitError
 from .hilbert import HilbertBasis, minimize_generators
 from .semiring import (IndexSet, Record, Vec, _supp_mask, canonical_sorted, check_index_set,
                        check_matrix)
-from .supports import SystemOfSupports, _closed_masks, _index_set, _union_interior
+from .supports import SystemOfSupports, _closed_masks, _coords, _union_interior
 
 MAX_DECOMPOSE_GENS = 20    # partition search is exponential in the basis size
 
@@ -105,7 +105,7 @@ def _glued(basis: HilbertBasis, interior, build, stage: str) -> SystemOfSupports
     """The system with finite part A whose supports are the fixed masks
     of ``interior`` and whose family at a support h is build(h, known);
     the families are built on first use, and the supports are listed by
-    ``_closed_masks`` on the first read of S or of the families, refused
+    ``_closed_masks`` on the first read of the listing, refused
     there in the name of ``stage``."""
     s = basis.dim
     return SystemOfSupports._deferred(s, _order_unit_of(basis), interior, build,
@@ -278,7 +278,7 @@ def decompose_direct_sum(basis: HilbertBasis) -> DirectSumData | None:
                                tuple(shadow[p] for p in factor)))
             else:
                 (b1, f1), (b2, f2) = pieces
-                I1, I2, I3 = map(_index_set, (I1, I2, I3))
+                I1, I2, I3 = (frozenset(_coords(m)) for m in (I1, I2, I3))
                 return DirectSumData._trusted(s, I1, I2, I3, b1, b2, f1, f2)
     return None
 

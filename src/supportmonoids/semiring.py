@@ -320,11 +320,7 @@ def divides(x: Vec, y: Vec) -> bool:
 
 def project(x: Vec, H: Iterable[int]) -> Vec:
     """Drop the coordinates in H (1-based), keeping the rest in order."""
-    return _project(x, check_index_set(H, len(x)))
-
-
-def _project(x: Vec, Hs: IndexSet) -> Vec:
-    """project for an index set already known to lie inside 1..len(x)."""
+    Hs = check_index_set(H, len(x))
     return tuple(v for i, v in enumerate(x, 1) if i not in Hs)
 
 
@@ -335,31 +331,23 @@ def inject(x: Vec, H: Iterable[int]) -> Vec:
     """
     Hs = frozenset(H)
     s = len(x) + len(Hs)
-    Hs = check_index_set(Hs, s)
-    out = []
-    it = iter(x)
-    for i in range(1, s + 1):
-        out.append(INF if i in Hs else next(it))
-    return tuple(out)
+    [out] = _inject_all([tuple(x)], sum(1 << (i - 1) for i in check_index_set(Hs, s)), s)
+    return out
 
 
-def _inject_all(xs, H: IndexSet, s: int) -> list:
-    """[inject(x, H) for x in xs], for xs of length s - len(H) and an
-    index set H already checked against s."""
-    k = s - len(H)
-    if not H:
+def _inject_all(xs, h: int, s: int) -> list:
+    """[inject(x, H) for x in xs], for the set H of coordinates of the
+    mask h < 2^s (bit i - 1 for coordinate i) and xs of length s - |H|."""
+    k = s - h.bit_count()
+    if not h:
         return list(xs)
     if not k:
         return [(INF,) * s for _ in xs]
     slots = iter(range(k))
     # s >= 2 here, so the getter returns a tuple; index k is the pad
-    pick = itemgetter(*(k if i in H else next(slots) for i in range(1, s + 1)))
+    pick = itemgetter(*(k if h >> j & 1 else next(slots) for j in range(s)))
     pad = (INF,)
     return [pick(x + pad) for x in xs]
-
-
-def zero_vec(s: int) -> Vec:
-    return (0,) * s
 
 
 def unit_vec(s: int, i: int) -> Vec:

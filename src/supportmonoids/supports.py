@@ -24,29 +24,26 @@ rows that meet H and then the columns of H.
 
 from __future__ import annotations
 
-import itertools
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 from operator import or_
 
 from .equations import DioSystem
 from .errors import MissingOrderUnitError, ResourceLimitError
 from .hilbert import HilbertBasis, _in_generated_finite, generated_upto, hilbert_basis
-from .semiring import (INF, IndexSet, Record, Vec, _inject_all, _supp_mask,
-                       canonical_sorted, check_dim, check_index_set, check_int, check_vec,
-                       inject, supp, vec_from_json, vec_to_json, zero_vec)
+from .semiring import (INF, MAX_DIM, Record, Vec, _inject_all, _supp_mask, canonical_sorted,
+                       check_dim, check_index_set, check_int, check_vec, vec_from_json,
+                       vec_to_json)
 
 MAX_POWERSET_DIM = 16  # listing more than 2^16 support sets is refused
 
 
-def _iset_key(H: IndexSet):
-    return (len(H), tuple(sorted(H)))
-
-
-# Inside this module and ``constructions`` a support set H is an int
-# mask h: bit i - 1 stands for coordinate i.  Frozensets appear only at
-# the public boundary (``families``, ``S``, ``basis_for``, JSON).  Three
-# bytes hold the MAX_DIM = 24 coordinates: ``_BYTE_COORDS[k][b]`` lists
-# the coordinates of the value b of byte k, built by doubling.
+# A support set H is an int mask h inside the library: bit i - 1 stands
+# for coordinate i.  Sets of coordinates are built only at the public
+# boundary: ``S`` and ``families`` (once per instance), the return
+# value of ``infinite_supports`` and ``minimal_nonempty``, and the
+# blocks of ``constructions.decompose_direct_sum``.  Three bytes hold
+# the MAX_DIM = 24 coordinates: ``_BYTE_COORDS[k][b]`` lists the
+# coordinates of the value b of byte k, ascending, built by doubling.
 _BYTE_COORDS = [[()], [()], [()]]
 for _k, _table in enumerate(_BYTE_COORDS):
     for _i in range(8 * _k + 1, 8 * _k + 9):
@@ -58,17 +55,16 @@ def _mask(H) -> int:
     return sum(1 << (i - 1) for i in H)
 
 
-@lru_cache(maxsize=1 << 12)
-def _index_set(h: int) -> IndexSet:
-    """The set of coordinates of mask h, one object per mask: the same
-    few recur in every system of supports over the same coordinates."""
+def _coords(h: int) -> tuple:
+    """The coordinates of mask h, ascending."""
     low, middle, high = _BYTE_COORDS
-    return frozenset(low[h & 255] + middle[h >> 8 & 255] + high[h >> 16])
+    return low[h & 255] + middle[h >> 8 & 255] + high[h >> 16]
 
 
-def _in_order(S) -> list:
-    """The masks of the support sets in S, in the order of ``families``."""
-    return [_mask(H) for H in sorted(S, key=_iset_key)]
+def _in_order(masks) -> list:
+    """The masks in the order of ``families``: by size, then
+    lexicographically by their coordinates."""
+    return sorted(masks, key=lambda h: (h.bit_count(), _coords(h)))
 
 
 def _too_many(stage: str, s: int) -> ResourceLimitError:
@@ -142,23 +138,24 @@ class SystemOfSupports(Record):
     iff interior(h) == h, with a builder of A_h for h in S and a lister
     that returns the listing.
 
-    There are two memos.  ``_listing`` holds the lister until the first
-    read of ``S`` or ``families``, which equality, hashing, repr, JSON
-    and pickling make too, and from then on what it returned: the list
-    of masks, or its refusal once it passes 2^MAX_POWERSET_DIM sets,
-    which needs more than MAX_POWERSET_DIM coordinates.  A refusal is
-    raised again, with the same message, on every later read, and lists
-    nothing.  ``S`` reads the listing and builds no family.  Each A_h is
-    looked up on first use and memoized in ``_by_h``: ``families``
-    looks up every listed mask, while ``member_via_supports`` and
-    ``basis_for`` list nothing and look up only the family they read, so
-    they answer however many coordinates there are.  Each memo only
+    Library code reads an instance through its listing (``_masks``) and
+    ``_family``; ``S`` and ``families`` are the boundary, where sets of
+    coordinates are built, each once.  There are three memos, no part of
+    the value.  ``_listing`` holds the lister until the first read of the
+    listing, and from then on what it returned: the list of masks, or
+    its refusal once it passes 2^MAX_POWERSET_DIM sets, which needs more
+    than MAX_POWERSET_DIM coordinates and is raised again, with the same
+    message, on every later read.  Each A_h is looked up on first use
+    and memoized in ``_by_h``: ``member_via_supports`` and ``basis_for``
+    list nothing and look up only the family they read, so they answer
+    however many coordinates there are.  ``_sets`` holds ``S`` and
+    ``families`` once read; ``S`` builds no family.  Each memo only
     stores what its function returns, so concurrent readers can at worst
     repeat work.
     """
 
     _fields = ("s", "unit", "families")
-    __slots__ = ("s", "unit", "_lookup", "_listing", "_solution_backed", "_by_h")
+    __slots__ = ("s", "unit", "_lookup", "_listing", "_solution_backed", "_by_h", "_sets")
 
     def __init__(self, s: int, unit: Vec, families: tuple):
         check_dim(s)
@@ -180,8 +177,7 @@ class SystemOfSupports(Record):
                     f"basis for H={sorted(H)} has dimension {basis.dim}, "
                     f"expected {s - len(H)}")
             by_h[h] = basis
-        self._hold(s, unit, lambda h, _known: by_h.get(h),
-                   _in_order(map(_index_set, by_h)), False)
+        self._hold(s, unit, lambda h, _known: by_h.get(h), _in_order(by_h), False)
 
     @classmethod
     def _deferred(cls, s: int, unit: Vec, interior, build, listing,
@@ -202,8 +198,8 @@ class SystemOfSupports(Record):
         return self
 
     def _hold(self, *values) -> None:
-        """Store the values in slot order, with an empty memo."""
-        for name, value in zip(self.__slots__, values + ({},), strict=True):
+        """Store the values in slot order, with empty memos."""
+        for name, value in zip(self.__slots__, values + ({}, {}), strict=True):
             object.__setattr__(self, name, value)
 
     def _masks(self) -> list:
@@ -220,13 +216,23 @@ class SystemOfSupports(Record):
             raise ResourceLimitError(*listing.args)
         return listing
 
+    def _families(self) -> list:
+        """(h, A_h) for each mask h of S in the order of ``families``,
+        every A_h built before the list is returned."""
+        return [(h, self._family(h)) for h in self._masks()]
+
     @property
     def families(self) -> tuple:
-        return tuple((_index_set(h), self._family(h)) for h in self._masks())
+        if "families" not in self._sets:
+            self._sets["families"] = tuple((frozenset(_coords(h)), basis)
+                                           for h, basis in self._families())
+        return self._sets["families"]
 
     @property
     def S(self) -> frozenset:
-        return frozenset(map(_index_set, self._masks()))
+        if "S" not in self._sets:
+            self._sets["S"] = frozenset(map(frozenset, map(_coords, self._masks())))
+        return self._sets["S"]
 
     def _family(self, h: int):
         """A_h for a mask h below 2^s, or None when h is not in S: one
@@ -245,19 +251,10 @@ class SystemOfSupports(Record):
             raise KeyError(H)
         return basis
 
-    def complement(self, H) -> tuple:
-        Hs = frozenset(H)
-        return tuple(i for i in range(1, self.s + 1) if i not in Hs)
-
     def to_json(self) -> dict:
-        return {
-            "s": self.s,
-            "unit": vec_to_json(self.unit),
-            "supports": [
-                {"H": sorted(H), "basis": basis.to_json()}
-                for H, basis in self.families
-            ],
-        }
+        return {"s": self.s, "unit": vec_to_json(self.unit),
+                "supports": [{"H": list(_coords(h)), "basis": basis.to_json()}
+                             for h, basis in self._families()]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SystemOfSupports":
@@ -310,10 +307,11 @@ def infinite_supports(sys: DioSystem) -> frozenset:
     passes 2^MAX_POWERSET_DIM of them, which needs more than
     MAX_POWERSET_DIM coordinates.  It is the lister of ``extract``, so
     a system of supports makes that refusal on the first read of its
-    support sets or its families, not when it is built.
+    listing, not when it is built.
     """
     interior = partial(_interior, _row_masks(sys)[0])
-    return frozenset(map(_index_set, _closed_masks(sys.s, interior, "infinite_supports")))
+    return frozenset(map(frozenset, map(_coords, _closed_masks(sys.s, interior,
+                                                                "infinite_supports"))))
 
 
 def _subsystem(sys: DioSystem, masks, h: int) -> DioSystem:
@@ -361,8 +359,8 @@ def extract(sys: DioSystem) -> SystemOfSupports:
     The completion search of the finite part and a missing order unit
     are refused here.  The rest follows the one listing rule of
     ``SystemOfSupports``: each family is built on first use, and S is
-    listed, by ``infinite_supports``, on the first read of S or of the
-    families, which refuses past 2^MAX_POWERSET_DIM supports; a query
+    listed, by ``infinite_supports``, on the first read of its listing,
+    which refuses past 2^MAX_POWERSET_DIM supports; a query
     that reads one family lists nothing, and reading S builds none.
     """
     basis0 = hilbert_basis(sys)
@@ -380,7 +378,7 @@ def extract(sys: DioSystem) -> SystemOfSupports:
 
     return SystemOfSupports._deferred(
         sys.s, unit, partial(_interior, masks[0]), build,
-        lambda: _in_order(infinite_supports(sys)), solution_backed=True)
+        lambda: _in_order(map(_mask, infinite_supports(sys))), solution_backed=True)
 
 
 # -- membership, generators, validation --------------------------------------
@@ -437,62 +435,69 @@ def generators(sos: SystemOfSupports) -> tuple:
       projections outside H of the other candidates with inf-supp
       inside H.
     """
-    fams = []
-    for H, basis in sos.families:
-        h = _mask(H)
-        outside = [1 << j for j in range(sos.s) if not h >> j & 1]
-        fams.append((H, h, outside, basis.gens))
-    gen_supps = {h | sum(b for b, v in zip(outside, g) if v)
-                 for _, h, outside, gens in fams for g in gens}
-    supps = gen_supps | {h for _, h, _, _ in fams}
+    fams = _placed(sos)
+    gen_supps = {_supp_mask(x) for h, _, gens in fams for x in _inject_all(gens, h, sos.s)}
+    supps = gen_supps | {h for h, _, _ in fams}
     kept = []
-    for H, h, outside, gens in fams:
-        if h and h not in gen_supps:
-            cover = 0
-            for m in supps:
-                if not m & ~h and m != h:
-                    cover |= m
-            if cover != h:
-                kept.append(inject(zero_vec(sos.s - len(H)), H))
-        if not gens:
-            continue
-        shadows = set()
-        for _, k, outside_k, gens_k in fams:
-            if k & ~h or k == h:
-                continue
-            keep = [j for j, b in enumerate(outside_k) if not b & h]
-            for g in gens_k:
-                p = tuple(g[j] for j in keep)
-                if any(p):
-                    shadows.add(p)
-        for g in gens:
-            pool = [*shadows, *(o for o in gens if o is not g)]
-            if not _in_generated_finite(pool, g):
-                kept.append(inject(g, H))
+    for i, (h, outside, gens) in enumerate(fams):
+        lift = []
+        if h and h not in gen_supps and h != reduce(
+                or_, (m for m in supps if not m & ~h and m != h), 0):
+            lift.append((0,) * len(outside))
+        if gens:
+            shadows = set()
+            for k, outside_k, gens_k in fams[:i]:  # the sets strictly inside h come before it
+                if k & ~h:
+                    continue
+                keep = [j for j, b in enumerate(outside_k) if not b & h]
+                for g in gens_k:
+                    p = tuple(g[j] for j in keep)
+                    if any(p):
+                        shadows.add(p)
+            lift += [g for g in gens
+                     if not _in_generated_finite([*shadows, *(o for o in gens if o is not g)], g)]
+        kept += _inject_all(lift, h, sos.s)
     return canonical_sorted(kept)
+
+
+def _placed(sos: SystemOfSupports) -> list:
+    """(h, outside, gens) for each mask h of S in the order of
+    ``families``: gens generate A_h, and outside lists the bits of the
+    coordinates outside h, ascending, so entry j of a vector over the
+    complement of h sits at bit outside[j]."""
+    s = sos.s
+    return [(h, [1 << j for j in range(s) if not h >> j & 1], basis.gens)
+            for h, basis in sos._families()]
 
 
 def truncated_members(sos: SystemOfSupports, bound: int) -> frozenset:
     """All members with coordinates in {0, ..., bound, inf}; bulk version
-    of member_via_supports built from per-family closures.  H comes from
-    ``sos.families``, so the points are placed without checking it again."""
+    of member_via_supports built from per-family closures.  Each h comes
+    from the listing, so the points are placed without checking it again."""
     out = set()
-    for H, basis in sos.families:
-        fin = generated_upto(basis.gens, bound, sos.s - len(H))
-        out.update(_inject_all(fin, H, sos.s))
+    for h, basis in sos._families():
+        fin = generated_upto(basis.gens, bound, sos.s - h.bit_count())
+        out.update(_inject_all(fin, h, sos.s))
     return frozenset(out)
+
+
+def _minimal(masks) -> list:
+    """The inclusion-minimal nonzero masks among ``masks``, which come in
+    the order of ``families``.  In that order a set comes after every set
+    strictly inside it, and a set that is not minimal holds a minimal one,
+    so a set is kept iff no set kept before it lies strictly inside it."""
+    out = []
+    for h in masks:
+        if h and all(k & ~h or k == h for k in out):
+            out.append(h)
+    return out
 
 
 def minimal_nonempty(S) -> list:
     """Inclusion-minimal elements of S minus the empty set, in the order
-    of ``families``.  In that order a set comes after every set strictly
-    inside it, and a set that is not minimal holds a minimal one, so a
-    set is kept iff no set kept before it lies strictly inside it."""
-    out = []
-    for H in sorted(S, key=_iset_key):
-        if H and not any(K < H for K in out):
-            out.append(H)
-    return out
+    of ``families``, for sets of coordinates in 1..MAX_DIM."""
+    masks = [_mask(check_index_set(H, MAX_DIM)) for H in S]
+    return [frozenset(_coords(h)) for h in _minimal(_in_order(masks))]
 
 
 def validate(sos: SystemOfSupports) -> list:
@@ -503,42 +508,43 @@ def validate(sos: SystemOfSupports) -> list:
     because projections are monoid maps.
     """
     issues = []
-    S, families = sos.S, sos.families
-    full = frozenset(range(1, sos.s + 1))
+    fams = _placed(sos)
+    S = {h for h, _, _ in fams}
+    full = (1 << sos.s) - 1
 
-    if frozenset() not in S:
+    if 0 not in S:
         issues.append("(1) the empty set is missing from S")
-    else:
-        if not _in_generated_finite(sos.basis_for(frozenset()).gens, sos.unit):
-            issues.append(f"(1) the unit {sos.unit} is not generated by the empty-set family")
+    elif not _in_generated_finite(sos._family(0).gens, sos.unit):
+        issues.append(f"(1) the unit {sos.unit} is not generated by the empty-set family")
 
     if full not in S:
         issues.append("(3) the full index set is missing from S")
-    elif sos.basis_for(full).gens:
+    elif sos._family(full).gens:
         issues.append("(3) the family at the full index set must be trivial")
 
-    for H, K in itertools.combinations(sorted(S, key=_iset_key), 2):
-        if (H | K) not in S:
-            issues.append(f"(3) S is not closed under unions: "
-                          f"{sorted(H)} ∪ {sorted(K)} missing")
+    for i, (h, _, _) in enumerate(fams):
+        for k, _, _ in fams[i + 1:]:
+            if h | k not in S:
+                issues.append(f"(3) S is not closed under unions: "
+                              f"{list(_coords(h))} ∪ {list(_coords(k))} missing")
 
-    for H, basis in families:
-        for g in basis.gens:
-            if supp(inject(g, H)) not in S:
-                issues.append(f"(3) H ∪ supp(x) escapes S for H={sorted(H)}, x={g}")
+    for h, _, gens in fams:
+        for g, x in zip(gens, _inject_all(gens, h, sos.s)):
+            if _supp_mask(x) not in S:
+                issues.append(f"(3) H ∪ supp(x) escapes S for H={list(_coords(h))}, x={g}")
 
-    for H, basis_H in families:
-        comp_H = sos.complement(H)
-        for K, basis_K in families:
-            if not H < K:
+    # a set strictly inside another comes before it
+    for i, (h, outside, gens) in enumerate(fams):
+        for k, _, gens_k in fams[i + 1:]:
+            if h & ~k:
                 continue
-            positions = [j for j in range(len(comp_H)) if comp_H[j] not in K]
-            for g in basis_H.gens:
-                image = tuple(g[j] for j in positions)
-                if any(image) and not _in_generated_finite(basis_K.gens, image):
+            keep = [j for j, b in enumerate(outside) if not b & k]
+            for g in gens:
+                image = tuple(g[j] for j in keep)
+                if any(image) and not _in_generated_finite(gens_k, image):
                     issues.append(
-                        f"(4) projection of {g} from H={sorted(H)} "
-                        f"is not in the family at K={sorted(K)}")
+                        f"(4) projection of {g} from H={list(_coords(h))} "
+                        f"is not in the family at K={list(_coords(k))}")
     return issues
 
 
@@ -569,7 +575,7 @@ def _full_upto(basis: HilbertBasis, bound: int) -> bool:
 def is_full(sos: SystemOfSupports, bound: int = DEFAULT_FULLNESS_BOUND) -> bool:
     """Do all families embed divisor-homomorphically, verified up to bound?"""
     check_int(bound, "verification bound", 0)
-    return all(_full_upto(basis, bound) for _, basis in sos.families)
+    return all(_full_upto(basis, bound) for _, basis in sos._families())
 
 
 def is_almost_free(sos: SystemOfSupports, bound: int = DEFAULT_FULLNESS_BOUND) -> bool:
@@ -584,9 +590,7 @@ def is_almost_free(sos: SystemOfSupports, bound: int = DEFAULT_FULLNESS_BOUND) -
     from its data is verified like any other.
     """
     check_int(bound, "verification bound", 0)
-    S = sos.S
-    if not sos._solution_backed:
-        empty = frozenset()
-        if empty not in S or not _full_upto(sos.basis_for(empty), bound):
-            return False
-    return all(sos.basis_for(H).is_free() for H in minimal_nonempty(S))
+    masks = sos._masks()
+    if not sos._solution_backed and (0 not in masks or not _full_upto(sos._family(0), bound)):
+        return False
+    return all(sos._family(h).is_free() for h in _minimal(masks))

@@ -182,8 +182,7 @@ def test_answers_match_the_digest():
 
 def _diff(b, other_src):
     here = block_lines(b)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(pathlib.Path(other_src).resolve()),
-                                                        str(pathlib.Path(__file__).parent))))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(other_src).resolve()))
     there = subprocess.run([sys.executable, __file__, "lines", str(b)], env=env,
                            capture_output=True, text=True, check=True).stdout.splitlines()
     for mine, theirs in zip(here, there):

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import supportmonoids
-from conftest import FIXTURE_NAMES, FIXTURES, load_fixture
+from conftest import FIXTURE_NAMES, FIXTURES, limit_probe, load_fixture
 from supportmonoids import DioSystem, HilbertBasis, a_plus_inf_a, enumerate_truncated
 from supportmonoids.cli import (COMMANDS, _dumps, _loads, _parse, _read, _write,
                                 build_parser, main)
@@ -317,6 +317,20 @@ def test_oracle_on_eight_free_coordinates_answers_within_budget(cli_inputs):
                     "--bound", "2", timeout=8)
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_oracle_refuses_before_it_enumerates(tmp_path):
+    # at bound 3 the box over N0*^10 holds 5^10 = 9,765,625 points, under the
+    # box guard; the closure of the generators could reach 6^10 saturated
+    # points and is refused before either enumeration runs, in under 1 s on
+    # a 2-core Xeon host (listing the box first ran out of a 1 GiB address
+    # space after 26 s)
+    f = tmp_path / "s10.json"
+    f.write_text(json.dumps({"s": 10}))
+    probe = limit_probe("-m", "supportmonoids.cli", "oracle", "--system", str(f), "--bound", "3")
+    assert probe.status == 3, probe.stderr
+    assert probe.stderr.startswith("error: generated_truncated: up to 60466176 saturated points")
+    assert probe.wall_s < 5 and probe.peak_mb < 128, probe
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

@@ -231,3 +231,27 @@ def test_only_cli_run_ends_the_process():
     assert inside, "cli.run no longer ends the process with os._exit"
     outside = sorted(everywhere - inside)
     assert not outside, "os._exit outside cli.run:\n" + "\n".join(outside)
+
+
+# The methods of ``SystemOfSupports`` that build its sets of coordinates.
+# The record methods of ``semiring.Record`` read ``families`` by name.
+SETS_BOUNDARY = {"S", "families", "to_json"}
+
+
+def test_systems_of_supports_are_read_through_their_masks():
+    """Inside the package, only the boundary of ``SystemOfSupports``
+    reads ``.S`` or ``.families``: every other reader of a system of
+    supports goes through its mask listing, ``_masks``, and ``_family``,
+    so no library call builds a frozenset per support set."""
+    modules = _modules()
+    allowed = set()
+    for node in modules["supports.py"].body:
+        if isinstance(node, ast.ClassDef) and node.name == "SystemOfSupports":
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and method.name in SETS_BOUNDARY:
+                    allowed.update(map(id, ast.walk(method)))
+    readers = [f"{name}:{sub.lineno}: .{sub.attr}"
+               for name, tree in modules.items() for sub in ast.walk(tree)
+               if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+               and sub.attr in ("S", "families") and id(sub) not in allowed]
+    assert not readers, "sets read outside the boundary:\n" + "\n".join(readers)

@@ -15,14 +15,15 @@ from oracles import from_lib, o_closure, o_solutions
 from supportmonoids import (INF, DioSystem, HilbertBasis, SystemOfSupports,
                             a_plus_inf_a, b_max, b_min,
                             divides, enumerate_truncated, equals_a_plus_inf_a,
-                            extract, generators, generated_truncated, infinite_supports, inject,
+                            extract, generators, generated_truncated, in_generated,
+                            infinite_supports, inject,
                             is_almost_free, is_full, is_member,
                             member_via_supports, minimal_nonempty,
                             minimize_generators, subsystem_for, supp,
                             truncated_members, validate)
 from supportmonoids.errors import MissingOrderUnitError, ResourceLimitError
 from supportmonoids.semiring import canonical_sorted
-from supportmonoids.supports import _closed_masks, _index_set, _mask
+from supportmonoids.supports import _closed_masks, _coords, _mask
 
 RANDCLOSURE = DioSystem(s=3, F=((1, 1, 0),), G=((1, 0, 1),))
 PARITY = DioSystem(s=2, D=((1, 1),), moduli=(2,))
@@ -437,6 +438,9 @@ def test_is_full_agrees_with_all_pairs_definition():
 def test_minimal_nonempty():
     S = {fset(), fset(1), fset(2, 3), fset(1, 2), fset(1, 2, 3)}
     assert minimal_nonempty(S) == [fset(1), fset(2, 3)]
+    for bad in (0, 25):
+        with pytest.raises(ValueError, match=f"^index {bad} outside 1..24$"):
+            minimal_nonempty([fset(1), fset(bad)])
 
 
 def test_minimal_nonempty_matches_brute_force():
@@ -456,8 +460,8 @@ def test_json_roundtrip():
     again = SystemOfSupports.from_json(sos.to_json())
     assert again.s == sos.s and again.unit == sos.unit
     assert again.families == sos.families
-    # equal support sets are one shared object across instances
-    assert all(H is K for (H, _), (K, _) in zip(again.families, sos.families))
+    # each instance builds its support sets once: a second read returns the first
+    assert again.families is again.families and again.S is again.S
 
 
 # -- systems of supports that build each family on first use ---------------
@@ -550,10 +554,10 @@ def test_extract_builds_only_the_families_it_reads(monkeypatch):
     built = len(calls)
     assert len(sos.S) == 16 and len(calls) == built
     assert list(sos._by_h) == [0b0011, 0b0100]
-    # building every family reuses the two already built, and each
-    # support set is the one shared object of its mask
+    # building every family reuses the two already built, and a second
+    # read returns the first, building nothing
     assert len(sos.families) == 16 and len(calls) == 1 + 14
-    assert all(H is _index_set(_mask(H)) for H, _ in sos.families)
+    assert sos.families is sos.families and len(calls) == 1 + 14
 
 
 def test_reading_S_builds_no_family():
@@ -679,7 +683,7 @@ def test_listings_walk_the_supports_by_size_then_lexicographically():
         restated = [frozenset(c) for r in range(s + 1)
                     for c in itertools.combinations(range(1, s + 1), r)]
         for sos in (b_max(HilbertBasis.free(s)), extract(DioSystem(s=s))):
-            assert [_index_set(h) for h in sos._masks()] == restated
+            assert [frozenset(_coords(h)) for h in sos._masks()] == restated
             assert sos._masks() == [_mask(H) for H in restated]
         # b_min of <e1 + ... + es> holds the empty set and the full set only
         assert [H for H, _ in b_min(HilbertBasis(s, ((1,) * s,))).families] == \
@@ -771,8 +775,8 @@ def test_interior_and_listing_agree_with_brute_force(monkeypatch):
                     break
                 sub = (sub - 1) & h
             assert interior(h) == largest
-        restated = sorted(map(_index_set, S), key=lambda H: (len(H), sorted(H)))
-        assert [_index_set(h) for h in sos._masks()] == restated
+        restated = sorted((frozenset(_coords(h)) for h in S), key=lambda H: (len(H), sorted(H)))
+        assert [frozenset(_coords(h)) for h in sos._masks()] == restated
         # the walk lists in that order for every operator, whichever lister the system uses
         assert _closed_masks(s, interior, "walk") == [_mask(H) for H in restated]
 
@@ -783,8 +787,7 @@ def test_index_sets_round_trip_through_masks():
         H = frozenset(rng.sample(range(1, 25), rng.randint(0, 24)))
         h = _mask(H)
         assert h == sum(2 ** (i - 1) for i in H)
-        assert _index_set(h) == H and _mask(_index_set(h)) == h
-        assert _index_set(h) is _index_set(h)
+        assert _coords(h) == tuple(sorted(H)) and _mask(_coords(h)) == h
 
 
 def test_concurrent_readers_of_lazy_systems_agree():
@@ -842,3 +845,128 @@ def test_almost_free_reads_freeness_from_the_unit_vectors():
         sos = SystemOfSupports(s=2, unit=(1, 1), families=fams)
         assert validate(sos) == []
         assert is_almost_free(sos)
+
+
+# -- the boundary: S, families, minimal_nonempty and validate on sets --------
+
+def _restated_order(S):
+    return sorted(S, key=lambda H: (len(H), sorted(H)))
+
+
+def _restated_issues(s, unit, families):
+    """``validate`` restated on frozensets, message for message."""
+    issues, basis = [], dict(families)
+    S = [H for H, _ in families]
+    full = frozenset(range(1, s + 1))
+    if fset() not in basis:
+        issues.append("(1) the empty set is missing from S")
+    elif not in_generated(basis[fset()].gens, unit):
+        issues.append(f"(1) the unit {unit} is not generated by the empty-set family")
+    if full not in basis:
+        issues.append("(3) the full index set is missing from S")
+    elif basis[full].gens:
+        issues.append("(3) the family at the full index set must be trivial")
+    for i, H in enumerate(S):
+        for K in S[i + 1:]:
+            if H | K not in basis:
+                issues.append(f"(3) S is not closed under unions: "
+                              f"{sorted(H)} ∪ {sorted(K)} missing")
+    for H, b in families:
+        issues += [f"(3) H ∪ supp(x) escapes S for H={sorted(H)}, x={g}"
+                   for g in b.gens if supp(inject(g, H)) not in basis]
+    for H, bH in families:
+        outside = [i for i in range(1, s + 1) if i not in H]
+        for K, bK in families:
+            if H < K:
+                for g in bH.gens:
+                    image = tuple(v for i, v in zip(outside, g) if i not in K)
+                    if any(image) and not in_generated(bK.gens, image):
+                        issues.append(f"(4) projection of {g} from H={sorted(H)} "
+                                      f"is not in the family at K={sorted(K)}")
+    return issues
+
+
+def _assert_boundary(sos, S, families=None):
+    """sos.S is S, families lists S in its order (with the bases given,
+    when given), and minimal_nonempty and validate agree with their
+    restatements; second reads return the first and build nothing.
+    Returns the issues validate finds."""
+    order = _restated_order(S)
+    assert sos.S == S
+    assert [H for H, _ in sos.families] == order
+    if families is not None:
+        assert sos.families == tuple(sorted(families, key=lambda f: (len(f[0]), sorted(f[0]))))
+    nonempty = [H for H in order if H]
+    minimal = [H for H in nonempty if not any(K < H for K in nonempty)]
+    assert minimal_nonempty(S) == minimal == minimal_nonempty(list(S))
+    issues = validate(sos)
+    assert issues == _restated_issues(sos.s, sos.unit, sos.families)
+    built = dict(sos._by_h)
+    assert sos.S is sos.S and sos.families is sos.families and sos._by_h == built
+    return issues
+
+
+def _subsets(s):
+    return [frozenset(c) for r in range(s + 1) for c in itertools.combinations(range(1, s + 1), r)]
+
+
+def test_boundary_agrees_with_frozenset_restatements():
+    rng = random.Random(179)
+    systems = seeded_extractable_systems(rng, 60)
+    systems += [sys_ for sys_ in _seeded_sparse_systems(rng, 20) if sys_.s <= 7]  # 7 of them
+    kinds = set()
+    for sys_ in systems:
+        # the zero-pattern criterion, on sets
+        S = {H for H in _subsets(sys_.s)
+             if all(bool(H & supp(f)) == bool(H & supp(g)) for f, g in zip(sys_.F, sys_.G))}
+        sos = extract(sys_)
+        assert _assert_boundary(sos, S) == []
+        A = sos.basis_for(fset())
+        supps, unions = {supp(g) for g in A.gens}, {fset()}
+        for K in supps:
+            unions |= {H | K for H in unions}
+        everything = _subsets(A.dim)
+        for made, want in ((a_plus_inf_a(A), unions),
+                           (b_min(A), {H for H in everything
+                                       if not H or any(K <= H for K in supps)}),
+                           (b_max(A), set(everything))):
+            _assert_boundary(made, want)
+
+        if sys_.s > 4:
+            continue
+        # hand-built copies, families given in a shuffled order, that break the axioms
+        families = list(sos.families)
+        by_size = _restated_order(S)
+        broken = [families[1:], families[:-1], [(H, b) for H, b in families if H != by_size[1]]]
+        if len(by_size) > 3:
+            middle = rng.choice(by_size[1:-1])
+            broken.append([(H, b) for H, b in families if H != middle])
+            # a family that doubles every generator breaks projection into it
+            broken.append([(H, HilbertBasis.from_generators(b.dim, [tuple(2 * v for v in g)
+                                                                     for g in b.gens]))
+                           if H == middle else (H, b) for H, b in families])
+        # no checked basis of dimension 0 holds a generator; an unchecked one can
+        broken.append([(H, HilbertBasis._trusted(0, ((),))) if len(H) == sys_.s else (H, b)
+                       for H, b in families])
+        moved = (sos.unit[0] + 1,) + sos.unit[1:]
+        for unit, fams in [(sos.unit, fams) for fams in broken] + [(moved, families)]:
+            rng.shuffle(fams)
+            issues = _assert_boundary(SystemOfSupports(sys_.s, unit, tuple(fams)),
+                                      {H for H, _ in fams}, fams)
+            kinds.update(" ".join(issue.split()[:3]) for issue in issues)
+    assert kinds == {"(1) the empty", "(1) the unit", "(3) the full", "(3) the family",
+                     "(3) S is", "(3) H ∪", "(4) projection of"}
+
+
+def test_a_refused_listing_refuses_every_boundary_read():
+    sos = extract(DioSystem(s=17))
+    messages = set()
+    for read in (lambda: sos.S, lambda: sos.families, sos.to_json,
+                 lambda: is_full(sos), lambda: validate(sos)) * 2:
+        with pytest.raises(ResourceLimitError) as refusal:
+            read()
+        messages.add(str(refusal.value))
+    assert messages == {"infinite_supports: listing more than 2^16 support sets out of "
+                        "the 2^17 subsets of 17 coordinates exceeds the cap "
+                        "MAX_POWERSET_DIM = 16"}
+    assert sos._by_h == {} and sos._sets == {}
