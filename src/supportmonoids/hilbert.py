@@ -52,7 +52,11 @@ finite coefficients for an all-finite target, the question every
 membership test in A_H reduces to.  A target with inf entries is
 reduced to it by a cover that peels off generators inf there, inside
 the same search, on the same packed words, memo and cap, so a remainder
-that one cover leaves fails once however many covers reach it.
+that one cover leaves fails once however many covers reach it.  The
+cover and the search are one loop over an explicit stack of frames, not
+a recursion: a query goes as deep as its generators need whatever the
+caller's stack, and a call leaves no reference cycle behind for the
+cyclic collector.
 
 The finite search runs on packed words with fields for entries up to
 max(x).  Every remainder lies below x, and every generator it tries
@@ -65,7 +69,6 @@ search on tuples, and memoizes the same failures.
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
 from operator import add, le, mul
 
@@ -452,9 +455,19 @@ def _in_generated_finite(pool, x, carriers=(), todo=0) -> bool:
 
     The memo counts the states the cover and the search expand, but for
     those on the path that succeeds, and the query is refused once it
-    passes MAX_COMPLETION_STATES.  Both recurse once per generator they
-    try, so a query that outgrows the interpreter's recursion limit, as
-    one with about a thousand generators that fit can, is refused too.
+    passes MAX_COMPLETION_STATES.
+
+    Both run in one loop over an explicit stack, not by recursion, so
+    the depth a query reaches, one level per generator the search tries
+    and one per cover step, does not depend on the caller's stack, and
+    a call leaves no reference cycle.  A state is (k, r) in the search
+    and (-todo, r) in the cover; a cover that has peeled all of todo
+    reaches (-0, r), which is (0, r), the search from generator 0.
+    Expanding a state pushes its frame: the state, a None above it, and
+    above those its children in reverse, so the child tried first is on
+    top.  A child that succeeds ends the query.  When the None comes
+    back to the top, every child above it has failed: the state under
+    it is popped and memoized.
     """
     # INF <= t is False for every finite t
     gens = [g for g in pool if all(map(le, g, x))]
@@ -467,56 +480,39 @@ def _in_generated_finite(pool, x, carriers=(), todo=0) -> bool:
     for k in range(len(words) - 1, -1, -1):
         reach[k] = reach[k + 1] | ((words[k] | top) - ones) & top
     failed = set()
-
-    def search(k, r) -> bool:
-        need = ((r | top) - ones) & top
-        if not need:
-            return True
-        if need & ~reach[k]:
-            return False
-        state = (k, r)
-        if state in failed:
-            return False
-        g = words[k]
-        rest = []
-        t = r | top
-        while (t := t - g) & top == top:
-            rest.append(t ^ top)
-        for r2 in reversed(rest):
-            if search(k + 1, r2):
-                return True
-        if search(k + 1, r):
-            return True
-        failed.add(state)
-        if len(failed) > MAX_COMPLETION_STATES:
-            raise _too_many_states(len(failed))
-        return False
-
-    try:
-        if not todo:
-            return search(0, start)
-
-        def cover(r, todo) -> bool:
-            if not todo:
-                return search(0, r)
-            state = (-todo, r)
-            if state in failed:
-                return False
-            low = todo & -todo
-            for g, inf_at in zip(words, carriers):
-                if (inf_at & low and (t := (r | top) - g) & top == top
-                        and cover(t ^ top, todo & ~inf_at)):
-                    return True
-            failed.add(state)
+    stack = [(-todo, start)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        state = pop()
+        if state is None:
+            failed.add(pop())
             if len(failed) > MAX_COMPLETION_STATES:
                 raise _too_many_states(len(failed))
-            return False
-
-        return cover(start, todo)
-    except RecursionError:
-        raise ResourceLimitError(
-            f"in_generated: the membership search over {len(words)} generators went "
-            f"deeper than the recursion limit {sys.getrecursionlimit()}") from None
+            continue
+        k, r = state
+        if k >= 0:
+            need = ((r | top) - ones) & top
+            if not need:
+                return True
+            if need & ~reach[k] or state in failed:
+                continue
+            push(state)
+            push(None)
+            # coefficient 0 is tried last, the largest that fits first
+            g = words[k]
+            push((k + 1, r))
+            t = r | top
+            while (t := t - g) & top == top:
+                push((k + 1, t ^ top))
+        elif state not in failed:
+            push(state)
+            push(None)
+            todo = -k
+            low = todo & -todo
+            stack.extend(reversed([(-(todo & ~inf_at), t ^ top)
+                                   for g, inf_at in zip(words, carriers)
+                                   if inf_at & low and (t := (r | top) - g) & top == top]))
+    return False
 
 
 def minimize_generators(gens) -> tuple:

@@ -1,9 +1,11 @@
 import collections
+import gc
 import hashlib
 import itertools
 import json
 import random
 import re
+import sys
 import time
 from operator import le
 
@@ -748,16 +750,179 @@ def test_packed_membership_search_matches_a_tuple_search():
     assert _in_generated_finite([ones, *units], (200,) * MAX_DIM)
 
 
-def test_a_search_past_the_recursion_limit_is_refused():
+def test_a_search_past_the_recursion_limit_answers():
     # every generator fits (3, 2401) and none can be the last one used,
-    # so the search recurses once per generator
+    # so the search goes one level deeper per generator, past the
+    # interpreter's recursion limit, and still answers, like the
+    # 900-generator control
     deep = [(2, 2 * k) for k in range(1200)]
-    with pytest.raises(ResourceLimitError, match=r"^in_generated: .* recursion limit"):
-        in_generated(deep, (3, 2401))
+    assert sys.getrecursionlimit() < len(deep)
+    assert not in_generated(deep, (3, 2401))
     # an inf target: the cover peels (1, 0, inf) off, then searches as deep
-    with pytest.raises(ResourceLimitError, match=r"^in_generated: .* recursion limit"):
-        in_generated([(1, 0, INF), *((*g, 0) for g in deep)], (3, 2401, INF))
+    assert not in_generated([(1, 0, INF), *((*g, 0) for g in deep)], (3, 2401, INF))
     assert not in_generated([(2, 2 * k) for k in range(900)], (3, 2401))
+
+
+def _frames_deeper(n, call):
+    """call(), made n Python frames below the caller."""
+    return call() if n == 0 else _frames_deeper(n - 1, call)
+
+
+def test_deep_queries_answer_the_same_at_any_stack_depth():
+    deep = [(2, 2 * k) for k in range(960)]
+    queries = [(deep, (3, 2401)),
+               ([(1, 0, INF), *((*g, 0) for g in deep)], (3, 2401, INF))]
+    for gens, x in queries:
+        for depth in (0, 500):
+            assert _frames_deeper(depth, lambda: in_generated(gens, x)) is False, (x, depth)
+
+
+def test_minimize_generators_answers_past_a_thousand_kept_vectors_below_a_target():
+    # a sum of two of the 1,893 minimal solutions has over a thousand kept
+    # vectors below it, each a level of its membership search; the sweep
+    # removes every sum and keeps the solutions (about 0.5 s on a 2-core
+    # Xeon host; budget 10 s)
+    sols = canonical_sorted(minimal_solutions([(1, 1, 1, -41, -43)], 5))
+    assert len(sols) == 1893
+    rng = random.Random(29)
+    sums = [tuple(map(int.__add__, rng.choice(sols), rng.choice(sols))) for _ in range(300)]
+    start = time.perf_counter()
+    assert minimize_generators([*sols, *sums]) == sols
+    assert time.perf_counter() - start < 10
+
+
+def test_membership_queries_leave_no_cyclic_garbage():
+    from supportmonoids.hilbert import _in_generated_finite
+    from supportmonoids.supports import extract, member_via_supports
+    rng = random.Random(59)
+    systems = [extract(DioSystem(s=3, F=((1, 1, 0),), G=((1, 0, 1),))),
+               extract(DioSystem(s=3, F=((1, 2, 0),), G=((0, 1, 3),))),
+               extract(DioSystem(s=4, D=((1, 2, 1, 3),), moduli=(3,)))]
+    queries = []
+    for _ in range(300):
+        dim = rng.randint(1, 5)
+        gens = [tuple(rng.choice((0, 1, 2, 3, INF)) for _ in range(dim))
+                for _ in range(rng.randint(0, 6))]
+        x = tuple(rng.choice((0, 1, 2, 3, 4, 5, INF)) for _ in range(dim))
+        queries.append((gens, x))
+    assert sum(INF in x for _, x in queries) > 100
+    probes = [(sos, tuple(rng.choice((0, 1, 2, 3, INF)) for _ in range(sos.s)))
+              for sos in systems for _ in range(100)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        answers = [in_generated(gens, x) for gens, x in queries]
+        answers += [member_via_supports(sos, v) for sos, v in probes]
+        # the search at every level: a chain of 12 nested generators
+        answers.append(_in_generated_finite(_nested_chain(12).gens, (12, *range(10, 0, -1), 2)))
+        kept = minimize_generators([*_nested_chain(6).gens, (3, 2, 2, 1, 1, 1)])
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert 50 < sum(answers) < len(answers) - 50
+    assert (3, 2, 2, 1, 1, 1) not in kept
+
+
+def _recursive_membership(pool, x, carriers=(), todo=0):
+    """_in_generated_finite restated on tuples as the recursion the
+    library ran before its explicit stack: a search and a cover that
+    call themselves, with one memo of (k, remainder) and (-todo,
+    remainder) failures, the same prunes and child order, and the same
+    refusal past MAX_COMPLETION_STATES, read when called."""
+    from supportmonoids import hilbert
+    cap = hilbert.MAX_COMPLETION_STATES
+    gens = [g for g in pool if all(map(le, g, x))]
+    if not gens:
+        return not todo and not any(x)
+    reach = [frozenset()]
+    for g in reversed(gens):
+        reach.append(reach[-1] | {j for j, v in enumerate(g) if v})
+    reach.reverse()
+    failed = set()
+
+    def fail(state):
+        failed.add(state)
+        if len(failed) > cap:
+            raise hilbert._too_many_states(len(failed))
+        return False
+
+    def search(k, rest):
+        need = {j for j, v in enumerate(rest) if v}
+        if not need:
+            return True
+        if need - reach[k] or (k, rest) in failed:
+            return False
+        g = gens[k]
+        most = min(r // v for r, v in zip(rest, g) if v)
+        for c in range(most, -1, -1):
+            if search(k + 1, tuple(r - c * v for r, v in zip(rest, g))):
+                return True
+        return fail((k, rest))
+
+    def cover(rest, todo):
+        if not todo:
+            return search(0, rest)
+        if (-todo, rest) in failed:
+            return False
+        low = todo & -todo
+        for g, inf_at in zip(gens, carriers):
+            if inf_at & low and all(map(le, g, rest)) and \
+                    cover(tuple(r - v for r, v in zip(rest, g)), todo & ~inf_at):
+                return True
+        return fail((-todo, rest))
+
+    return cover(tuple(x), todo)
+
+
+def _seeded_membership_queries(rng, count):
+    """(pool, x, carriers, todo) arguments of _in_generated_finite: all
+    finite queries, half of them on members, and cover queries whose
+    generators all fit below x, with carriers on up to three inf
+    coordinates."""
+    out = []
+    for n in range(count):
+        dim = rng.randint(1, 6)
+        gens = [tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(dim))
+                for _ in range(rng.randint(0, 8))]
+        gens = [g for g in gens if any(g)]
+        x = [rng.randint(0, 6) for _ in range(dim)]
+        if gens and n % 4 in (1, 2):  # a member: a small sum of the generators
+            x = [0] * dim
+            for g in gens:
+                c = rng.randint(0, 2)
+                x = [a + c * v for a, v in zip(x, g)]
+        x = tuple(x)
+        if n % 2:
+            out.append((gens, x, (), 0))
+        else:
+            gens = [g for g in gens if all(map(le, g, x))]
+            m = rng.randint(1, 3)
+            carriers = [rng.randrange(1 << m) for _ in gens]
+            out.append((gens, x, carriers, rng.randrange(1, 1 << m)))
+    return out
+
+
+def test_membership_search_matches_the_recursion_it_replaced(monkeypatch):
+    from supportmonoids import hilbert
+    from supportmonoids.hilbert import _in_generated_finite
+    rng = random.Random(61)
+    queries = _seeded_membership_queries(rng, 4000)
+    counts = collections.Counter()
+    for q in queries:
+        want = _recursive_membership(*q)
+        assert _in_generated_finite(*q) == want, q
+        counts[(bool(q[3]), want)] += 1
+    assert min(counts.values()) > 300, counts
+    # under small caps both refuse at the same count with the same message
+    for cap in (0, 1, 2, 3, 5, 8, 13, 30):
+        monkeypatch.setattr(hilbert, "MAX_COMPLETION_STATES", cap)
+        for q in queries[:1500]:
+            want = _outcome(_recursive_membership, *q)
+            assert _outcome(_in_generated_finite, *q) == want, (q, cap)
+            counts["refused", cap] += isinstance(want, str)
+    assert counts["refused", 0] > 300 and counts["refused", 8] > 20, counts
 
 
 def _members_by_coefficients(gens, bound, dim):
@@ -862,7 +1027,10 @@ def test_membership_search_is_capped(monkeypatch):
         in_generated(chain.gens, unit)
     assert str(err.value) == ("in_generated: the membership search expanded 1001 states, "
                               "past the cap MAX_COMPLETION_STATES = 1000")
-    assert err.traceback[-1].name == "search"
+    # the recursion the explicit stack replaced refuses there too, in its search
+    with pytest.raises(ResourceLimitError) as old:
+        _recursive_membership(chain.gens, unit)
+    assert str(old.value) == str(err.value) and old.traceback[-2].name == "search"
 
 
 def test_cover_search_is_capped(monkeypatch):
@@ -877,7 +1045,11 @@ def test_cover_search_is_capped(monkeypatch):
     monkeypatch.setattr(hilbert, "MAX_COMPLETION_STATES", 10)
     with pytest.raises(ResourceLimitError, match="^in_generated: .* 11 states, .* = 10$") as err:
         in_generated(gens, x)
-    assert err.traceback[-1].name == "cover"
+    # the recursion the explicit stack replaced refuses there too, in its cover
+    monkeypatch.setattr(hilbert, "_in_generated_finite", _recursive_membership)
+    with pytest.raises(ResourceLimitError) as old:
+        in_generated(gens, x)
+    assert str(old.value) == str(err.value) and old.traceback[-2].name == "cover"
 
 
 def _carried_chain(n, m, v):
