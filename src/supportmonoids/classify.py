@@ -24,8 +24,8 @@ import math
 
 from .equations import DioSystem, is_member
 from .hilbert import _in_generated_finite, find_order_unit
-from .semiring import (INF, Record, _inject_all, canonical_sorted, check_int, supp, unit_vec,
-                       vec_to_json)
+from .semiring import (Record, _inject_all, _project_all, canonical_sorted, check_int, supp,
+                       unit_vec, vec_to_json)
 from .supports import (DEFAULT_FULLNESS_BOUND, SystemOfSupports, _closed_masks, _minimal,
                        _union_interior, extract, is_almost_free, is_full)
 
@@ -89,20 +89,17 @@ def equals_a_plus_inf_a(sys: DioSystem, sos: SystemOfSupports | None = None):
     if sos is None:
         sos = extract(sys)
     s = sos.s
-    gens0 = sos.basis_for(()).gens
+    gens0 = sos._family(0).gens
     supps = _closed_masks(s, _union_interior(gens0), "equals_a_plus_inf_a")
     masks = sos._masks()
-
-    def projected(h):
-        shadow = (tuple(v for j, v in enumerate(g) if not h >> j & 1) for g in gens0)
-        return [p for p in shadow if any(p)]
+    projected = lambda h: [p for p in _project_all(gens0, 0, h, s) if any(p)]
 
     witnesses = set()
     cond_supports = masks == supps
     for h in set(masks).difference(supps):
         # inf exactly on H is a member but its infinite support is not a
         # support of the finite part, so it cannot be a1 + inf·a2
-        witnesses.add(tuple(INF if h >> j & 1 else 0 for j in range(s)))
+        witnesses.update(_inject_all([(0,) * (s - h.bit_count())], h, s))
 
     cond_projections = True
     for h in _minimal(masks):

@@ -25,8 +25,8 @@ import itertools
 
 from .errors import MissingOrderUnitError, ResourceLimitError
 from .hilbert import HilbertBasis, minimize_generators
-from .semiring import (IndexSet, Record, Vec, _supp_mask, canonical_sorted, check_index_set,
-                       check_matrix)
+from .semiring import (IndexSet, Record, Vec, _project_all, _supp_mask, canonical_sorted,
+                       check_index_set, check_matrix)
 from .supports import SystemOfSupports, _closed_masks, _coords, _union_interior
 
 MAX_DECOMPOSE_GENS = 20    # partition search is exponential in the basis size
@@ -70,13 +70,10 @@ def a_plus_inf_a(basis: HilbertBasis) -> SystemOfSupports:
             K, rest = h ^ bit, rest ^ bit
             source = known.get(K)
         if source is None:
-            keep = [j for j in range(s) if not h >> j & 1]
-            return HilbertBasis._minimal(k, [tuple(g[j] for j in keep) for g in basis.gens])
+            return HilbertBasis._minimal(k, _project_all(basis.gens, 0, h, s))
         if source is HilbertBasis.free(k + 1):
             return HilbertBasis.free(k)
-        # the coordinates outside K below that bit come before it
-        pos = (~K & (bit - 1)).bit_count()
-        return HilbertBasis._minimal(k, [g[:pos] + g[pos + 1:] for g in source.gens])
+        return HilbertBasis._minimal(k, _project_all(source.gens, K, h, s))
 
     return _glued(basis, _union_interior(basis.gens), build, "a_plus_inf_a")
 
@@ -244,7 +241,7 @@ def decompose_direct_sum(basis: HilbertBasis) -> DirectSumData | None:
     if len(gens) < 2:
         return None
     s = basis.dim
-    masks = [_supp_mask(g) for g in gens]
+    full, masks = (1 << s) - 1, [_supp_mask(g) for g in gens]
     rank = _rank(gens)
     rest = range(1, len(gens))
     for r in range(0, len(gens) - 1):
@@ -264,17 +261,15 @@ def decompose_direct_sum(basis: HilbertBasis) -> DirectSumData | None:
             rank1 = _rank(group1)
             if rank1 + _rank(group2) != rank:
                 continue
-            third = [j for j in range(s) if I3 >> j & 1]
             pieces = []
             for group, block, want in ((group1, I1, rank1), (group2, I2, rank - rank1)):
-                own = [j for j in range(s) if block >> j & 1]
                 # equal projections collapse, leaving the rank of the keys
-                shadow = {tuple(g[j] for j in own): tuple(g[j] for j in third)
-                          for g in group}
+                shadow = dict(zip(_project_all(group, 0, full ^ block, s),
+                                  _project_all(group, 0, full ^ I3, s)))
                 if _rank(shadow) != want:
                     break
                 factor = canonical_sorted(shadow)
-                pieces.append((HilbertBasis(len(own), factor),
+                pieces.append((HilbertBasis(block.bit_count(), factor),
                                tuple(shadow[p] for p in factor)))
             else:
                 (b1, f1), (b2, f2) = pieces

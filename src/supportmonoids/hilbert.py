@@ -74,8 +74,8 @@ from operator import add, le, mul
 
 from .equations import ENUMERATION_GUARD, DioSystem, lift_congruences
 from .errors import ResourceLimitError
-from .semiring import (INF, MAX_DIM, Record, Vec, _supp_mask, canonical_sorted, check_dim,
-                       check_int, check_vecs, unit_vec)
+from .semiring import (INF, MAX_DIM, Record, Vec, _project_all, _supp_mask, canonical_sorted,
+                       check_dim, check_int, check_vecs, unit_vec)
 
 MAX_COMPLETION_STATES = 1_000_000
 
@@ -416,11 +416,9 @@ def in_generated(gens, x: Vec) -> bool:
     todo = sum(1 << i for i in range(dim) if x[i] is INF)
     if not todo:
         return _in_generated_finite(pool, x)
-    fin = [i for i in range(dim) if x[i] is not INF]
-    x_fin = tuple(x[i] for i in fin)
+    x_fin, *finite = _project_all([x, *pool], 0, todo, dim)
     projections, carriers = [], []
-    for g in pool:
-        p = tuple(g[i] for i in fin)
+    for g, p in zip(pool, finite):
         if not any(p):
             todo &= ~_supp_mask(g)
         elif all(map(le, p, x_fin)):  # INF <= t is False for every finite t

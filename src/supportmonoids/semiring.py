@@ -45,7 +45,9 @@ that every public query of the other modules applies to outside input;
 ``check_matrix`` is the one test of integer rows (equations, shadow
 maps, rank data), and ``check_int`` of a count, every bound included.
 The arithmetic and format helpers (``vec_add``, ``scale``, ``divides``,
-``supp``, ``project``, ``inject``, ...) are unchecked primitives.
+``supp``, ``project``, ``inject``, ...) leave entries unchecked, not
+shapes: ``project`` and ``inject`` test their index set, and
+``vec_add``, ``dot`` and ``divides`` refuse vectors of unequal lengths.
 """
 
 from __future__ import annotations
@@ -287,6 +289,11 @@ def supp(x: Vec) -> IndexSet:
     return frozenset(i for i, v in enumerate(x, 1) if v != 0)
 
 
+def _mask(H) -> int:
+    """The mask of a set of coordinates: bit i - 1 for coordinate i."""
+    return sum(1 << (i - 1) for i in H)
+
+
 def _supp_mask(x) -> int:
     """Where x is nonzero, as an int mask: bit i - 1 for coordinate i."""
     return sum(1 << j for j, v in enumerate(x) if v)
@@ -320,8 +327,9 @@ def divides(x: Vec, y: Vec) -> bool:
 
 def project(x: Vec, H: Iterable[int]) -> Vec:
     """Drop the coordinates in H (1-based), keeping the rest in order."""
-    Hs = check_index_set(H, len(x))
-    return tuple(v for i, v in enumerate(x, 1) if i not in Hs)
+    x = tuple(x)
+    [out] = _project_all([x], 0, _mask(check_index_set(H, len(x))), len(x))
+    return out
 
 
 def inject(x: Vec, H: Iterable[int]) -> Vec:
@@ -331,7 +339,7 @@ def inject(x: Vec, H: Iterable[int]) -> Vec:
     """
     Hs = frozenset(H)
     s = len(x) + len(Hs)
-    [out] = _inject_all([tuple(x)], sum(1 << (i - 1) for i in check_index_set(Hs, s)), s)
+    [out] = _inject_all([tuple(x)], _mask(check_index_set(Hs, s)), s)
     return out
 
 
@@ -348,6 +356,24 @@ def _inject_all(xs, h: int, s: int) -> list:
     pick = itemgetter(*(k if h >> j & 1 else next(slots) for j in range(s)))
     pad = (INF,)
     return [pick(x + pad) for x in xs]
+
+
+def _project_all(xs, k: int, h: int, s: int) -> list:
+    """The vectors xs over the complement of the mask k with the
+    coordinates of the mask h dropped, for masks k ⊆ h < 2^s: each x
+    lists the coordinates outside k in ascending order, and each result
+    those outside h.  [project(x, H) for x in xs] when k is 0."""
+    if h == k or not xs:
+        return list(xs)
+    # coordinate j + 1 sits at entry j minus the bits of k below bit j
+    keep = [j - (k & ~(-1 << j)).bit_count() for j in range(s) if not h >> j & 1]
+    if not keep:
+        return [() for _ in xs]
+    if len(keep) == 1:  # a getter of one index returns the entry, not a tuple
+        [p] = keep
+        return [(x[p],) for x in xs]
+    pick = itemgetter(*keep)
+    return [pick(x) for x in xs]
 
 
 def unit_vec(s: int, i: int) -> Vec:

@@ -30,29 +30,27 @@ from operator import or_
 from .equations import DioSystem
 from .errors import MissingOrderUnitError, ResourceLimitError
 from .hilbert import HilbertBasis, _in_generated_finite, generated_upto, hilbert_basis
-from .semiring import (INF, MAX_DIM, Record, Vec, _inject_all, _supp_mask, canonical_sorted,
-                       check_dim, check_index_set, check_int, check_vec, vec_from_json,
-                       vec_to_json)
+from .semiring import (INF, MAX_DIM, Record, Vec, _inject_all, _mask, _project_all, _supp_mask,
+                       canonical_sorted, check_dim, check_index_set, check_int, check_vec,
+                       vec_from_json, vec_to_json)
 
 MAX_POWERSET_DIM = 16  # listing more than 2^16 support sets is refused
 
 
 # A support set H is an int mask h inside the library: bit i - 1 stands
-# for coordinate i.  Sets of coordinates are built only at the public
-# boundary: ``S`` and ``families`` (once per instance), the return
-# value of ``infinite_supports`` and ``minimal_nonempty``, and the
-# blocks of ``constructions.decompose_direct_sum``.  Three bytes hold
-# the MAX_DIM = 24 coordinates: ``_BYTE_COORDS[k][b]`` lists the
-# coordinates of the value b of byte k, ascending, built by doubling.
+# for coordinate i.  A vector over the complement of h lists the other
+# coordinates in ascending order, and ``semiring._inject_all`` and
+# ``semiring._project_all`` are the one reading of that layout.  Sets of
+# coordinates are built only at the public boundary: ``S`` and
+# ``families`` (once per instance), the return value of
+# ``infinite_supports`` and ``minimal_nonempty``, and the blocks of
+# ``constructions.decompose_direct_sum``.  Three bytes hold the MAX_DIM
+# = 24 coordinates: ``_BYTE_COORDS[k][b]`` lists the coordinates of the
+# value b of byte k, ascending, built by doubling.
 _BYTE_COORDS = [[()], [()], [()]]
 for _k, _table in enumerate(_BYTE_COORDS):
     for _i in range(8 * _k + 1, 8 * _k + 9):
         _table += [c + (_i,) for c in _table]
-
-
-def _mask(H) -> int:
-    """The mask of a set of coordinates."""
-    return sum(1 << (i - 1) for i in H)
 
 
 def _coords(h: int) -> tuple:
@@ -315,21 +313,21 @@ def infinite_supports(sys: DioSystem) -> frozenset:
 
 
 def _subsystem(sys: DioSystem, masks, h: int) -> DioSystem:
-    keep = [j for j in range(sys.s) if not h >> j & 1]
-    if not keep:
+    if h.bit_count() == sys.s:
         raise ValueError("the complement of H is empty; the attached monoid is trivial")
-    drop = lambda row: tuple(row[j] for j in keep)
     F, G = [], []
     for f, g, (mf, mg) in zip(sys.F, sys.G, masks[0]):
         if not (mf | mg) & h:
-            F.append(drop(f))
-            G.append(drop(g))
+            F.append(f)
+            G.append(g)
     D, moduli = [], []
     for d, m, md in zip(sys.D, sys.moduli, masks[1]):
         if not md & h:
-            D.append(drop(d))
+            D.append(d)
             moduli.append(m)
-    return DioSystem._trusted(len(keep), tuple(F), tuple(G), tuple(D), tuple(moduli))
+    n, rows = len(F), tuple(_project_all(F + G + D, 0, h, sys.s))
+    return DioSystem._trusted(sys.s - h.bit_count(), rows[:n], rows[n:2 * n], rows[2 * n:],
+                              tuple(moduli))
 
 
 def subsystem_for(sys: DioSystem, H) -> DioSystem:
@@ -435,39 +433,24 @@ def generators(sos: SystemOfSupports) -> tuple:
       projections outside H of the other candidates with inf-supp
       inside H.
     """
-    fams = _placed(sos)
-    gen_supps = {_supp_mask(x) for h, _, gens in fams for x in _inject_all(gens, h, sos.s)}
-    supps = gen_supps | {h for h, _, _ in fams}
+    s, fams = sos.s, sos._families()
+    gen_supps = {_supp_mask(x) for h, basis in fams for x in _inject_all(basis.gens, h, s)}
+    supps = gen_supps | {h for h, _ in fams}
     kept = []
-    for i, (h, outside, gens) in enumerate(fams):
-        lift = []
+    for i, (h, basis) in enumerate(fams):
+        gens, lift = basis.gens, []
         if h and h not in gen_supps and h != reduce(
                 or_, (m for m in supps if not m & ~h and m != h), 0):
-            lift.append((0,) * len(outside))
+            lift.append((0,) * (s - h.bit_count()))
         if gens:
             shadows = set()
-            for k, outside_k, gens_k in fams[:i]:  # the sets strictly inside h come before it
-                if k & ~h:
-                    continue
-                keep = [j for j, b in enumerate(outside_k) if not b & h]
-                for g in gens_k:
-                    p = tuple(g[j] for j in keep)
-                    if any(p):
-                        shadows.add(p)
+            for k, basis_k in fams[:i]:  # the sets strictly inside h come before it
+                if not k & ~h:
+                    shadows.update(p for p in _project_all(basis_k.gens, k, h, s) if any(p))
             lift += [g for g in gens
                      if not _in_generated_finite([*shadows, *(o for o in gens if o is not g)], g)]
-        kept += _inject_all(lift, h, sos.s)
+        kept += _inject_all(lift, h, s)
     return canonical_sorted(kept)
-
-
-def _placed(sos: SystemOfSupports) -> list:
-    """(h, outside, gens) for each mask h of S in the order of
-    ``families``: gens generate A_h, and outside lists the bits of the
-    coordinates outside h, ascending, so entry j of a vector over the
-    complement of h sits at bit outside[j]."""
-    s = sos.s
-    return [(h, [1 << j for j in range(s) if not h >> j & 1], basis.gens)
-            for h, basis in sos._families()]
 
 
 def truncated_members(sos: SystemOfSupports, bound: int) -> frozenset:
@@ -508,8 +491,8 @@ def validate(sos: SystemOfSupports) -> list:
     because projections are monoid maps.
     """
     issues = []
-    fams = _placed(sos)
-    S = {h for h, _, _ in fams}
+    fams = sos._families()
+    S = {h for h, _ in fams}
     full = (1 << sos.s) - 1
 
     if 0 not in S:
@@ -522,26 +505,24 @@ def validate(sos: SystemOfSupports) -> list:
     elif sos._family(full).gens:
         issues.append("(3) the family at the full index set must be trivial")
 
-    for i, (h, _, _) in enumerate(fams):
-        for k, _, _ in fams[i + 1:]:
+    for i, (h, _) in enumerate(fams):
+        for k, _ in fams[i + 1:]:
             if h | k not in S:
                 issues.append(f"(3) S is not closed under unions: "
                               f"{list(_coords(h))} ∪ {list(_coords(k))} missing")
 
-    for h, _, gens in fams:
-        for g, x in zip(gens, _inject_all(gens, h, sos.s)):
+    for h, basis in fams:
+        for g, x in zip(basis.gens, _inject_all(basis.gens, h, sos.s)):
             if _supp_mask(x) not in S:
                 issues.append(f"(3) H ∪ supp(x) escapes S for H={list(_coords(h))}, x={g}")
 
     # a set strictly inside another comes before it
-    for i, (h, outside, gens) in enumerate(fams):
-        for k, _, gens_k in fams[i + 1:]:
+    for i, (h, basis) in enumerate(fams):
+        for k, basis_k in fams[i + 1:]:
             if h & ~k:
                 continue
-            keep = [j for j, b in enumerate(outside) if not b & k]
-            for g in gens:
-                image = tuple(g[j] for j in keep)
-                if any(image) and not _in_generated_finite(gens_k, image):
+            for g, image in zip(basis.gens, _project_all(basis.gens, h, k, sos.s)):
+                if any(image) and not _in_generated_finite(basis_k.gens, image):
                     issues.append(
                         f"(4) projection of {g} from H={list(_coords(h))} "
                         f"is not in the family at K={list(_coords(k))}")

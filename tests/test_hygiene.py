@@ -138,7 +138,7 @@ def test_every_parameter_is_read():
 
 
 # Parameters that take vectors from a caller; ``semiring`` is exempt, as
-# its arithmetic and format helpers are unchecked primitives.
+# its arithmetic and format helpers leave entries unchecked.
 VECTOR_PARAMETERS = {"x", "gens", "m1", "m2", "a", "b"}
 
 
@@ -255,3 +255,39 @@ def test_systems_of_supports_are_read_through_their_masks():
                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
                and sub.attr in ("S", "families") and id(sub) not in allowed]
     assert not readers, "sets read outside the boundary:\n" + "\n".join(readers)
+
+
+def _bit_tests(node, names):
+    """The nodes below node of the form ``m >> j & 1`` with j in names."""
+    return [sub for sub in ast.walk(node)
+            if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.BitAnd)
+            and isinstance(sub.right, ast.Constant) and sub.right.value == 1
+            and isinstance(sub.left, ast.BinOp) and isinstance(sub.left.op, ast.RShift)
+            and isinstance(sub.left.right, ast.Name) and sub.left.right.id in names]
+
+
+def test_masks_are_projected_and_injected_in_semiring():
+    """Outside ``semiring``, no comprehension tests a bit of a mask with
+    its own loop variable (``h >> j & 1``): a vector over the complement
+    of a mask is read only by ``semiring._inject_all`` and
+    ``_project_all``, so no module re-derives the coordinate layout.
+    ``hilbert._Fields.unpack_truncated`` is exempt: its ``key >> j & 1``
+    reads a packed-word key, not a support mask."""
+    modules = _modules()
+    exempt = set()
+    for node in modules["hilbert.py"].body:
+        if isinstance(node, ast.ClassDef) and node.name == "_Fields":
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and method.name == "unpack_truncated":
+                    exempt.update(map(id, ast.walk(method)))
+    comprehensions = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+    found = set()
+    for name, tree in modules.items():
+        if name == "semiring.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, comprehensions) and id(node) not in exempt:
+                own = {sub.id for gen in node.generators for sub in ast.walk(gen.target)
+                       if isinstance(sub, ast.Name)}
+                found.update(f"{name}:{sub.lineno}" for sub in _bit_tests(node, own))
+    assert not found, "mask layouts read outside semiring:\n" + "\n".join(sorted(found))

@@ -129,6 +129,33 @@ def test_project_and_inject():
         inject((1, 2), {9})
 
 
+def test_project_all_agrees_with_a_tuple_restatement():
+    """For masks k ⊆ h below 2^s, s ≤ 5: a vector over the complement of
+    k lists the coordinates outside k in ascending order, and dropping
+    those of h keeps the rest in that order.  Results of length 0 and 1
+    are tuples, an empty list stays empty, and inf entries pass through;
+    project inverts inject at every index set."""
+    rng = random.Random(34)
+    for s in range(6):
+        for h in range(1 << s):
+            for k in range(1 << s):
+                if k & ~h:
+                    continue
+                outside = [j for j in range(s) if not k >> j & 1]
+                xs = [tuple(rng.choice(VALUES) for _ in outside) for _ in range(4)]
+                want = [tuple(v for j, v in zip(outside, x) if not h >> j & 1) for x in xs]
+                got = semiring._project_all(xs, k, h, s)
+                assert got == want and all(type(p) is tuple for p in got)
+                assert semiring._project_all([], k, h, s) == []
+            H = {j + 1 for j in range(s) if h >> j & 1}
+            x = tuple(rng.choice(VALUES) for _ in range(s - len(H)))
+            assert project(inject(x, H), H) == x
+    lengths = {len(p) for p in semiring._project_all([(INF, 1, 2)], 0, 0b011, 3)
+               + semiring._project_all([(INF, 1, 2)], 0, 0b111, 3)}
+    assert lengths == {0, 1}
+    assert semiring._project_all([(1, INF, 2)], 0, 0b100, 3) == [(1, INF)]
+
+
 def test_text_encoding():
     assert parse_vec("1,inf,0") == (1, INF, 0)
     assert parse_vec("1, INF ,0") == (1, INF, 0)
